@@ -48,7 +48,6 @@ from .plasticity import (
     PlasticityParams,
     evolve_weights,
     haeussler_rhs,
-    saturation_gate,
 )
 from .trainer import (
     ExperimentReport,

@@ -27,7 +27,9 @@ from .errors import (
 from .patterns import Pattern, load_image, save_image, save_pattern_csv
 from .trainer import (
     CONFIG_KEY_HELP,
+    CONFIG_KEYS,
     EXPERIMENT_NAMES,
+    TrainerConfig,
     config_from_dict,
     config_to_dict,
     format_kv,
@@ -51,9 +53,12 @@ RUN_KEY_HELP: dict[str, str] = {
     "cue": "cue pattern file for recall (--cue overrides)",
 }
 
-# Scalar model keys that a sweep may vary.
+# Model keys that a sweep may vary: not the grid sides, not the string
+# choices, and not master_seed, since a sweep's seed axis is its seed list.
 SWEEPABLE = tuple(
-    k for k in CONFIG_KEY_HELP if k not in ("rows", "cols", "boundary", "learn_schedule")
+    spec.key
+    for spec in CONFIG_KEYS
+    if spec.field != "grid" and spec.kind is not str and spec.key != "master_seed"
 )
 
 
@@ -143,7 +148,8 @@ def _check_keys(kv: dict[str, str]) -> None:
             base = key[len("sweep.") :]
             if base in SWEEPABLE:
                 continue
-            raise ConfigError(f"cannot sweep key {base!r}")
+            hint = "; give the run seeds with seeds or seed_count" if base == "master_seed" else ""
+            raise ConfigError(f"cannot sweep key {base!r}{hint}")
         raise ConfigError(f"unknown config key {key!r}")
 
 
@@ -159,7 +165,7 @@ def _split_run_keys(kv: dict[str, str]) -> tuple[dict[str, str], dict[str, str],
     return model_kv, run_kv, sweep_kv
 
 
-def _run_seeds(run_kv: dict[str, str], model_kv: dict[str, str]) -> list[int]:
+def _run_seeds(run_kv: dict[str, str], config: TrainerConfig) -> list[int]:
     if "seeds" in run_kv:
         try:
             seeds = [int(tok) for tok in run_kv["seeds"].split(",") if tok.strip()]
@@ -176,7 +182,7 @@ def _run_seeds(run_kv: dict[str, str], model_kv: dict[str, str]) -> list[int]:
         if count < 1:
             raise ConfigError(f"seed_count must be >= 1, got {count}")
         return list(range(count))
-    return [int(model_kv.get("master_seed", "0"))]
+    return [config.master_seed]
 
 
 def _require_out(run_kv: dict[str, str]) -> Path:
@@ -284,7 +290,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         raise ConfigError("experiment requires a name (positional or the experiment key)")
     out = _require_out(run_kv)
     config = config_from_dict(model_kv)
-    seeds = _run_seeds(run_kv, model_kv)
+    seeds = _run_seeds(run_kv, config)
 
     report = run_experiment(config, run_kv["experiment"], out_dir=out, seeds=seeds)
     (out / "config_echo.cfg").write_text(format_kv(config_to_dict(config)))
@@ -305,14 +311,17 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if "experiment" not in run_kv:
         raise ConfigError("sweep requires the experiment key")
     out = _require_out(run_kv)
-    seeds = _run_seeds(run_kv, model_kv)
     jobs = int(run_kv.get("jobs", "1"))
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
 
     param_names = sorted(sweep_kv)
-    grids = [sweep_kv[name] for name in param_names]
-    combos = list(product(*grids)) if param_names else [()]
+    combos = list(product(*(sweep_kv[name] for name in param_names)))
+    if not combos:
+        raise ConfigError("sweep: every sweep.<key> needs at least one value")
+    # validate the key set once, before any worker starts
+    first = config_from_dict({**model_kv, **dict(zip(param_names, combos[0]))})
+    seeds = _run_seeds(run_kv, first)
 
     tasks = []
     for combo in combos:
@@ -323,7 +332,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             index = len(tasks)
             run_dir = out / f"run_{index:03d}"
             tasks.append((index, overrides, run_kv["experiment"], str(run_dir), seed))
-    config_from_dict(tasks[0][1])  # validate the key set once, before any worker starts
 
     results: dict[int, dict[str, float]] = {}
     if jobs == 1:

@@ -16,9 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError, ParameterError, ShapeMismatchError
-from .patterns import ActiveSet, Pattern
-
-_FLOAT_FMT = "%.17g"
+from .patterns import FLOAT_FMT, ActiveSet, Pattern, write_p5
 
 
 @dataclass(frozen=True)
@@ -135,7 +133,7 @@ def save_matrix_csv(a: np.ndarray, path: str | Path) -> None:
         raise ParameterError(f"matrix CSV requires a square matrix, got {m.shape}")
     lines = [str(m.shape[0])]
     for row in m:
-        lines.append(",".join(_FLOAT_FMT % x for x in row))
+        lines.append(",".join(FLOAT_FMT % x for x in row))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -171,6 +169,4 @@ def save_matrix_pgm(a: np.ndarray, path: str | Path) -> None:
         raise ParameterError(f"matrix render requires 2D input, got shape {m.shape}")
     lo, hi = float(m.min()), float(m.max())
     scaled = np.zeros_like(m) if hi <= lo else (m - lo) / (hi - lo)
-    pixels = np.rint(scaled * 255.0).astype(np.uint8)
-    header = f"P5\n{m.shape[1]} {m.shape[0]}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + pixels.tobytes())
+    write_p5(np.rint(scaled * 255.0).astype(np.uint8), path)

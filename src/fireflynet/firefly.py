@@ -22,7 +22,7 @@ import numpy as np
 
 from .dynamics import WeightMatrix
 from .errors import FormatError, ParameterError, ShapeMismatchError
-from .patterns import Pattern
+from .patterns import FLOAT_FMT, Pattern
 
 DEFAULT_B = 1.0
 DEFAULT_GAMMA = 4.0
@@ -48,8 +48,6 @@ DEFAULT_KERNEL_PITCHES = 1.5
 MAX_SETTLE_SWEEPS = 100
 SETTLE_EPS = 1e-9
 SETTLE_OVERSHOOT = 1.05
-
-_FLOAT_FMT = "%.17g"
 
 
 class Polarity(Enum):
@@ -138,6 +136,18 @@ class GridLayout:
         x = (c + 0.5) / self.cols
         y = (r + 0.5) / self.rows
         return np.column_stack([x, y])
+
+    def cell_distance_sq(self, periodic: bool) -> np.ndarray:
+        """(n, n) squared cell-to-cell distances in cell units, wrapped
+        around both axes when periodic."""
+        total = np.zeros((self.n, self.n))
+        for index, size in zip(np.divmod(np.arange(self.n), self.cols), (self.rows, self.cols)):
+            coord = index.astype(float)
+            d = np.abs(coord[:, None] - coord[None, :])
+            if periodic:
+                d = np.minimum(d, size - d)
+            total += d * d
+        return total
 
     def nearest_cell(self, points: np.ndarray) -> np.ndarray:
         """Row-major index of the cell whose center is closest to each point."""
@@ -445,7 +455,7 @@ def save_population_csv(pop: FireflyPopulation, path: str | Path) -> None:
     lines = ["x,y,polarity,brightness"]
     for (x, y), exc, br in zip(pop.positions, pop.excitatory, pop.brightness):
         code = Polarity.EXCITATORY.value if exc else Polarity.INHIBITORY.value
-        lines.append(f"{_FLOAT_FMT % x},{_FLOAT_FMT % y},{code},{_FLOAT_FMT % br}")
+        lines.append(f"{FLOAT_FMT % x},{FLOAT_FMT % y},{code},{FLOAT_FMT % br}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -33,7 +33,8 @@ NORM_EPS = 1e-12
 # Default active-set threshold, as a fraction of the peak entry.
 DEFAULT_ACTIVE_FRACTION = 0.1
 
-_FLOAT_FMT = "%.17g"
+# Format of every float written to a file: 17 digits round-trip a float64.
+FLOAT_FMT = "%.17g"
 
 
 def _unit(values: np.ndarray) -> np.ndarray:
@@ -279,7 +280,7 @@ def save_pattern_csv(p: Pattern, path: str | Path) -> None:
     table = p.values.reshape(rows, cols)
     lines = [f"{rows},{cols}"]
     for r in range(rows):
-        lines.append(",".join(_FLOAT_FMT % x for x in table[r]))
+        lines.append(",".join(FLOAT_FMT % x for x in table[r]))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -323,11 +324,16 @@ def save_pgm(p: Pattern, path: str | Path, *, binary: bool = True) -> None:
         raise PatternAnnihilatedError("pattern annihilated: cannot render all-zero image")
     pixels = np.rint(p.values / peak * 255.0).astype(np.uint8).reshape(rows, cols)
     if binary:
-        header = f"P5\n{cols} {rows}\n255\n".encode("ascii")
-        Path(path).write_bytes(header + pixels.tobytes())
+        write_p5(pixels, path)
     else:
         body = "\n".join(" ".join(str(int(x)) for x in row) for row in pixels)
         Path(path).write_text(f"P2\n{cols} {rows}\n255\n{body}\n")
+
+
+def write_p5(pixels: np.ndarray, path: str | Path) -> None:
+    """Write a 2D uint8 raster as a binary (P5) PGM with maxval 255."""
+    rows, cols = pixels.shape
+    Path(path).write_bytes(f"P5\n{cols} {rows}\n255\n".encode("ascii") + pixels.tobytes())
 
 
 def _pgm_header_tokens(data: bytes, path: str | Path) -> tuple[list[int], int]:

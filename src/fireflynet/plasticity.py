@@ -7,9 +7,10 @@ that grows connections whose source correlation beats the row's weighted
 average and shrinks the rest.  The cooperation term redistributes weight
 within a row (soft competition) and drives row sums toward 1.
 
-Growth is gated by a hard saturation ceiling v: a weight strictly above
-v is frozen.  Integration is forward Euler with a fixed step, clamping
-into [0, v] so the excitatory range is invariant under evolution.
+Growth is bounded by a hard saturation ceiling v.  Integration is
+forward Euler with a fixed step, clamping into [0, v] after every step,
+so the excitatory range is invariant under evolution and a weight
+driven past v is held at v.
 """
 
 from __future__ import annotations
@@ -83,26 +84,22 @@ def haeussler_rhs(w: WeightMatrix, t: CorrelationTensor, params: PlasticityParam
     The j' sum skips the diagonal, which costs nothing here because the
     weight diagonal is pinned at zero.
     """
+    _check_sizes(w, t, params)
+    return _rate(w.w, t.t, params)
+
+
+def _check_sizes(w: WeightMatrix, t: CorrelationTensor, params: PlasticityParams) -> None:
     if w.n != t.n:
         raise ShapeMismatchError(f"weights are {w.n}x{w.n} but tensor is {t.n}x{t.n}")
     if w.n != params.n:
         raise ShapeMismatchError(f"params sized for n={params.n}, weights for n={w.n}")
-    ww = w.w
-    tt = t.t
+
+
+def _rate(ww: np.ndarray, tt: np.ndarray, params: PlasticityParams) -> np.ndarray:
     row_coop = np.sum(ww * tt, axis=1, keepdims=True)  # sum_j' w_ij' T_ij'
     f = params.alpha * (1.0 - params.n * ww) + params.beta * ww * (tt - row_coop)
     np.fill_diagonal(f, 0.0)
     return f
-
-
-def saturation_gate(w: float | np.ndarray, v: float):
-    """1 where w <= v (boundary included), 0 above; elementwise on arrays."""
-    if v <= 0.0:
-        raise ParameterError(f"saturation ceiling v must be > 0, got {v}")
-    gate = (np.asarray(w, dtype=float) <= v).astype(float)
-    if np.isscalar(w) or np.ndim(w) == 0:
-        return float(gate)
-    return gate
 
 
 @dataclass
@@ -137,25 +134,23 @@ class EvolveReport:
 def evolve_weights(
     w: WeightMatrix, t: CorrelationTensor, params: PlasticityParams
 ) -> tuple[WeightMatrix, EvolveReport]:
-    """Integrate the gated rule until quiescence or the step budget runs out.
+    """Integrate the rule until quiescence or the step budget runs out.
 
     Convergence criterion: the largest actual weight change in a step
     falls below tol * dt.  Weights are clamped into [0, v] after every
     step, so the returned matrix always satisfies the excitatory range
     invariant regardless of where the integration stopped.
     """
+    _check_sizes(w, t, params)
     if np.any(w.w < 0.0) or np.any(w.w > params.v):
         raise ParameterError("evolution requires starting weights within [0, v]")
     params.check_stability(float(t.t.max()) if t.t.size else 0.0)
 
     current = w.w.copy()
     report = EvolveReport()
-    wrapped = w
     for step in range(1, params.max_steps + 1):
-        wrapped = WeightMatrix(current)
-        f = haeussler_rhs(wrapped, t, params)
-        gate = (current <= params.v).astype(float)
-        proposed = np.clip(current + params.dt * gate * f, 0.0, params.v)
+        f = _rate(current, t.t, params)
+        proposed = np.clip(current + params.dt * f, 0.0, params.v)
         np.fill_diagonal(proposed, 0.0)
         delta = float(np.abs(proposed - current).max())
         current = proposed

@@ -16,6 +16,7 @@ import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
+from urllib.parse import quote, unquote
 
 import numpy as np
 
@@ -31,6 +32,7 @@ from .dynamics import (
 )
 from .errors import (
     ConfigError,
+    FormatError,
     InvariantError,
     ParameterError,
     ShapeMismatchError,
@@ -59,11 +61,6 @@ from .patterns import (
     save_pattern_csv,
 )
 from .plasticity import EvolveReport, PlasticityParams, evolve_weights
-
-DEFAULT_THETA_ACT = 0.1
-DEFAULT_EPOCHS = 5
-DEFAULT_TOPOLOGY_MIX = 0.3
-DEFAULT_INIT_SIGMA = 1.5
 
 # Experiment scenario constants.
 NOISE_LEVEL = 0.2
@@ -100,7 +97,8 @@ class TrainerConfig:
     toward the swarm-synthesized prior at each presentation (0 ignores
     the swarm structure, 1 replaces the learned weights).
     hand_wired_neighbors switches init to a deterministic ring with that
-    many neighbors per side at 1/(2k) each (1D only).
+    many neighbors per side at 1/(2k) each (1D only); 0 leaves it off,
+    as None does.
     """
 
     n: int
@@ -110,19 +108,19 @@ class TrainerConfig:
     learn_schedule: str = "onset"
     plasticity: PlasticityParams | None = None
     swarm: SwarmParams = field(default_factory=SwarmParams)
-    theta_act: float = DEFAULT_THETA_ACT
+    theta_act: float = 0.1
     pattern_count: int = 1
     master_seed: int = 0
-    epochs: int = DEFAULT_EPOCHS
-    topology_mix: float = DEFAULT_TOPOLOGY_MIX
+    epochs: int = 5
+    topology_mix: float = 0.3
     recall_iterations: int = 1
     hand_wired_neighbors: int | None = None
-    init_sigma_cells: float = DEFAULT_INIT_SIGMA
+    init_sigma_cells: float = 1.5
 
     def __post_init__(self) -> None:
         if self.n < 2:
             raise ParameterError(f"network size must be >= 2, got {self.n}")
-        if self.grid is not None and self.grid[0] * self.grid[1] != self.n:
+        if self.layout().n != self.n:  # GridLayout rejects sides below 1
             raise ShapeMismatchError(f"grid {self.grid} does not match n={self.n}")
         if self.boundary not in BOUNDARIES:
             raise ConfigError(f"boundary must be one of {BOUNDARIES}, got {self.boundary!r}")
@@ -144,6 +142,8 @@ class TrainerConfig:
             raise ParameterError(f"topology_mix must lie in [0,1], got {self.topology_mix}")
         if self.recall_iterations < 1:
             raise ParameterError(f"recall_iterations must be >= 1, got {self.recall_iterations}")
+        if self.hand_wired_neighbors == 0:
+            object.__setattr__(self, "hand_wired_neighbors", None)
         if self.hand_wired_neighbors is not None:
             k = self.hand_wired_neighbors
             if self.grid is not None:
@@ -192,24 +192,6 @@ class Model:
 # ---------------------------------------------------------------------------
 # initialization
 # ---------------------------------------------------------------------------
-
-def _grid_coordinates(config: TrainerConfig) -> tuple[np.ndarray, int, int]:
-    rows, cols = config.grid if config.grid is not None else (1, config.n)
-    r, c = np.divmod(np.arange(config.n), cols)
-    return np.column_stack([r.astype(float), c.astype(float)]), rows, cols
-
-
-def _cell_distance_sq(config: TrainerConfig) -> np.ndarray:
-    """Squared cell-to-cell distance in cell units, wrapped when periodic."""
-    coords, rows, cols = _grid_coordinates(config)
-    total = np.zeros((config.n, config.n))
-    for axis, size in ((0, rows), (1, cols)):
-        d = np.abs(coords[:, axis][:, None] - coords[:, axis][None, :])
-        if config.boundary == "periodic":
-            d = np.minimum(d, size - d)
-        total += d * d
-    return total
-
 
 def _row_normalize_capped(w: np.ndarray, v: float) -> np.ndarray:
     """Scale each non-negative row to sum 1 without any entry exceeding v.
@@ -260,7 +242,8 @@ def init_model(config: TrainerConfig) -> Model:
     else:
         rng = _rng(config.master_seed, _STREAM_WEIGHTS)
         sigma = config.init_sigma_cells
-        kernel = np.exp(-_cell_distance_sq(config) / (2.0 * sigma * sigma))
+        distance_sq = config.layout().cell_distance_sq(config.boundary == "periodic")
+        kernel = np.exp(-distance_sq / (2.0 * sigma * sigma))
         w = kernel * rng.random((n, n))
         np.fill_diagonal(w, 0.0)
         w = _row_normalize_capped(w, config.plasticity.v)
@@ -461,81 +444,93 @@ def format_kv(kv: dict[str, str]) -> str:
     return "\n".join(f"{k} = {v}" for k, v in kv.items()) + "\n"
 
 
+@dataclass(frozen=True)
+class ConfigKey:
+    """One flat config key: the dataclass field it sets and its help text.
+
+    The field's default decides how the key is parsed and echoed (bool,
+    int, float or a plain string); fields without a default are integers.
+    The grid sides rows and cols both set ``grid``, in that order.  A
+    field left at None is not echoed.
+    """
+
+    key: str
+    owner: type
+    help: str
+    attr: str = ""  # the owner's field, when its name is not the key
+
+    @property
+    def field(self) -> str:
+        return self.attr or self.key
+
+    @property
+    def kind(self) -> type:
+        default = getattr(self.owner, self.field, None)
+        return int if default is None else type(default)
+
+    def parse(self, raw: str) -> bool | int | float | str:
+        if self.kind is bool:
+            return _parse_bool(self.key, raw)
+        if self.kind is str:
+            return raw
+        return _parse_num(self.key, raw, self.kind)
+
+    def format(self, value: bool | int | float | str) -> str:
+        if self.kind is bool:
+            return str(value).lower()
+        return repr(value) if self.kind is float else str(value)
+
+
+CONFIG_KEYS: tuple[ConfigKey, ...] = (
+    ConfigKey("n", TrainerConfig, "network size (number of cells)"),
+    ConfigKey("rows", TrainerConfig, "grid rows (with cols; omit both for a 1D line)", "grid"),
+    ConfigKey("cols", TrainerConfig, "grid columns", "grid"),
+    ConfigKey("boundary", TrainerConfig, "open | periodic"),
+    ConfigKey("use_firefly", TrainerConfig, "synthesize topology with the swarm before each presentation"),
+    ConfigKey("learn_schedule", TrainerConfig, "onset | converged (where the active set is read)"),
+    ConfigKey("theta_act", TrainerConfig, "active threshold as a fraction of the pattern peak"),
+    ConfigKey("pattern_count", TrainerConfig, "number of stored templates the scenario generates"),
+    ConfigKey("master_seed", TrainerConfig, "root of the run's seed hierarchy"),
+    ConfigKey("epochs", TrainerConfig, "training passes over the pattern list"),
+    ConfigKey("topology_mix", TrainerConfig, "pull of the swarm prior on excitatory weights, in [0,1]"),
+    ConfigKey("recall_iterations", TrainerConfig, "response passes during recall (1 = linear readout)"),
+    ConfigKey("hand_wired_neighbors", TrainerConfig, "ring init with k neighbors per side (1D only)"),
+    ConfigKey("init_sigma_cells", TrainerConfig, "width of the random-init distance kernel, in cells"),
+    ConfigKey("alpha", PlasticityParams, "uniform-decay rate of the weight rule"),
+    ConfigKey("beta", PlasticityParams, "competition gain of the weight rule"),
+    ConfigKey("v", PlasticityParams, "saturation ceiling on excitatory weights"),
+    ConfigKey("dt", PlasticityParams, "Euler step of weight evolution"),
+    ConfigKey("max_steps", PlasticityParams, "step budget per presentation"),
+    ConfigKey("tol", PlasticityParams, "quiescence tolerance on weight change"),
+    ConfigKey("swarm_b", SwarmParams, "attraction amplitude", "b"),
+    ConfigKey("swarm_gamma", SwarmParams, "attraction falloff with squared distance", "gamma"),
+    ConfigKey("swarm_eta", SwarmParams, "jitter amplitude of swarm moves", "eta"),
+    ConfigKey("swarm_d_min", SwarmParams, "minimum agent spacing", "d_min"),
+    ConfigKey("swarm_steps", SwarmParams, "swarm updates per presentation", "steps"),
+    ConfigKey("excit_fraction", SwarmParams, "fraction of excitatory agents"),
+    ConfigKey("population_factor", SwarmParams, "agents per cell (population = factor * n)"),
+    ConfigKey("reset_per_pattern", SwarmParams, "respawn agent positions before each presentation"),
+    ConfigKey("kernel_pitches", SwarmParams, "excitatory deposit kernel width in grid pitches"),
+    ConfigKey("inhib_pitches", SwarmParams, "inhibitory deposit kernel width in grid pitches"),
+    ConfigKey("inhibition_gain", SwarmParams, "inhibitory deposit strength relative to excitatory"),
+)
+
+CONFIG_KEY_HELP: dict[str, str] = {spec.key: spec.help for spec in CONFIG_KEYS}
+
+
 def config_to_dict(config: TrainerConfig) -> dict[str, str]:
-    """Full echo of a config as flat strings, in a fixed key order."""
-    kv: dict[str, str] = {"n": str(config.n)}
-    if config.grid is not None:
-        kv["rows"] = str(config.grid[0])
-        kv["cols"] = str(config.grid[1])
-    p = config.plasticity
-    s = config.swarm
-    kv.update(
-        boundary=config.boundary,
-        use_firefly=str(config.use_firefly).lower(),
-        learn_schedule=config.learn_schedule,
-        theta_act=repr(config.theta_act),
-        pattern_count=str(config.pattern_count),
-        master_seed=str(config.master_seed),
-        epochs=str(config.epochs),
-        topology_mix=repr(config.topology_mix),
-        recall_iterations=str(config.recall_iterations),
-        init_sigma_cells=repr(config.init_sigma_cells),
-        alpha=repr(p.alpha),
-        beta=repr(p.beta),
-        v=repr(p.v),
-        dt=repr(p.dt),
-        max_steps=str(p.max_steps),
-        tol=repr(p.tol),
-        swarm_b=repr(s.b),
-        swarm_gamma=repr(s.gamma),
-        swarm_eta=repr(s.eta),
-        swarm_d_min=repr(s.d_min),
-        swarm_steps=str(s.steps),
-        excit_fraction=repr(s.excit_fraction),
-        population_factor=repr(s.population_factor),
-        reset_per_pattern=str(s.reset_per_pattern).lower(),
-        kernel_pitches=repr(s.kernel_pitches),
-        inhib_pitches=repr(s.inhib_pitches),
-        inhibition_gain=repr(s.inhibition_gain),
-    )
-    if config.hand_wired_neighbors is not None:
-        kv["hand_wired_neighbors"] = str(config.hand_wired_neighbors)
+    """Full echo of a config as flat strings, in the table's key order."""
+    owners = {TrainerConfig: config, PlasticityParams: config.plasticity, SwarmParams: config.swarm}
+    kv: dict[str, str] = {}
+    sides = 0
+    for spec in CONFIG_KEYS:
+        value = getattr(owners[spec.owner], spec.field)
+        if spec.field == "grid" and value is not None:
+            value = value[sides]
+            sides += 1
+        if value is not None:
+            kv[spec.key] = spec.format(value)
     return kv
-
-
-CONFIG_KEY_HELP: dict[str, str] = {
-    "n": "network size (number of cells)",
-    "rows": "grid rows (with cols; omit both for a 1D line)",
-    "cols": "grid columns",
-    "boundary": "open | periodic",
-    "use_firefly": "synthesize topology with the swarm before each presentation",
-    "learn_schedule": "onset | converged (where the active set is read)",
-    "theta_act": "active threshold as a fraction of the pattern peak",
-    "pattern_count": "number of stored templates the scenario generates",
-    "master_seed": "root of the run's seed hierarchy",
-    "epochs": "training passes over the pattern list",
-    "topology_mix": "pull of the swarm prior on excitatory weights, in [0,1]",
-    "recall_iterations": "response passes during recall (1 = linear readout)",
-    "hand_wired_neighbors": "ring init with k neighbors per side (1D only)",
-    "init_sigma_cells": "width of the random-init distance kernel, in cells",
-    "alpha": "uniform-decay rate of the weight rule",
-    "beta": "competition gain of the weight rule",
-    "v": "saturation ceiling on excitatory weights",
-    "dt": "Euler step of weight evolution",
-    "max_steps": "step budget per presentation",
-    "tol": "quiescence tolerance on weight change",
-    "swarm_b": "attraction amplitude",
-    "swarm_gamma": "attraction falloff with squared distance",
-    "swarm_eta": "jitter amplitude of swarm moves",
-    "swarm_d_min": "minimum agent spacing",
-    "swarm_steps": "swarm updates per presentation",
-    "excit_fraction": "fraction of excitatory agents",
-    "population_factor": "agents per cell (population = factor * n)",
-    "reset_per_pattern": "respawn agent positions before each presentation",
-    "kernel_pitches": "excitatory deposit kernel width in grid pitches",
-    "inhib_pitches": "inhibitory deposit kernel width in grid pitches",
-    "inhibition_gain": "inhibitory deposit strength relative to excitatory",
-}
 
 
 def config_from_dict(kv: dict[str, str]) -> TrainerConfig:
@@ -543,61 +538,28 @@ def config_from_dict(kv: dict[str, str]) -> TrainerConfig:
     unknown = sorted(set(kv) - set(CONFIG_KEY_HELP))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    if "n" not in kv:
+    kwargs: dict[type, dict[str, object]] = {TrainerConfig: {}, PlasticityParams: {}, SwarmParams: {}}
+    sides = []
+    for spec in CONFIG_KEYS:
+        if spec.key not in kv:
+            continue
+        value = spec.parse(kv[spec.key])
+        if spec.field == "grid":
+            sides.append(value)
+        else:
+            kwargs[spec.owner][spec.field] = value
+    top = kwargs[TrainerConfig]
+    n = top.get("n")
+    if n is None:
         raise ConfigError("config requires n")
-    n = int(_parse_num("n", kv["n"], int))
-    grid = None
-    if ("rows" in kv) != ("cols" in kv):
+    if len(sides) == 1:
         raise ConfigError("rows and cols must be given together")
-    if "rows" in kv:
-        grid = (int(_parse_num("rows", kv["rows"], int)), int(_parse_num("cols", kv["cols"], int)))
-
-    def num(key: str, default: float, kind: Callable = float):
-        return _parse_num(key, kv[key], kind) if key in kv else default
-
     try:
-        plasticity = PlasticityParams(
-            n=n,
-            alpha=float(num("alpha", PlasticityParams.alpha)),
-            beta=float(num("beta", PlasticityParams.beta)),
-            v=float(num("v", PlasticityParams.v)),
-            dt=float(num("dt", PlasticityParams.dt)),
-            max_steps=int(num("max_steps", PlasticityParams.max_steps, int)),
-            tol=float(num("tol", PlasticityParams.tol)),
-        )
-        swarm = SwarmParams(
-            b=float(num("swarm_b", SwarmParams.b)),
-            gamma=float(num("swarm_gamma", SwarmParams.gamma)),
-            eta=float(num("swarm_eta", SwarmParams.eta)),
-            d_min=float(num("swarm_d_min", SwarmParams.d_min)),
-            steps=int(num("swarm_steps", SwarmParams.steps, int)),
-            excit_fraction=float(num("excit_fraction", SwarmParams.excit_fraction)),
-            population_factor=float(num("population_factor", SwarmParams.population_factor)),
-            reset_per_pattern=_parse_bool("reset_per_pattern", kv["reset_per_pattern"])
-            if "reset_per_pattern" in kv
-            else False,
-            kernel_pitches=float(num("kernel_pitches", SwarmParams.kernel_pitches)),
-            inhib_pitches=float(num("inhib_pitches", SwarmParams.inhib_pitches)),
-            inhibition_gain=float(num("inhibition_gain", SwarmParams.inhibition_gain)),
-        )
         return TrainerConfig(
-            n=n,
-            grid=grid,
-            boundary=kv.get("boundary", "open"),
-            use_firefly=_parse_bool("use_firefly", kv["use_firefly"]) if "use_firefly" in kv else False,
-            learn_schedule=kv.get("learn_schedule", "onset"),
-            plasticity=plasticity,
-            swarm=swarm,
-            theta_act=float(num("theta_act", DEFAULT_THETA_ACT)),
-            pattern_count=int(num("pattern_count", 1, int)),
-            master_seed=int(num("master_seed", 0, int)),
-            epochs=int(num("epochs", DEFAULT_EPOCHS, int)),
-            topology_mix=float(num("topology_mix", DEFAULT_TOPOLOGY_MIX)),
-            recall_iterations=int(num("recall_iterations", 1, int)),
-            hand_wired_neighbors=int(num("hand_wired_neighbors", 0, int)) or None
-            if "hand_wired_neighbors" in kv
-            else None,
-            init_sigma_cells=float(num("init_sigma_cells", DEFAULT_INIT_SIGMA)),
+            grid=tuple(sides) if sides else None,
+            plasticity=PlasticityParams(n=n, **kwargs[PlasticityParams]),
+            swarm=SwarmParams(**kwargs[SwarmParams]),
+            **top,
         )
     except (ParameterError, ShapeMismatchError) as exc:
         raise ConfigError(str(exc)) from exc
@@ -607,8 +569,11 @@ def config_from_dict(kv: dict[str, str]) -> TrainerConfig:
 # model persistence
 # ---------------------------------------------------------------------------
 
-def _safe_name(label: str) -> str:
-    return re.sub(r"[^A-Za-z0-9_-]", "_", label)
+def _file_label(label: str) -> str:
+    """Label as a file-name fragment: letters, digits and ``_.-~`` stay
+    as they are, every other character is percent-encoded, so unquote()
+    gives the label back."""
+    return quote(label, safe="")
 
 
 def save_model(model: Model, out_dir: str | Path) -> None:
@@ -623,7 +588,7 @@ def save_model(model: Model, out_dir: str | Path) -> None:
         tdir = out / "templates"
         tdir.mkdir(exist_ok=True)
         for k, t in enumerate(model.templates):
-            name = f"t{k}_{_safe_name(t.label)}.csv" if t.label else f"t{k}.csv"
+            name = f"t{k}.csv" if t.label is None else f"t{k}_{_file_label(t.label)}.csv"
             save_pattern_csv(t, tdir / name)
 
 
@@ -651,10 +616,15 @@ def load_model(model_dir: str | Path) -> Model:
     model = Model(weights=WeightMatrix(w), population=population, config=config)
     tdir = root / "templates"
     if tdir.is_dir():
-        for f in sorted(tdir.glob("t*.csv")):
+        stored = []
+        for f in tdir.glob("t*.csv"):
+            name = re.fullmatch(r"t(\d+)(?:_(.*))?", f.stem)
+            if name is None:
+                raise FormatError(f"template file name is not t<index>[_<label>].csv: {f}")
+            label = None if name[2] is None else unquote(name[2])
+            stored.append((int(name[1]), f, label))
+        for _, f, label in sorted(stored):
             p = load_pattern_csv(f)
-            stem = f.stem
-            label = stem.split("_", 1)[1] if "_" in stem else None
             model.templates.append(Pattern(p.values, grid=p.grid, label=label))
     return model
 
@@ -1043,7 +1013,7 @@ def _experiment_digits(
                 }
             )
             if order == 0:
-                stem = f"digit_{_safe_name(template.label)}"
+                stem = f"digit_{_file_label(template.label)}"
                 _emit(report, out, f"pattern_{stem}.pgm", lambda p, t=template: save_image(t, p))
                 _emit(report, out, f"pattern_{stem}_cue.pgm", lambda p, c=cue: save_image(c, p))
                 _emit(report, out, f"pattern_{stem}_out.pgm", lambda p, o=output: save_image(o, p))

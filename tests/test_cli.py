@@ -231,6 +231,32 @@ def test_sweep_rejects_structural_keys(tmp_path, capsys):
     assert code == 2
     assert "cannot sweep" in capsys.readouterr().err
     assert "boundary" not in SWEEPABLE
+    # the seed axis of a sweep is its seed list, not master_seed
+    code = main(
+        [
+            "sweep",
+            "--set",
+            "experiment=evolve1d",
+            "--set",
+            "n=12",
+            "--set",
+            "sweep.master_seed=5,6",
+            "--set",
+            "seeds=0",
+            "--out",
+            str(tmp_path / "m"),
+        ]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "cannot sweep" in err and "seeds" in err
+    assert not (tmp_path / "m").exists()
+
+
+def test_sweep_rejects_an_empty_value_list(tmp_path, capsys):
+    args = ["sweep", "--set", "experiment=evolve1d", "--set", "n=12", "--set", "sweep.alpha=,"]
+    assert main([*args, "--out", str(tmp_path / "s")]) == 2
+    assert "at least one value" in capsys.readouterr().err
 
 
 def test_sweep_requires_an_experiment(tmp_path, capsys):

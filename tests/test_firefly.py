@@ -143,6 +143,16 @@ def test_layout_nearest_cell_agrees_with_scan():
         assert got[k] == nearest_index(tuple(p), centers)
 
 
+def test_layout_cell_distances_are_in_cells_and_wrap_when_periodic():
+    line = GridLayout(1, 5)
+    assert np.array_equal(line.cell_distance_sq(False)[0], [0.0, 1.0, 4.0, 9.0, 16.0])
+    assert np.array_equal(line.cell_distance_sq(True)[0], [0.0, 1.0, 4.0, 4.0, 1.0])
+    grid = GridLayout(3, 4)
+    # cell 0 is (row 0, col 0) and cell 11 is (row 2, col 3)
+    assert grid.cell_distance_sq(False)[0, 11] == 4.0 + 9.0
+    assert grid.cell_distance_sq(True)[0, 11] == 1.0 + 1.0
+
+
 def test_layout_rejects_degenerate_sides():
     with pytest.raises(ParameterError):
         GridLayout(0, 3)

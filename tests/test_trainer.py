@@ -66,6 +66,8 @@ def test_config_rejects_inconsistent_fields():
         TrainerConfig(n=1)
     with pytest.raises(ShapeMismatchError):
         TrainerConfig(n=10, grid=(3, 3))
+    with pytest.raises(ParameterError):
+        TrainerConfig(n=9, grid=(-3, -3))
     with pytest.raises(ConfigError):
         TrainerConfig(n=9, boundary="twisted")
     with pytest.raises(ConfigError):
@@ -364,6 +366,8 @@ def test_config_dict_rejects_malformed_input():
     with pytest.raises(ConfigError):
         config_from_dict({"n": "9", "rows": "3"})
     with pytest.raises(ConfigError):
+        config_from_dict({"n": "9", "rows": "-3", "cols": "-3"})
+    with pytest.raises(ConfigError):
         config_from_dict({"n": "abc"})
     with pytest.raises(ConfigError):
         config_from_dict({"n": "9", "alpha": "fast"})
@@ -396,6 +400,19 @@ def test_model_round_trips_through_files(tmp_path):
     assert [t.label for t in back.templates] == ["mid"]
     # the pattern loader renormalizes, which can shift values one ulp
     assert np.abs(back.templates[0].values - model.templates[0].values).max() <= 1e-12
+
+
+def test_templates_round_trip_in_order_with_their_labels(tmp_path):
+    model = zero_model(9, grid=(3, 3))
+    labels = [f"p{k}" for k in range(12)] + ["zero digit"]
+    for k, label in enumerate(labels):
+        model.templates.append(gaussian_2d(3, 3, k % 3, k // 3 % 3, 1.0, 1.0, label=label))
+    save_model(model, tmp_path)
+    assert (tmp_path / "templates" / "t11_p11.csv").is_file()
+    back = load_model(tmp_path)
+    assert [t.label for t in back.templates] == labels
+    for got, want in zip(back.templates, model.templates):
+        assert np.abs(got.values - want.values).max() <= 1e-12
 
 
 def test_loading_rejects_a_size_mismatch(tmp_path):
