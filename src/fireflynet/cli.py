@@ -311,7 +311,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if "experiment" not in run_kv:
         raise ConfigError("sweep requires the experiment key")
     out = _require_out(run_kv)
-    jobs = int(run_kv.get("jobs", "1"))
+    try:
+        jobs = int(run_kv.get("jobs", "1"))
+    except ValueError as exc:
+        raise ConfigError(f"jobs: expected int, got {run_kv['jobs']!r}") from exc
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
 

@@ -85,7 +85,10 @@ def haeussler_rhs(w: WeightMatrix, t: CorrelationTensor, params: PlasticityParam
     weight diagonal is pinned at zero.
     """
     _check_sizes(w, t, params)
-    return _rate(w.w, t.t, params)
+    n = params.n
+    f = np.empty((n, n))
+    _rate_into(f, w.w, t.t, params, np.empty((n, n)), np.empty((n, n)), np.empty((n, 1)))
+    return f
 
 
 def _check_sizes(w: WeightMatrix, t: CorrelationTensor, params: PlasticityParams) -> None:
@@ -95,11 +98,31 @@ def _check_sizes(w: WeightMatrix, t: CorrelationTensor, params: PlasticityParams
         raise ShapeMismatchError(f"params sized for n={params.n}, weights for n={w.n}")
 
 
-def _rate(ww: np.ndarray, tt: np.ndarray, params: PlasticityParams) -> np.ndarray:
-    row_coop = np.sum(ww * tt, axis=1, keepdims=True)  # sum_j' w_ij' T_ij'
-    f = params.alpha * (1.0 - params.n * ww) + params.beta * ww * (tt - row_coop)
-    np.fill_diagonal(f, 0.0)
-    return f
+def _rate_into(
+    f: np.ndarray,
+    ww: np.ndarray,
+    tt: np.ndarray,
+    params: PlasticityParams,
+    coop: np.ndarray,
+    gap: np.ndarray,
+    row_coop: np.ndarray,
+) -> None:
+    """Write the rate into the contiguous n x n buffer f, allocating nothing.
+
+    coop and gap (n x n) and row_coop (n x 1) are scratch.  The ops run
+    in the grouping alpha * (1 - n * w) + (beta * w) * (T - row_coop),
+    rows summed along the contiguous axis, which fixes the result bits.
+    """
+    np.multiply(ww, tt, out=coop)
+    np.add.reduce(coop, axis=1, keepdims=True, out=row_coop)  # sum_j' w_ij' T_ij'
+    np.multiply(params.n, ww, out=f)
+    np.subtract(1.0, f, out=f)
+    np.multiply(params.alpha, f, out=f)
+    np.multiply(params.beta, ww, out=coop)
+    np.subtract(tt, row_coop, out=gap)
+    np.multiply(coop, gap, out=coop)
+    np.add(f, coop, out=f)
+    f.reshape(-1)[:: params.n + 1] = 0.0  # the diagonal, as a strided view
 
 
 @dataclass
@@ -140,29 +163,60 @@ def evolve_weights(
     falls below tol * dt.  Weights are clamped into [0, v] after every
     step, so the returned matrix always satisfies the excitatory range
     invariant regardless of where the integration stopped.
+
+    The step allocates nothing: the current and next weights ping-pong
+    between two buffers, three more n x n work buffers are made once per
+    call, and each step's row sums and max |f| land in preallocated
+    arrays that the trace is built from after the loop.  The rate keeps
+    the grouping alpha * (1 - n * w) + (beta * w) * (T - row_coop) op
+    for op (see ``_rate_into``), the clamp is max with 0 then min with v,
+    and the trace's mean row sum is the row-sum vector's pairwise sum
+    over n, as numpy's mean computes it; that order fixes the result
+    bits that the byte-determinism checks compare.
     """
     _check_sizes(w, t, params)
     if np.any(w.w < 0.0) or np.any(w.w > params.v):
         raise ParameterError("evolution requires starting weights within [0, v]")
     params.check_stability(float(t.t.max()) if t.t.size else 0.0)
 
+    n, tt = params.n, t.t
+    dt, v = params.dt, params.v
+    threshold = params.tol * dt
     current = w.w.copy()
-    report = EvolveReport()
-    for step in range(1, params.max_steps + 1):
-        f = _rate(current, t.t, params)
-        proposed = np.clip(current + params.dt * f, 0.0, params.v)
-        np.fill_diagonal(proposed, 0.0)
-        delta = float(np.abs(proposed - current).max())
-        current = proposed
+    upcoming = np.empty_like(current)
+    f = np.empty_like(current)  # the rate, then |f|
+    coop = np.empty_like(current)  # w * T, then the cooperation term, then dt * f
+    gap = np.empty_like(current)  # T - row_coop, then |next - current|
+    row_coop = np.empty((n, 1))
+    row_sums = np.empty((params.max_steps, n))
+    peaks = np.empty(params.max_steps)
+    # the diagonals as strided views: every (n+1)-th element of the flat buffer
+    current_diag = current.reshape(-1)[:: n + 1]
+    upcoming_diag = upcoming.reshape(-1)[:: n + 1]
 
-        row_sums = current.sum(axis=1)
-        max_rhs = float(np.abs(f).max())
-        report.trace.append(
-            (step, max_rhs, float(row_sums.min()), float(row_sums.mean()), float(row_sums.max()))
-        )
-        report.steps = step
-        report.final_max_rhs = max_rhs
-        if delta < params.tol * params.dt:
-            report.converged = True
+    steps, converged = params.max_steps, False
+    for k in range(params.max_steps):
+        _rate_into(f, current, tt, params, coop, gap, row_coop)
+        np.multiply(dt, f, out=coop)
+        np.add(current, coop, out=upcoming)
+        np.maximum(upcoming, 0.0, out=upcoming)
+        np.minimum(upcoming, v, out=upcoming)
+        upcoming_diag.fill(0.0)
+        np.subtract(upcoming, current, out=gap)
+        np.absolute(gap, out=gap)
+        delta = np.maximum.reduce(gap, axis=None)
+        current, upcoming = upcoming, current
+        current_diag, upcoming_diag = upcoming_diag, current_diag
+
+        np.add.reduce(current, axis=1, out=row_sums[k])
+        np.absolute(f, out=f)
+        peaks[k] = np.maximum.reduce(f, axis=None)
+        if delta < threshold:
+            steps, converged = k + 1, True
             break
-    return WeightMatrix(current), report
+
+    sums = row_sums[:steps]
+    max_rhs = peaks[:steps].tolist()
+    columns = (sums.min(axis=1), sums.sum(axis=1) / n, sums.max(axis=1))
+    trace = list(zip(range(1, steps + 1), max_rhs, *(c.tolist() for c in columns)))
+    return WeightMatrix(current), EvolveReport(steps, converged, max_rhs[-1], trace)

@@ -190,3 +190,41 @@ def settle_loops(
         if step < 1e-12:
             break
     return pos, False
+
+
+def evolve_reference(w, t, params) -> tuple[np.ndarray, list, int, bool, float]:
+    """The plain clamped Euler loop, one fresh array per operation.
+
+    Returns (weights, trace, steps, converged, final_max_rhs) with the
+    meanings of ``EvolveReport``.  Every step evaluates
+      f = alpha * (1 - n * w) + (beta * w) * (T - rowsum(w * T)),
+    zeroes f's diagonal, clamps w + dt * f into [0, v], zeroes the
+    diagonal again and stops once the largest weight change falls below
+    tol * dt.  The grouping is the library's, so results agree bit for
+    bit.
+    """
+    n = params.n
+    tt = np.asarray(t, dtype=float)
+    current = np.array(w, dtype=float)
+    trace = []
+    steps, converged, final_max_rhs = 0, False, 0.0
+    for step in range(1, params.max_steps + 1):
+        row_coop = np.sum(current * tt, axis=1, keepdims=True)
+        f = params.alpha * (1.0 - n * current) + params.beta * current * (tt - row_coop)
+        np.fill_diagonal(f, 0.0)
+        proposed = np.clip(current + params.dt * f, 0.0, params.v)
+        np.fill_diagonal(proposed, 0.0)
+        delta = float(np.abs(proposed - current).max())
+        current = proposed
+
+        row_sums = current.sum(axis=1)
+        max_rhs = float(np.abs(f).max())
+        trace.append(
+            (step, max_rhs, float(row_sums.min()), float(row_sums.mean()), float(row_sums.max()))
+        )
+        steps = step
+        final_max_rhs = max_rhs
+        if delta < params.tol * params.dt:
+            converged = True
+            break
+    return current, trace, steps, converged, final_max_rhs

@@ -259,6 +259,13 @@ def test_sweep_rejects_an_empty_value_list(tmp_path, capsys):
     assert "at least one value" in capsys.readouterr().err
 
 
+def test_sweep_rejects_a_non_integer_jobs_key(tmp_path, capsys):
+    args = ["sweep", "--set", "jobs=x", "--set", "experiment=denoise", "--set", "sweep.alpha=0.01"]
+    assert main([*args, "--out", str(tmp_path / "o")]) == 2
+    assert "jobs: expected int, got 'x'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_sweep_requires_an_experiment(tmp_path, capsys):
     assert main(["sweep", "--set", "n=25", "--out", str(tmp_path / "s")]) == 2
     assert "requires the experiment key" in capsys.readouterr().err

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fireflynet.dynamics import (
     CorrelationTensor,
@@ -17,7 +20,7 @@ from fireflynet.plasticity import (
     haeussler_rhs,
 )
 
-from oracles import growth_rate_loops
+from oracles import evolve_reference, growth_rate_loops
 
 
 def uniform_weights(n: int) -> WeightMatrix:
@@ -35,6 +38,23 @@ def gram_tensor(n: int, seed: int, unit_rows: bool = False) -> "correlation_tens
 
 def zero_tensor(n: int):
     return correlation_tensor(Resolvent(np.eye(n)), ActiveSet(()))
+
+
+def clamping_case(
+    n: int, seed: int, load: float, beta: float
+) -> tuple[np.ndarray, CorrelationTensor]:
+    """Random start weights in [0, 0.5] with full rows, and a skewed Gram
+    tensor scaled so that dt * beta * max T = load at dt = 0.01.
+
+    Rows summing far above 1 give cooperation sums that drive losing
+    weights below 0 in one step, and each row's winner grows past 0.5.
+    """
+    rng = np.random.default_rng(seed)
+    w = rng.random((n, n)) * 0.5
+    np.fill_diagonal(w, 0.0)
+    x = rng.random((n, 4)) ** 4
+    t_mat = x @ x.T
+    return w, CorrelationTensor(t_mat * (load / (0.01 * beta * t_mat.max())), ActiveSet(()))
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +246,83 @@ def test_non_convergence_is_reported_not_raised():
     assert not report.converged
     assert report.steps == 3
     assert len(report.trace) == 3
+
+
+EVOLUTION_CASES = {
+    # one cell: the rate is all diagonal, so the first step changes nothing
+    "n1-converges": (np.zeros((1, 1)), gram_tensor(1, 3), PlasticityParams(n=1), True),
+    "n25-converges": (
+        uniform_weights(25).w,
+        gram_tensor(25, 5, unit_rows=True),
+        PlasticityParams(n=25, alpha=0.1, beta=0.7, max_steps=2000),
+        True,
+    ),
+    "n25-clamps": (
+        *clamping_case(25, 0, 0.9, 1.3),
+        PlasticityParams(n=25, alpha=0.0, beta=1.3),
+        False,
+    ),
+    # n = 129 rows cross numpy's 128-element pairwise-summation block
+    "n129-clamps": (
+        *clamping_case(129, 0, 0.5, 0.7),
+        PlasticityParams(n=129, alpha=0.0, beta=0.7, max_steps=60),
+        False,
+    ),
+    "n129-budget": (
+        uniform_weights(129).w,
+        gram_tensor(129, 7, unit_rows=True),
+        PlasticityParams(n=129, max_steps=60),
+        False,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EVOLUTION_CASES))
+def test_evolution_matches_the_reference_bit_for_bit(case):
+    w0, tensor, params, converges = EVOLUTION_CASES[case]
+    expected, trace, steps, converged, final_max_rhs = evolve_reference(w0, tensor.t, params)
+    wf, report = evolve_weights(WeightMatrix(w0), tensor, params)
+    assert np.array_equal(wf.w, expected)
+    assert report.trace == trace
+    assert report.steps == steps
+    assert report.converged == converged == converges
+    assert repr(report.final_max_rhs) == repr(final_max_rhs)
+    if "clamps" in case:
+        off = expected[~np.eye(params.n, dtype=bool)]
+        assert (off == 0.0).any() and (off == params.v).any()
+
+
+@st.composite
+def evolution_inputs(draw):
+    """Start weights in [0, v] and a Gram tensor inside the stability bound."""
+    n = draw(st.integers(1, 12))
+    v = draw(st.floats(0.05, 1.0))
+    dt = draw(st.sampled_from([0.001, 0.01, 0.05]))
+    alpha = draw(st.floats(0.0, 1.0))
+    beta = draw(st.floats(0.0, 5.0))
+    params = PlasticityParams(n=n, alpha=alpha, beta=beta, v=v, dt=dt, max_steps=draw(st.integers(1, 50)))
+    w = draw(arrays(np.float64, (n, n), elements=st.floats(0.0, v)))
+    np.fill_diagonal(w, 0.0)
+    x = draw(arrays(np.float64, (n, draw(st.integers(1, n))), elements=st.floats(-1.0, 1.0)))
+    t_mat = x @ x.T
+    # let beta * max T spend at most 99% of what dt * alpha * n leaves of
+    # the stability budget, scaling the tensor down where it overspends
+    limit = draw(st.floats(0.0, 0.99)) * (1.0 - dt * alpha * n) / dt
+    if beta * t_mat.max() > limit:
+        t_mat *= limit / (beta * t_mat.max())
+    return w, CorrelationTensor(t_mat, ActiveSet(())), params
+
+
+@settings(deadline=None)
+@given(evolution_inputs())
+def test_evolution_keeps_weights_in_range_for_generated_inputs(inputs):
+    w0, tensor, params = inputs
+    wf, report = evolve_weights(WeightMatrix(w0), tensor, params)
+    assert np.all(np.isfinite(wf.w))
+    assert np.all(wf.w >= 0.0) and np.all(wf.w <= params.v)
+    assert np.array_equal(np.diagonal(wf.w), np.zeros(params.n))
+    assert len(report.trace) == report.steps
+    assert 1 <= report.steps <= params.max_steps
 
 
 def test_evolution_rejects_out_of_range_start():
