@@ -11,6 +11,7 @@ norm for q = max absolute row sum).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,12 @@ from .patterns import FLOAT_FMT, ActiveSet, Pattern, write_p5
 
 @dataclass(frozen=True)
 class WeightMatrix:
-    """Square lateral-coupling matrix with a hard zero diagonal."""
+    """Square lateral-coupling matrix with a hard zero diagonal.
+
+    ``w`` is read-only: the constructor keeps a private copy when it was
+    handed a float array (the caller's array stays writable), so the
+    memoised ``resolvent`` always belongs to these weights.
+    """
 
     w: np.ndarray
 
@@ -33,7 +39,17 @@ class WeightMatrix:
             raise ParameterError("weight matrix entries must be finite")
         if np.any(np.diagonal(a) != 0.0):
             raise ParameterError("weight matrix diagonal must be exactly zero")
+        if a is self.w:
+            a = a.copy()
+        a.flags.writeable = False
         object.__setattr__(self, "w", a)
+
+    @cached_property
+    def resolvent(self) -> "Resolvent":
+        """D of these weights, computed on first use and kept read-only."""
+        d = truncated_resolvent(self)
+        d.d.flags.writeable = False
+        return d
 
     @property
     def n(self) -> int:

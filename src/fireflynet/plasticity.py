@@ -177,6 +177,8 @@ def evolve_weights(
     _check_sizes(w, t, params)
     if np.any(w.w < 0.0) or np.any(w.w > params.v):
         raise ParameterError("evolution requires starting weights within [0, v]")
+    if not np.all(np.isfinite(t.t)):
+        raise ParameterError("correlation tensor entries must be finite")
     params.check_stability(float(t.t.max()) if t.t.size else 0.0)
 
     n, tt = params.n, t.t

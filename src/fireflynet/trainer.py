@@ -28,7 +28,6 @@ from .dynamics import (
     load_matrix_csv,
     save_matrix_csv,
     save_matrix_pgm,
-    truncated_resolvent,
 )
 from .errors import (
     ConfigError,
@@ -314,8 +313,7 @@ def present_pattern(model: Model, p: Pattern) -> Model:
     if p.label is not None and all(t.label != p.label for t in model.templates):
         model.templates.append(p)
 
-    full = WeightMatrix(excitatory + inhibitory)
-    d = truncated_resolvent(full)
+    d = WeightMatrix(excitatory + inhibitory).resolvent
     source_set = _active_source(model, p, d)
     tensor = correlation_tensor(d, source_set)
 
@@ -352,8 +350,15 @@ def _similarity(output: Pattern, reference: Pattern, templates: Sequence[Pattern
     return RecallMetrics(cosine=cos, mse=mse, pearson=pearson, best_match_label=best)
 
 
-def recall(model: Model, cue: Pattern) -> tuple[Pattern, RecallMetrics]:
+def recall(
+    model: Model, cue: Pattern, reference: Pattern | None = None
+) -> tuple[Pattern, RecallMetrics]:
     """Equilibrium response to a cue: clamp at zero, renormalize.
+
+    The response is read through the weights' memoised resolvent, so D
+    is built once per weight state, not once per cue.  The metrics score
+    the output against ``reference``, or against the cue itself when it
+    is None.
 
     recall_iterations > 1 feeds the normalized response back through the
     network; the default single pass matches the linear readout.  A
@@ -365,7 +370,7 @@ def recall(model: Model, cue: Pattern) -> tuple[Pattern, RecallMetrics]:
         raise ShapeMismatchError(f"cue length {cue.n} does not match network size {cfg.n}")
     if float(cue.values.max()) <= 0.0:
         raise ParameterError("zero cue: nothing to recall")
-    d = truncated_resolvent(model.weights)
+    d = model.weights.resolvent
     out = cue.values
     for _ in range(cfg.recall_iterations):
         raw = d.d @ out
@@ -376,7 +381,7 @@ def recall(model: Model, cue: Pattern) -> tuple[Pattern, RecallMetrics]:
             break
         out = out / norm
     output = Pattern(out, grid=cue.grid)
-    return output, _similarity(output, cue, model.templates)
+    return output, _similarity(output, cue if reference is None else reference, model.templates)
 
 
 def complete(
@@ -387,12 +392,10 @@ def complete(
     If the mask wipes the whole active set the result is flagged
     low-confidence instead of raising.
     """
-    masked = sorted(set(int(i) for i in masked_indices))
-    cue = mask(partial, masked)
-    output, _ = recall(model, cue)
-    metrics = _similarity(output, partial, model.templates)
+    masked = {int(i) for i in masked_indices}
+    output, metrics = recall(model, mask(partial, masked), partial)
     active = active_set(partial, relative_threshold(partial, model.config.theta_act))
-    metrics.low_confidence = bool(masked) and all(i in set(masked) for i in active.indices)
+    metrics.low_confidence = bool(masked) and masked.issuperset(active.indices)
     return output, metrics
 
 
@@ -723,9 +726,8 @@ def _experiment_evolve1d(
         plasticity=replace(config.plasticity, max_steps=max(config.plasticity.max_steps, 20000)),
     )
     model = init_model(scfg)
-    w_initial = model.weights.w.copy()
-    d = truncated_resolvent(model.weights)
-    tensor = correlation_tensor(d, ActiveSet(tuple(range(scfg.n))))
+    w_initial = model.weights.w
+    tensor = correlation_tensor(model.weights.resolvent, ActiveSet(tuple(range(scfg.n))))
     evolved, evo = evolve_weights(model.weights, tensor, scfg.plasticity)
     w_final = evolved.w
 
@@ -841,8 +843,7 @@ def _corruption_experiment(
         for k, template in enumerate(templates):
             if name == "denoise":
                 cue = add_noise(template, NOISE_LEVEL, _int_seed(seed, _STREAM_NOISE, k))
-                output, _ = recall(model, cue)
-                metrics = _similarity(output, template, model.templates)
+                output, metrics = recall(model, cue, template)
             else:
                 rng = _rng(seed, _STREAM_MASK, k)
                 n_masked = int(round(MASK_FRACTION * scfg.n))

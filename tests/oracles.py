@@ -3,7 +3,10 @@
 Everything here is written the slow, obvious way on purpose: scalar
 loops over plain Python lists, no numpy linear algebra.  A disagreement
 between the library and these routines points at the fast path rather
-than at a mistake shared by both sides.
+than at a mistake shared by both sides.  The ``*_reference`` routines
+are the exception: each keeps an earlier, plainer version of a library
+path with the same arithmetic, so the fast path must match it bit for
+bit.
 """
 
 from __future__ import annotations
@@ -11,6 +14,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from fireflynet.dynamics import truncated_resolvent
+from fireflynet.errors import ParameterError, ShapeMismatchError
+from fireflynet.patterns import Pattern, active_set, mask, relative_threshold
+from fireflynet.trainer import _similarity
 
 
 def gauss_value(x: float, mu: float, sigma: float) -> float:
@@ -228,3 +236,39 @@ def evolve_reference(w, t, params) -> tuple[np.ndarray, list, int, bool, float]:
             converged = True
             break
     return current, trace, steps, converged, final_max_rhs
+
+
+def recall_reference(model, cue):
+    """Recall as it read before the resolvent was memoised: D is rebuilt
+    from ``model.weights`` on every call and the output scored against
+    the cue.  Same arithmetic as the library, so results agree bit for
+    bit."""
+    cfg = model.config
+    if cue.n != cfg.n:
+        raise ShapeMismatchError(f"cue length {cue.n} does not match network size {cfg.n}")
+    if float(cue.values.max()) <= 0.0:
+        raise ParameterError("zero cue: nothing to recall")
+    d = truncated_resolvent(model.weights)
+    out = cue.values
+    for _ in range(cfg.recall_iterations):
+        raw = d.d @ out
+        out = np.clip(raw, 0.0, None)
+        norm = math.sqrt(float(np.dot(out, out)))
+        if norm <= 1e-12:
+            out = np.zeros_like(out)
+            break
+        out = out / norm
+    output = Pattern(out, grid=cue.grid)
+    return output, _similarity(output, cue, model.templates)
+
+
+def complete_reference(model, partial, masked_indices):
+    """Completion as it read before: recall the masked cue, throw its
+    score away and score the output a second time against the original."""
+    masked = sorted(set(int(i) for i in masked_indices))
+    cue = mask(partial, masked)
+    output, _ = recall_reference(model, cue)
+    metrics = _similarity(output, partial, model.templates)
+    active = active_set(partial, relative_threshold(partial, model.config.theta_act))
+    metrics.low_confidence = bool(masked) and all(i in set(masked) for i in active.indices)
+    return output, metrics

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fireflynet.dynamics import (
     CorrelationTensor,
@@ -166,6 +169,24 @@ def test_tensor_is_symmetric_and_psd():
         t = correlation_tensor(d, ActiveSet(idx))
         assert np.abs(t.t - t.t.T).max() <= 1e-12
         assert float(np.linalg.eigvalsh(t.t).min()) >= -1e-10
+
+
+@st.composite
+def resolvent_and_sources(draw):
+    n = draw(st.integers(1, 12))
+    d = draw(arrays(np.float64, (n, n), elements=st.floats(-4.0, 4.0)))
+    sources = draw(st.sets(st.integers(0, n - 1)))
+    return d, ActiveSet(tuple(sorted(sources)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(resolvent_and_sources())
+def test_tensor_is_symmetric_and_psd_for_generated_inputs(case):
+    d, sources = case
+    t = correlation_tensor(Resolvent(d), sources).t
+    assert np.array_equal(t, t.T)
+    eig = np.linalg.eigvalsh(t)
+    assert eig.min() >= -1e-12 * max(1.0, float(np.abs(eig).max()))
 
 
 def test_tensor_grows_with_the_source_set():

@@ -334,6 +334,15 @@ def test_evolution_rejects_out_of_range_start():
         evolve_weights(WeightMatrix(w), zero_tensor(n), params)
 
 
+def test_evolution_rejects_a_non_finite_tensor_up_front():
+    n = 4
+    tensor = gram_tensor(n, 3)
+    t = tensor.t.copy()
+    t[0, 1] = np.nan
+    with pytest.raises(ParameterError, match="correlation tensor"):
+        evolve_weights(uniform_weights(n), CorrelationTensor(t, tensor.source_set), PlasticityParams(n=n))
+
+
 def test_report_serialization(tmp_path):
     n = 5
     params = PlasticityParams(n=n, max_steps=4)

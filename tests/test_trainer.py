@@ -1,5 +1,7 @@
 """Model lifecycle: init, presentation, recall, persistence, experiments."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from fireflynet.firefly import SwarmParams
 from fireflynet.patterns import (
     Pattern,
     active_set,
+    add_noise,
     cosine,
     gaussian_1d,
     gaussian_2d,
@@ -40,6 +43,8 @@ from fireflynet.trainer import (
     train,
 )
 from fireflynet.trainer import _experiment_digits
+
+from oracles import complete_reference, recall_reference
 
 
 def small_config(**kw) -> TrainerConfig:
@@ -300,6 +305,80 @@ def test_best_match_label_points_at_the_stored_template():
         for template in (a, b):
             _, met = recall(model, template)
             assert met.best_match_label == template.label
+
+
+def trained_model(**kw) -> Model:
+    a = gaussian_2d(5, 5, 1.0, 1.0, 1.0, 1.0, label="a")
+    b = gaussian_2d(5, 5, 3.0, 3.0, 1.0, 1.0, label="b")
+    return train(init_model(small_config(use_firefly=True, master_seed=2, **kw)), [a, b])
+
+
+def assert_same_read(got, want):
+    assert np.array_equal(got[0].values, want[0].values)
+    assert got[0].grid == want[0].grid
+    assert asdict(got[1]) == asdict(want[1])
+
+
+def read_path_cases(model):
+    """Recall a clean, a noisy and an off-centre cue twice each (the second
+    read hits the memoised resolvent), then complete with a mask that
+    covers the active set and with one that does not."""
+    a = model.templates[0]
+    cues = [a, add_noise(a, 0.3, 11), gaussian_2d(5, 5, 0.5, 3.5, 1.2, 0.8)]
+    for cue in cues + cues:
+        assert_same_read(recall(model, cue), recall_reference(model, cue))
+    covered = active_set(a, relative_threshold(a, model.config.theta_act)).indices
+    for masked, flagged in ((covered, True), ([0, 7, 24], False)):
+        got = complete(model, a, masked)
+        assert got[1].low_confidence is flagged
+        assert_same_read(got, complete_reference(model, a, masked))
+
+
+@pytest.mark.parametrize("iterations", [1, 3])
+def test_read_path_matches_the_reference_bit_for_bit(iterations, tmp_path):
+    model = trained_model(recall_iterations=iterations)
+    assert float(model.weights.w.min()) < 0.0  # the swarm's inhibition is in play
+    read_path_cases(model)
+    save_model(model, tmp_path)
+    read_path_cases(load_model(tmp_path))
+
+
+def test_a_wiped_out_response_matches_the_reference():
+    # cell 1 excites cell 0 and cell 0 inhibits cell 1: the series
+    # D = I + W + W^2 + W^3 cancels to zero on both, so a cue there is
+    # wiped out
+    w = np.zeros((4, 4))
+    w[0, 1], w[1, 0] = 1.0, -1.0
+    model = Model(WeightMatrix(w), None, TrainerConfig(n=4, recall_iterations=3))
+    model.templates += [Pattern(np.array([1.0, 0, 0, 0]), label="x"), Pattern(np.ones(4), label="y")]
+    cue = Pattern(np.array([1.0, 0.5, 0, 0]))
+    got = recall(model, cue)
+    assert not got[0].values.any() and got[1].cosine == 0.0
+    assert_same_read(got, recall_reference(model, cue))
+    assert_same_read(complete(model, cue, [1]), complete_reference(model, cue, [1]))
+
+
+def test_recall_follows_the_weights_after_a_presentation():
+    model = trained_model()
+    cue = add_noise(model.templates[1], 0.3, 5)
+    before = model.weights
+    recall(model, cue)  # builds the memo for the old weights
+    present_pattern(model, model.templates[0])
+    assert not np.array_equal(model.weights.w, before.w)
+    assert_same_read(recall(model, cue), recall_reference(model, cue))
+
+
+def test_weights_and_their_resolvent_are_read_only_and_the_caller_array_is_not():
+    model = trained_model()
+    with pytest.raises(ValueError):
+        model.weights.w[0, 1] = 0.25
+    with pytest.raises(ValueError):
+        model.weights.resolvent.d[0, 1] = 0.25
+    a = np.zeros((3, 3))
+    wm = WeightMatrix(a)
+    assert a.flags.writeable
+    a[0, 1] = 0.5
+    assert wm.w[0, 1] == 0.0
 
 
 # ---------------------------------------------------------------------------
