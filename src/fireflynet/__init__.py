@@ -2,8 +2,6 @@
 recurrent layer, with network topology laid out by a firefly swarm."""
 
 from .dynamics import (
-    CorrelationTensor,
-    Resolvent,
     WeightMatrix,
     correlation_tensor,
     equilibrium_response,
@@ -19,14 +17,10 @@ from .errors import (
     ShapeMismatchError,
 )
 from .firefly import (
-    Firefly,
     FireflyPopulation,
     GridLayout,
-    Polarity,
     SwarmParams,
-    brightness,
     enforce_min_distance,
-    move,
     swarm_step,
     synthesize_weights,
 )

@@ -384,7 +384,8 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (FormatError, ShapeMismatchError, PatternAnnihilatedError, ParameterError, OSError) as exc:
+    except (FormatError, ShapeMismatchError, PatternAnnihilatedError, ParameterError, OSError,
+            UnicodeDecodeError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     except FireflynetError as exc:

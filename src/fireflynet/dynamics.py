@@ -45,10 +45,10 @@ class WeightMatrix:
         object.__setattr__(self, "w", a)
 
     @cached_property
-    def resolvent(self) -> "Resolvent":
+    def resolvent(self) -> np.ndarray:
         """D of these weights, computed on first use and kept read-only."""
         d = truncated_resolvent(self)
-        d.d.flags.writeable = False
+        d.flags.writeable = False
         return d
 
     @property
@@ -66,76 +66,45 @@ class WeightMatrix:
     def negative_part(self) -> np.ndarray:
         return np.clip(self.w, None, 0.0)
 
-    @classmethod
-    def zeros(cls, n: int) -> "WeightMatrix":
-        if n < 1:
-            raise ParameterError(f"n must be >= 1, got {n}")
-        return cls(np.zeros((n, n)))
 
-
-@dataclass(frozen=True)
-class Resolvent:
-    """Third-order truncation of (I - W)^-1."""
-
-    d: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return int(self.d.shape[0])
-
-
-def truncated_resolvent(w: WeightMatrix) -> Resolvent:
+def truncated_resolvent(w: WeightMatrix) -> np.ndarray:
     """D = I + W + W^2 + W^3, computed fresh from the given weights."""
     a = w.w
     a2 = a @ a
-    d = np.eye(w.n) + a + a2 + a2 @ a
-    return Resolvent(d)
+    return np.eye(w.n) + a + a2 + a2 @ a
 
 
-def equilibrium_response(d: Resolvent, s: Pattern) -> tuple[Pattern, np.ndarray]:
-    """Linear response to a source pattern.
+def equilibrium_response(d: np.ndarray, s: Pattern) -> tuple[Pattern, np.ndarray]:
+    """Linear response of the network with resolvent D to a source pattern.
 
     Returns the response clamped at zero (reported as activity, no
     normalization applied) plus the raw signed vector for diagnostics.
     """
-    if s.n != d.n:
-        raise ShapeMismatchError(f"source length {s.n} does not match network size {d.n}")
-    raw = d.d @ s.values
+    n = d.shape[0]
+    if s.n != n:
+        raise ShapeMismatchError(f"source length {s.n} does not match network size {n}")
+    raw = d @ s.values
     activity = np.clip(raw, 0.0, None)
     return Pattern(activity, grid=s.grid, label=s.label), raw
 
 
-@dataclass(frozen=True)
-class CorrelationTensor:
+def correlation_tensor(d: np.ndarray, s_set: ActiveSet) -> np.ndarray:
     """Pairwise response correlations induced by a set of unit sources.
 
-    t[i, j] = sum over sources k in the set of D[i, k] * D[j, k]: the
+    T[i, j] = sum over sources k in the set of D[i, k] * D[j, k]: the
     correlation of responses at i and j when every cell of the source set
     fires independently with unit strength.  Symmetric and positive
     semidefinite by construction.  An empty source set is legal and gives
-    the all-zeros tensor (visible through ``source_set``).
+    the all-zeros tensor.
     """
-
-    t: np.ndarray
-    source_set: ActiveSet
-
-    @property
-    def n(self) -> int:
-        return int(self.t.shape[0])
-
-    @property
-    def is_empty(self) -> bool:
-        return len(self.source_set) == 0
-
-
-def correlation_tensor(d: Resolvent, s_set: ActiveSet) -> CorrelationTensor:
+    n = d.shape[0]
     if len(s_set) == 0:
-        return CorrelationTensor(np.zeros((d.n, d.n)), s_set)
+        return np.zeros((n, n))
     idx = s_set.to_array()
-    if idx[0] < 0 or idx[-1] >= d.n:
-        raise ParameterError(f"source indices out of range for n={d.n}: {idx[0]}..{idx[-1]}")
-    cols = d.d[:, idx]
-    return CorrelationTensor(cols @ cols.T, s_set)
+    if idx[0] < 0 or idx[-1] >= n:
+        raise ParameterError(f"source indices out of range for n={n}: {idx[0]}..{idx[-1]}")
+    cols = d[:, idx]
+    return cols @ cols.T
 
 
 # ---------------------------------------------------------------------------

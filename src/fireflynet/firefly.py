@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -23,19 +22,6 @@ import numpy as np
 from .dynamics import WeightMatrix
 from .errors import FormatError, ParameterError, ShapeMismatchError
 from .patterns import FLOAT_FMT, Pattern
-
-DEFAULT_B = 1.0
-DEFAULT_GAMMA = 4.0
-DEFAULT_ETA = 0.05
-DEFAULT_D_MIN = 0.05
-DEFAULT_STEPS = 10
-DEFAULT_EXCIT_FRACTION = 0.7
-DEFAULT_POPULATION_FACTOR = 1.0
-DEFAULT_INHIB_PITCHES = 3.0
-DEFAULT_INHIBITION_GAIN = 1.0
-
-# Width of the weight-synthesis kernel, in grid-cell pitches.
-DEFAULT_KERNEL_PITCHES = 1.5
 
 # Settling passes before giving up on the spacing constraint, the slack
 # under d_min that counts as satisfied (pushes below this fall under
@@ -50,20 +36,6 @@ SETTLE_EPS = 1e-9
 SETTLE_OVERSHOOT = 1.05
 
 
-class Polarity(Enum):
-    EXCITATORY = "E"
-    INHIBITORY = "I"
-
-
-@dataclass(frozen=True)
-class Firefly:
-    """Snapshot of a single agent."""
-
-    position: tuple[float, float]
-    polarity: Polarity
-    brightness: float
-
-
 @dataclass(frozen=True)
 class SwarmParams:
     """Swarm movement and sizing knobs.
@@ -72,20 +44,22 @@ class SwarmParams:
     owner derives the generator from its own seed hierarchy.
     ``reset_per_pattern`` redraws positions before each presentation
     instead of letting the swarm carry over and redistribute.
+    ``kernel_pitches``, ``inhib_pitches`` and ``inhibition_gain`` shape
+    the coupling matrix that ``synthesize_weights`` reads off the swarm.
     """
 
-    b: float = DEFAULT_B
-    gamma: float = DEFAULT_GAMMA
-    eta: float = DEFAULT_ETA
-    d_min: float = DEFAULT_D_MIN
-    steps: int = DEFAULT_STEPS
+    b: float = 1.0
+    gamma: float = 4.0
+    eta: float = 0.05
+    d_min: float = 0.05
+    steps: int = 10
     seed: int | None = None
-    excit_fraction: float = DEFAULT_EXCIT_FRACTION
-    population_factor: float = DEFAULT_POPULATION_FACTOR
+    excit_fraction: float = 0.7
+    population_factor: float = 1.0
     reset_per_pattern: bool = False
-    kernel_pitches: float = DEFAULT_KERNEL_PITCHES
-    inhib_pitches: float = DEFAULT_INHIB_PITCHES
-    inhibition_gain: float = DEFAULT_INHIBITION_GAIN
+    kernel_pitches: float = 1.5
+    inhib_pitches: float = 3.0
+    inhibition_gain: float = 1.0
 
     def __post_init__(self) -> None:
         if self.b <= 0.0:
@@ -161,9 +135,9 @@ class GridLayout:
 class FireflyPopulation:
     """Mutable swarm state owned by a single simulation.
 
-    Stored as parallel arrays for speed; the ``flies`` property gives the
-    per-agent view.  ``settle_converged`` reports whether the last
-    spacing pass met d_min everywhere (best effort near walls).
+    Stored as parallel arrays for speed.  ``settle_converged`` reports
+    whether the last spacing pass met d_min everywhere (best effort near
+    walls).
     """
 
     positions: np.ndarray  # (F, 2) in [0, 1]^2
@@ -202,55 +176,13 @@ class FireflyPopulation:
         return int(self.positions.shape[0])
 
     @property
-    def flies(self) -> list[Firefly]:
-        return [
-            Firefly(
-                position=(float(x), float(y)),
-                polarity=Polarity.EXCITATORY if exc else Polarity.INHIBITORY,
-                brightness=float(br),
-            )
-            for (x, y), exc, br in zip(self.positions, self.excitatory, self.brightness)
-        ]
-
-    @property
     def n_excitatory(self) -> int:
         return int(self.excitatory.sum())
-
-    @property
-    def n_inhibitory(self) -> int:
-        return len(self) - self.n_excitatory
 
     def redraw_positions(self) -> None:
         """Fresh uniform positions; polarities and generator carry over."""
         self.positions = self.rng.random((len(self), 2))
         self.brightness = np.zeros(len(self))
-
-
-def brightness(b: float, gamma: float, r: float) -> float:
-    """Brightness seen across distance r: b * exp(-gamma * r^2)."""
-    if b <= 0.0 or gamma <= 0.0:
-        raise ParameterError(f"b and gamma must be > 0, got ({b}, {gamma})")
-    return b * math.exp(-gamma * r * r)
-
-
-def move(
-    x_i: tuple[float, float],
-    x_j: tuple[float, float],
-    params: SwarmParams,
-    rng: np.random.Generator,
-) -> tuple[float, float]:
-    """One attraction step of agent i toward a brighter agent j.
-
-    x_i += b * exp(-gamma * r^2) * (x_j - x_i) + eta * (u - 1/2) per
-    coordinate (u drawn per coordinate, x first), clipped to the unit
-    square.  With eta = 0 the update is a contraction toward x_j.
-    """
-    dx = x_j[0] - x_i[0]
-    dy = x_j[1] - x_i[1]
-    attract = params.b * math.exp(-params.gamma * (dx * dx + dy * dy))
-    nx = x_i[0] + attract * dx + params.eta * (float(rng.random()) - 0.5)
-    ny = x_i[1] + attract * dy + params.eta * (float(rng.random()) - 0.5)
-    return (min(max(nx, 0.0), 1.0), min(max(ny, 0.0), 1.0))
 
 
 def swarm_step(
@@ -262,6 +194,11 @@ def swarm_step(
     agent moves toward each strictly brighter agent in one in-place pass
     (ascending index, updated positions visible within the pass), and
     finally the spacing constraint is settled.  Mutates and returns pop.
+
+    A move of agent i toward a brighter agent j is Yang's firefly rule:
+    x_i += b * exp(-gamma * r^2) * (x_j - x_i) + eta * (u - 1/2) per
+    coordinate (u drawn per coordinate, x first), clipped to the unit
+    square.  With eta = 0 the move is a contraction toward x_j.
     """
     if activity.n != layout.n:
         raise ShapeMismatchError(
@@ -376,72 +313,54 @@ def enforce_min_distance(pop: FireflyPopulation) -> FireflyPopulation:
     return pop
 
 
-def synthesize_weights(
-    pop: FireflyPopulation,
-    layout: GridLayout,
-    n: int,
-    *,
-    v: float = 0.5,
-    kernel_pitches: float = DEFAULT_KERNEL_PITCHES,
-    inhib_pitches: float | None = None,
-    inhibition_gain: float = 1.0,
-    inhibition_cap: float | None = None,
-) -> WeightMatrix:
+def synthesize_weights(pop: FireflyPopulation, layout: GridLayout, v: float) -> WeightMatrix:
     """Read a signed coupling matrix off the swarm's spatial arrangement.
 
     Every agent is assigned to its nearest cell j and contributes
     sign * b * exp(-dist(cell_i, agent)^2 / (2 sigma^2)) to each w_ij.
     Excitatory agents deposit with a narrow kernel (sigma =
     kernel_pitches grid pitches); inhibitory agents deposit with a wide
-    one (inhib_pitches, default 3x the excitatory width) scaled by
-    inhibition_gain, giving the center-surround shape: cells under the
-    swarm see mostly excitation, cells away from it mostly inhibition.
+    one (inhib_pitches) scaled by inhibition_gain, giving the
+    center-surround shape: cells under the swarm see mostly excitation,
+    cells away from it mostly inhibition.  All four constants come from
+    the population's own ``SwarmParams``.
 
     The diagonal is zeroed, each row is scaled so its positive part sums
-    to at most 1, and entries are clipped into [-inhibition_cap, v] (cap
-    defaults to v/2).  Rows whose positive mass already sits below 1 are
-    left alone, with two effects: cells far from every agent keep
-    near-zero excitation instead of having kernel dust blown up to full
-    strength, and they keep their full inhibitory surround while rows
-    under the swarm have theirs divided down with the excitatory mass.
+    to at most 1, and entries are clipped into [-v/2, v].  Rows whose
+    positive mass already sits below 1 are left alone, with two effects:
+    cells far from every agent keep near-zero excitation instead of
+    having kernel dust blown up to full strength, and they keep their
+    full inhibitory surround while rows under the swarm have theirs
+    divided down with the excitatory mass.
 
     Requires at least one excitatory agent; without any positive mass
     the row scaling is undefined.
     """
-    if n != layout.n:
-        raise ShapeMismatchError(f"requested size {n} does not match layout size {layout.n}")
-    if len(pop) == 0 or pop.n_excitatory == 0:
+    if pop.n_excitatory == 0:
         raise ParameterError("population lacking excitatory polarity; cannot synthesize weights")
-    if inhibition_cap is None:
-        inhibition_cap = 0.5 * v
-    if inhib_pitches is None:
-        inhib_pitches = 3.0 * kernel_pitches
-    if v <= 0.0 or inhibition_cap < 0.0:
-        raise ParameterError(f"need v > 0 and inhibition_cap >= 0, got ({v}, {inhibition_cap})")
-    if inhib_pitches <= 0.0 or inhibition_gain < 0.0:
-        raise ParameterError(
-            f"need inhib_pitches > 0 and inhibition_gain >= 0, got ({inhib_pitches}, {inhibition_gain})"
-        )
+    if v <= 0.0:
+        raise ParameterError(f"saturation ceiling v must be > 0, got {v}")
 
     cells = layout.cell_positions()
     assigned = layout.nearest_cell(pop.positions)
     # kernel[i, f] = strength agent f contributes at cell i
     d2 = ((cells[:, None, :] - pop.positions[None, :, :]) ** 2).sum(axis=2)
-    sig_e = kernel_pitches * layout.pitch
-    sig_i = inhib_pitches * layout.pitch
+    params = pop.params
+    sig_e = params.kernel_pitches * layout.pitch
+    sig_i = params.inhib_pitches * layout.pitch
     kernel = np.where(
         pop.excitatory[None, :],
-        pop.params.b * np.exp(-d2 / (2.0 * sig_e * sig_e)),
-        -inhibition_gain * pop.params.b * np.exp(-d2 / (2.0 * sig_i * sig_i)),
+        params.b * np.exp(-d2 / (2.0 * sig_e * sig_e)),
+        -params.inhibition_gain * params.b * np.exp(-d2 / (2.0 * sig_i * sig_i)),
     )
 
-    w = np.zeros((n, n))
+    w = np.zeros((layout.n, layout.n))
     np.add.at(w.T, assigned, kernel.T)
     np.fill_diagonal(w, 0.0)
 
     pos_sums = np.clip(w, 0.0, None).sum(axis=1, keepdims=True)
     w = w / np.maximum(pos_sums, 1.0)
-    w = np.clip(w, -inhibition_cap, v)
+    w = np.clip(w, -0.5 * v, v)
     np.fill_diagonal(w, 0.0)
     return WeightMatrix(w)
 
@@ -454,7 +373,7 @@ def save_population_csv(pop: FireflyPopulation, path: str | Path) -> None:
     """One row per agent: x, y, polarity (E/I), brightness."""
     lines = ["x,y,polarity,brightness"]
     for (x, y), exc, br in zip(pop.positions, pop.excitatory, pop.brightness):
-        code = Polarity.EXCITATORY.value if exc else Polarity.INHIBITORY.value
+        code = "E" if exc else "I"
         lines.append(f"{FLOAT_FMT % x},{FLOAT_FMT % y},{code},{FLOAT_FMT % br}")
     Path(path).write_text("\n".join(lines) + "\n")
 
@@ -473,14 +392,14 @@ def load_population_csv(
         fields = ln.split(",")
         if len(fields) != 4:
             raise FormatError(f"malformed population row in {path}: {ln!r}")
-        if fields[2] not in (Polarity.EXCITATORY.value, Polarity.INHIBITORY.value):
+        if fields[2] not in ("E", "I"):
             raise FormatError(f"unknown polarity {fields[2]!r} in {path}")
         try:
             positions.append((float(fields[0]), float(fields[1])))
             bright.append(float(fields[3]))
         except ValueError as exc:
             raise FormatError(f"non-numeric value in {path}: {ln!r}") from exc
-        excitatory.append(fields[2] == Polarity.EXCITATORY.value)
+        excitatory.append(fields[2] == "E")
     if not positions:
         raise FormatError(f"population file has no agents: {path}")
     return FireflyPopulation(

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -29,9 +29,6 @@ from .errors import (
 
 # Below this Euclidean norm a vector counts as annihilated.
 NORM_EPS = 1e-12
-
-# Default active-set threshold, as a fraction of the peak entry.
-DEFAULT_ACTIVE_FRACTION = 0.1
 
 # Format of every float written to a file: 17 digits round-trip a float64.
 FLOAT_FMT = "%.17g"
@@ -263,7 +260,7 @@ def active_set(p: Pattern, threshold: float) -> ActiveSet:
     return ActiveSet(tuple(int(i) for i in np.flatnonzero(p.values > threshold)))
 
 
-def relative_threshold(p: Pattern, fraction: float = DEFAULT_ACTIVE_FRACTION) -> float:
+def relative_threshold(p: Pattern, fraction: float) -> float:
     """Threshold at ``fraction`` of the peak entry (0 for an all-zero pattern)."""
     if fraction < 0.0:
         raise ParameterError(f"fraction must be >= 0, got {fraction}")
@@ -276,11 +273,11 @@ def relative_threshold(p: Pattern, fraction: float = DEFAULT_ACTIVE_FRACTION) ->
 
 def save_pattern_csv(p: Pattern, path: str | Path) -> None:
     """Write the ``rows,cols`` header then the grid values, row-major."""
-    rows, cols = p.grid if p.grid is not None else (1, p.n)
-    table = p.values.reshape(rows, cols)
+    table = p.as_grid()
+    rows, cols = table.shape
     lines = [f"{rows},{cols}"]
-    for r in range(rows):
-        lines.append(",".join(FLOAT_FMT % x for x in table[r]))
+    for row in table:
+        lines.append(",".join(FLOAT_FMT % x for x in row))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -318,11 +315,12 @@ def load_pattern_csv(path: str | Path) -> Pattern:
 
 def save_pgm(p: Pattern, path: str | Path, *, binary: bool = True) -> None:
     """Write an 8-bit PGM; values are scaled so the peak maps to 255."""
-    rows, cols = p.grid if p.grid is not None else (1, p.n)
-    peak = float(p.values.max())
+    grid = p.as_grid()
+    peak = float(grid.max())
     if peak <= 0.0:
         raise PatternAnnihilatedError("pattern annihilated: cannot render all-zero image")
-    pixels = np.rint(p.values / peak * 255.0).astype(np.uint8).reshape(rows, cols)
+    pixels = np.rint(grid / peak * 255.0).astype(np.uint8)
+    rows, cols = pixels.shape
     if binary:
         write_p5(pixels, path)
     else:

@@ -20,16 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import CorrelationTensor, WeightMatrix
+from .dynamics import WeightMatrix
 from .errors import ParameterError, ShapeMismatchError
-
-DEFAULT_ALPHA = 0.01
-DEFAULT_BETA = 1.0
-DEFAULT_V = 0.5
-DEFAULT_DT = 0.01
-DEFAULT_MAX_STEPS = 400
-DEFAULT_TOL = 1e-6
-
 
 @dataclass(frozen=True)
 class PlasticityParams:
@@ -41,12 +33,12 @@ class PlasticityParams:
     """
 
     n: int
-    alpha: float = DEFAULT_ALPHA
-    beta: float = DEFAULT_BETA
-    v: float = DEFAULT_V
-    dt: float = DEFAULT_DT
-    max_steps: int = DEFAULT_MAX_STEPS
-    tol: float = DEFAULT_TOL
+    alpha: float = 0.01
+    beta: float = 1.0
+    v: float = 0.5
+    dt: float = 0.01
+    max_steps: int = 400
+    tol: float = 1e-6
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -75,7 +67,7 @@ class PlasticityParams:
             )
 
 
-def haeussler_rhs(w: WeightMatrix, t: CorrelationTensor, params: PlasticityParams) -> np.ndarray:
+def haeussler_rhs(w: WeightMatrix, t: np.ndarray, params: PlasticityParams) -> np.ndarray:
     """Growth rate f(w_ij) for every connection; diagonal forced to zero.
 
     f(w_ij) = alpha * (1 - n * w_ij)
@@ -87,13 +79,13 @@ def haeussler_rhs(w: WeightMatrix, t: CorrelationTensor, params: PlasticityParam
     _check_sizes(w, t, params)
     n = params.n
     f = np.empty((n, n))
-    _rate_into(f, w.w, t.t, params, np.empty((n, n)), np.empty((n, n)), np.empty((n, 1)))
+    _rate_into(f, w.w, t, params, np.empty((n, n)), np.empty((n, n)), np.empty((n, 1)))
     return f
 
 
-def _check_sizes(w: WeightMatrix, t: CorrelationTensor, params: PlasticityParams) -> None:
-    if w.n != t.n:
-        raise ShapeMismatchError(f"weights are {w.n}x{w.n} but tensor is {t.n}x{t.n}")
+def _check_sizes(w: WeightMatrix, t: np.ndarray, params: PlasticityParams) -> None:
+    if t.shape != w.w.shape:
+        raise ShapeMismatchError(f"weights are {w.n}x{w.n} but tensor is {t.shape}")
     if w.n != params.n:
         raise ShapeMismatchError(f"params sized for n={params.n}, weights for n={w.n}")
 
@@ -155,7 +147,7 @@ class EvolveReport:
 
 
 def evolve_weights(
-    w: WeightMatrix, t: CorrelationTensor, params: PlasticityParams
+    w: WeightMatrix, t: np.ndarray, params: PlasticityParams
 ) -> tuple[WeightMatrix, EvolveReport]:
     """Integrate the rule until quiescence or the step budget runs out.
 
@@ -177,11 +169,11 @@ def evolve_weights(
     _check_sizes(w, t, params)
     if np.any(w.w < 0.0) or np.any(w.w > params.v):
         raise ParameterError("evolution requires starting weights within [0, v]")
-    if not np.all(np.isfinite(t.t)):
+    if not np.all(np.isfinite(t)):
         raise ParameterError("correlation tensor entries must be finite")
-    params.check_stability(float(t.t.max()) if t.t.size else 0.0)
+    params.check_stability(float(t.max()) if t.size else 0.0)
 
-    n, tt = params.n, t.t
+    n, tt = params.n, t
     dt, v = params.dt, params.v
     threshold = params.tol * dt
     current = w.w.copy()

@@ -21,7 +21,6 @@ from urllib.parse import quote, unquote
 import numpy as np
 
 from .dynamics import (
-    Resolvent,
     WeightMatrix,
     correlation_tensor,
     equilibrium_response,
@@ -262,7 +261,7 @@ def init_model(config: TrainerConfig) -> Model:
 # presentation and recall
 # ---------------------------------------------------------------------------
 
-def _active_source(model: Model, p: Pattern, d: Resolvent) -> ActiveSet:
+def _active_source(model: Model, p: Pattern, d: np.ndarray) -> ActiveSet:
     """Active set per the learning schedule: the raw input at onset, or
     the network's settled response when learning after convergence."""
     if model.config.learn_schedule == "onset":
@@ -293,15 +292,7 @@ def present_pattern(model: Model, p: Pattern) -> Model:
             model.population.redraw_positions()
         for _ in range(cfg.swarm.steps):
             swarm_step(model.population, p, layout)
-        prior = synthesize_weights(
-            model.population,
-            layout,
-            cfg.n,
-            v=cfg.plasticity.v,
-            kernel_pitches=cfg.swarm.kernel_pitches,
-            inhib_pitches=cfg.swarm.inhib_pitches,
-            inhibition_gain=cfg.swarm.inhibition_gain,
-        )
+        prior = synthesize_weights(model.population, layout, cfg.plasticity.v)
         rho = cfg.topology_mix
         # Swarm-declared inhibitory surround suppresses learned excitation
         # there; elsewhere the prior pulls excitation toward its layout.
@@ -373,7 +364,7 @@ def recall(
     d = model.weights.resolvent
     out = cue.values
     for _ in range(cfg.recall_iterations):
-        raw = d.d @ out
+        raw = d @ out
         out = np.clip(raw, 0.0, None)
         norm = math.sqrt(float(np.dot(out, out)))
         if norm <= 1e-12:
@@ -476,7 +467,10 @@ class ConfigKey:
             return _parse_bool(self.key, raw)
         if self.kind is str:
             return raw
-        return _parse_num(self.key, raw, self.kind)
+        value = _parse_num(self.key, raw, self.kind)
+        if self.kind is float and not math.isfinite(value):
+            raise ConfigError(f"{self.key}: expected a finite number, got {raw!r}")
+        return value
 
     def format(self, value: bool | int | float | str) -> str:
         if self.kind is bool:

@@ -251,7 +251,7 @@ def recall_reference(model, cue):
     d = truncated_resolvent(model.weights)
     out = cue.values
     for _ in range(cfg.recall_iterations):
-        raw = d.d @ out
+        raw = d @ out
         out = np.clip(raw, 0.0, None)
         norm = math.sqrt(float(np.dot(out, out)))
         if norm <= 1e-12:

@@ -11,8 +11,6 @@ import numpy as np
 
 from fireflynet.cli import main
 from fireflynet.dynamics import (
-    CorrelationTensor,
-    Resolvent,
     WeightMatrix,
     correlation_tensor,
     truncated_resolvent,
@@ -39,7 +37,7 @@ def test_criterion_01_truncated_resolvent_tracks_the_dense_inverse():
         w = random_weights(np.random.default_rng(seed), 6, q)
         d = truncated_resolvent(WeightMatrix(w))
         exact = inverse_of_i_minus(w.tolist())
-        assert inf_norm_diff(d.d.tolist(), exact) <= bound
+        assert inf_norm_diff(d.tolist(), exact) <= bound
     assert time.perf_counter() - t0 < 1.0
 
 
@@ -55,8 +53,7 @@ def test_criterion_02_growth_rate_matches_the_triple_loop_oracle():
             alpha = float(rng.uniform(0.001, 0.2))
             beta = float(rng.uniform(0.1, 2.0))
             params = PlasticityParams(n=n, alpha=alpha, beta=beta)
-            tensor = CorrelationTensor(t_mat, ActiveSet(tuple(range(n))))
-            f = haeussler_rhs(WeightMatrix(w), tensor, params)
+            f = haeussler_rhs(WeightMatrix(w), t_mat, params)
             ref = growth_rate_loops(w.tolist(), t_mat.tolist(), alpha, beta)
             assert np.abs(f - np.asarray(ref)).max() <= 1e-12
     assert time.perf_counter() - t0 < 1.0
@@ -70,7 +67,7 @@ def test_criterion_03_fixed_points_of_the_weight_rule():
     rng = np.random.default_rng(7)
     w0 = rng.random((n, n)) * params.v
     np.fill_diagonal(w0, 0.0)
-    zero_t = correlation_tensor(Resolvent(np.eye(n)), ActiveSet(()))
+    zero_t = correlation_tensor(np.eye(n), ActiveSet(()))
     wf, report = evolve_weights(WeightMatrix(w0), zero_t, params)
     assert report.converged
     off = ~np.eye(n, dtype=bool)
@@ -81,7 +78,7 @@ def test_criterion_03_fixed_points_of_the_weight_rule():
     m = 8
     uniform = np.full((m, m), 1.0 / m)
     np.fill_diagonal(uniform, 0.0)
-    some_t = correlation_tensor(Resolvent(np.random.default_rng(1).random((m, m))), ActiveSet(tuple(range(m))))
+    some_t = correlation_tensor(np.random.default_rng(1).random((m, m)), ActiveSet(tuple(range(m))))
     decay_only = PlasticityParams(n=m, alpha=0.3, beta=0.0)
     f1 = haeussler_rhs(WeightMatrix(uniform), some_t, decay_only)
     assert np.abs(f1).max() <= 1e-12
@@ -89,7 +86,7 @@ def test_criterion_03_fixed_points_of_the_weight_rule():
     k = 9
     unit_rows = np.full((k, k), 1.0 / (k - 1))
     np.fill_diagonal(unit_rows, 0.0)
-    const_t = CorrelationTensor(np.full((k, k), 2.0), ActiveSet(tuple(range(k))))
+    const_t = np.full((k, k), 2.0)
     growth_only = PlasticityParams(n=k, alpha=0.0, beta=1.0)
     f2 = haeussler_rhs(WeightMatrix(unit_rows), const_t, growth_only)
     assert np.abs(f2).max() <= 1e-12
@@ -114,11 +111,11 @@ def test_criterion_05_correlation_tensor_structure():
     full = ActiveSet(tuple(range(n)))
     for _ in range(50):
         d = rng.random((n, n))
-        t = correlation_tensor(Resolvent(d), full).t
+        t = correlation_tensor(d, full)
         assert np.abs(t - t.T).max() <= 1e-12
         assert np.linalg.eigvalsh(t).min() >= -1e-10
         d_sym = (d + d.T) / 2.0
-        t_sym = correlation_tensor(Resolvent(d_sym), full).t
+        t_sym = correlation_tensor(d_sym, full)
         square = np.asarray(matmul_loops(d_sym.tolist(), d_sym.tolist()))
         assert np.abs(t_sym - square).max() <= 1e-12
     assert time.perf_counter() - t0 < 1.0

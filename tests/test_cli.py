@@ -1,7 +1,11 @@
 """End-to-end command line runs, exercised in process through main()."""
 
+import shutil
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fireflynet.cli import RUN_KEY_HELP, SWEEPABLE, main
 from fireflynet.patterns import Pattern, gaussian_2d, save_pattern_csv
@@ -121,6 +125,64 @@ def test_recall_reports_broken_cue_files(tmp_path, capsys):
     assert "data error" in err and "cue.csv" in err
 
 
+@pytest.fixture(scope="module")
+def swarm_model(tmp_path_factory):
+    """A small trained model that has every saved file, population.csv too."""
+    root = tmp_path_factory.mktemp("swarm")
+    write_patterns(root / "pats")
+    args = ["train", "--patterns", str(root / "pats"), "--out", str(root / "model")]
+    assert main([*args, *SMALL, "--set", "use_firefly=true"]) == 0
+    save_pattern_csv(gaussian_2d(3, 3, 1.0, 1.0, 1.0, 1.0), root / "cue.csv")
+    (root / "run.cfg").write_text("recall_iterations = 2\ntheta_act = 0.1\n")
+    return root
+
+
+RECALL_INPUTS = ["cue.csv", "run.cfg"] + [
+    f"model/{name}"
+    for name in ("config.cfg", "w_matrix.csv", "population.csv", "templates/t0_p0.csv")
+]
+
+
+@st.composite
+def damaged_bytes(draw, original: bytes) -> bytes:
+    """Arbitrary bytes, or the original with a few short splices; splices
+    stay short so that a count such as recall_iterations stays small."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=64))
+    data = bytearray(original)
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(data)))
+        cut = draw(st.integers(0, 3))
+        data[at : at + cut] = draw(st.binary(max_size=3))
+    return bytes(data)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_recall_on_damaged_input_files_exits_with_a_documented_code(swarm_model, tmp_path_factory, data):
+    run = tmp_path_factory.mktemp("damaged")
+    shutil.copytree(swarm_model / "model", run / "model")
+    shutil.copy(swarm_model / "cue.csv", run / "cue.csv")
+    shutil.copy(swarm_model / "run.cfg", run / "run.cfg")
+    target = run / data.draw(st.sampled_from(RECALL_INPUTS))
+    target.write_bytes(data.draw(damaged_bytes(target.read_bytes())))
+    args = ["recall", "--config", str(run / "run.cfg"), "--model", str(run / "model")]
+    assert main([*args, "--cue", str(run / "cue.csv"), "--out", str(run / "out")]) in (0, 2, 3)
+
+
+def test_undecodable_input_files_are_data_errors(tmp_path, capsys):
+    pats = tmp_path / "pats"
+    write_patterns(pats)
+    (pats / "p1.csv").write_bytes(b"3,3\n\xff\xfe\n")
+    assert main(["train", "--patterns", str(pats), "--out", str(tmp_path / "m"), *SMALL]) == 3
+    config = tmp_path / "run.cfg"
+    config.write_bytes(b"epochs = \xe9\n")
+    write_patterns(tmp_path / "good")
+    args = ["train", "--patterns", str(tmp_path / "good"), "--out", str(tmp_path / "m2")]
+    assert main([*args, "--config", str(config), *SMALL]) == 3
+    assert capsys.readouterr().err.count("data error") == 2
+
+
 def test_recall_requires_model_and_cue(tmp_path, capsys):
     assert main(["recall", "--out", str(tmp_path / "r")]) == 2
     assert "recall requires" in capsys.readouterr().err
@@ -165,6 +227,15 @@ def test_experiment_rejects_unknown_names_and_keys(tmp_path, capsys):
     assert main(["experiment", "evolve1d", "--set", "warp=9", "--out", str(tmp_path / "y")]) == 2
     err = capsys.readouterr().err
     assert "unknown experiment" in err and "unknown config key" in err
+
+
+@pytest.mark.parametrize("key", ["dt", "v", "swarm_b"])
+def test_non_finite_float_config_values_are_config_errors(tmp_path, capsys, key):
+    for raw in ("nan", "inf"):
+        args = ["experiment", "evolve1d", "--set", "n=12", "--set", f"{key}={raw}"]
+        assert main([*args, "--out", str(tmp_path / raw)]) == 2
+        assert f"config error: {key}: expected a finite number" in capsys.readouterr().err
+        assert not (tmp_path / raw).exists()
 
 
 def test_experiment_requires_a_name(tmp_path, capsys):

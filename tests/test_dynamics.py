@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fireflynet.dynamics import (
-    CorrelationTensor,
-    Resolvent,
     WeightMatrix,
     correlation_tensor,
     equilibrium_response,
@@ -57,7 +55,6 @@ def test_weight_matrix_parts_and_norm():
     assert np.all(wm.positive_part() >= 0.0)
     assert np.all(wm.negative_part() <= 0.0)
     assert np.array_equal(wm.positive_part() + wm.negative_part(), w)
-    assert np.array_equal(WeightMatrix.zeros(3).w, np.zeros((3, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -65,15 +62,15 @@ def test_weight_matrix_parts_and_norm():
 # ---------------------------------------------------------------------------
 
 def test_resolvent_of_zero_weights_is_identity():
-    d = truncated_resolvent(WeightMatrix.zeros(4))
-    assert np.array_equal(d.d, np.eye(4))
+    d = truncated_resolvent(WeightMatrix(np.zeros((4, 4))))
+    assert np.array_equal(d, np.eye(4))
 
 
 def test_resolvent_of_nilpotent_matrix_stops_at_first_power():
     w = np.zeros((2, 2))
     w[0, 1] = 0.37
     d = truncated_resolvent(WeightMatrix(w))
-    assert np.array_equal(d.d, np.eye(2) + w)
+    assert np.array_equal(d, np.eye(2) + w)
 
 
 def test_resolvent_tracks_exact_inverse_within_series_tail():
@@ -84,7 +81,7 @@ def test_resolvent_tracks_exact_inverse_within_series_tail():
         wm = random_weights(seed)
         d = truncated_resolvent(wm)
         exact = inverse_of_i_minus(wm.w.tolist())
-        assert inf_norm_diff(d.d, exact) <= bound
+        assert inf_norm_diff(d, exact) <= bound
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +90,7 @@ def test_resolvent_tracks_exact_inverse_within_series_tail():
 
 def test_response_through_zero_weights_echoes_the_source():
     s = Pattern(np.array([0.1, 0.0, 0.7, 0.2]))
-    out, raw = equilibrium_response(truncated_resolvent(WeightMatrix.zeros(4)), s)
+    out, raw = equilibrium_response(truncated_resolvent(WeightMatrix(np.zeros((4, 4)))), s)
     assert np.array_equal(out.values, s.values)
     assert np.array_equal(raw, s.values)
 
@@ -122,13 +119,13 @@ def test_response_error_is_within_series_tail_of_exact_solve():
 
 
 def test_response_rejects_mismatched_source():
-    d = truncated_resolvent(WeightMatrix.zeros(4))
+    d = truncated_resolvent(WeightMatrix(np.zeros((4, 4))))
     with pytest.raises(ShapeMismatchError):
         equilibrium_response(d, Pattern(np.ones(5)))
 
 
 def test_response_clamps_negative_entries_for_activity():
-    d = Resolvent(np.array([[1.0, -2.0], [0.0, 1.0]]))
+    d = np.array([[1.0, -2.0], [0.0, 1.0]])
     out, raw = equilibrium_response(d, Pattern(np.array([0.1, 0.5])))
     assert raw[0] < 0.0
     assert out.values[0] == 0.0
@@ -139,36 +136,36 @@ def test_response_clamps_negative_entries_for_activity():
 # ---------------------------------------------------------------------------
 
 def test_tensor_identity_resolvent_single_source():
-    d = Resolvent(np.eye(8))
+    d = np.eye(8)
     t = correlation_tensor(d, ActiveSet((5,)))
     e5 = np.zeros(8)
     e5[5] = 1.0
-    assert np.array_equal(t.t, np.outer(e5, e5))
+    assert np.array_equal(t, np.outer(e5, e5))
 
 
 def test_tensor_identity_resolvent_full_set():
-    d = Resolvent(np.eye(8))
+    d = np.eye(8)
     t = correlation_tensor(d, ActiveSet(tuple(range(8))))
-    assert np.array_equal(t.t, np.eye(8))
+    assert np.array_equal(t, np.eye(8))
 
 
 def test_tensor_equals_d_squared_for_symmetric_resolvent():
     rng = np.random.default_rng(11)
     a = rng.random((6, 6))
-    d = Resolvent((a + a.T) / 2.0)
+    d = (a + a.T) / 2.0
     t = correlation_tensor(d, ActiveSet(tuple(range(6))))
-    expected = matmul_loops(d.d.tolist(), d.d.tolist())
-    assert np.abs(t.t - np.asarray(expected)).max() <= 1e-12
+    expected = matmul_loops(d.tolist(), d.tolist())
+    assert np.abs(t - np.asarray(expected)).max() <= 1e-12
 
 
 def test_tensor_is_symmetric_and_psd():
     for seed in range(10):
         rng = np.random.default_rng(seed)
-        d = Resolvent(rng.random((7, 7)))
+        d = rng.random((7, 7))
         idx = tuple(int(i) for i in rng.choice(7, size=rng.integers(1, 8), replace=False))
         t = correlation_tensor(d, ActiveSet(idx))
-        assert np.abs(t.t - t.t.T).max() <= 1e-12
-        assert float(np.linalg.eigvalsh(t.t).min()) >= -1e-10
+        assert np.abs(t - t.T).max() <= 1e-12
+        assert float(np.linalg.eigvalsh(t).min()) >= -1e-10
 
 
 @st.composite
@@ -183,7 +180,7 @@ def resolvent_and_sources(draw):
 @given(resolvent_and_sources())
 def test_tensor_is_symmetric_and_psd_for_generated_inputs(case):
     d, sources = case
-    t = correlation_tensor(Resolvent(d), sources).t
+    t = correlation_tensor(d, sources)
     assert np.array_equal(t, t.T)
     eig = np.linalg.eigvalsh(t)
     assert eig.min() >= -1e-12 * max(1.0, float(np.abs(eig).max()))
@@ -193,23 +190,22 @@ def test_tensor_grows_with_the_source_set():
     # adding sources adds a rank-one non-negative piece: T_small <= T_big
     # in the ordering where the difference stays positive semidefinite
     rng = np.random.default_rng(21)
-    d = Resolvent(rng.random((7, 7)))
+    d = rng.random((7, 7))
     small = ActiveSet((1, 4))
     big = ActiveSet((1, 2, 4, 6))
     t_small = correlation_tensor(d, small)
     t_big = correlation_tensor(d, big)
-    assert float(np.linalg.eigvalsh(t_big.t - t_small.t).min()) >= -1e-10
+    assert float(np.linalg.eigvalsh(t_big - t_small).min()) >= -1e-10
 
 
-def test_tensor_empty_source_set_is_zero_and_flagged():
-    t = correlation_tensor(Resolvent(np.eye(5)), ActiveSet(()))
-    assert t.is_empty
-    assert np.array_equal(t.t, np.zeros((5, 5)))
+def test_tensor_empty_source_set_is_zero():
+    t = correlation_tensor(np.eye(5), ActiveSet(()))
+    assert np.array_equal(t, np.zeros((5, 5)))
 
 
 def test_tensor_rejects_out_of_range_sources():
     with pytest.raises(ParameterError):
-        correlation_tensor(Resolvent(np.eye(5)), ActiveSet((7,)))
+        correlation_tensor(np.eye(5), ActiveSet((7,)))
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +217,20 @@ def test_matrix_csv_round_trip_is_exact(tmp_path):
     path = tmp_path / "m.csv"
     save_matrix_csv(m, path)
     assert np.array_equal(load_matrix_csv(path), m)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.integers(1, 8).flatmap(
+        lambda n: arrays(np.float64, (n, n), elements=st.floats(allow_nan=False))
+    )
+)
+def test_matrix_csv_round_trip_is_exact_for_generated_matrices(tmp_path_factory, m):
+    path = tmp_path_factory.mktemp("matrix") / "m.csv"
+    save_matrix_csv(m, path)
+    back = load_matrix_csv(path)
+    assert np.array_equal(back, m)
+    assert np.array_equal(np.signbit(back), np.signbit(m))
 
 
 def test_matrix_csv_rejects_non_square():

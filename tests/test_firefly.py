@@ -4,21 +4,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fireflynet.errors import FormatError, ParameterError, ShapeMismatchError
 from fireflynet.firefly import (
     MAX_SETTLE_SWEEPS,
     SETTLE_EPS,
     SETTLE_OVERSHOOT,
-    Firefly,
     FireflyPopulation,
     GridLayout,
-    Polarity,
     SwarmParams,
-    brightness,
     enforce_min_distance,
     load_population_csv,
-    move,
     save_population_csv,
     swarm_step,
     synthesize_weights,
@@ -47,63 +46,56 @@ def manual_population(positions, excitatory, params, seed=0) -> FireflyPopulatio
 
 
 # ---------------------------------------------------------------------------
-# brightness and single moves
+# attraction and single moves: one dim agent in cell 0 of a 1x2 line, one
+# bright agent in cell 1, so only the dim one moves, once
 # ---------------------------------------------------------------------------
 
-def test_brightness_at_zero_distance_is_b():
-    assert brightness(0.7, 4.0, 0.0) == 0.7
+def move_toward_bright(start, target, params, seed=0) -> tuple[float, float]:
+    pop = manual_population([start, target], [True, True], params, seed=seed)
+    swarm_step(pop, Pattern(np.array([0.0, 1.0]), grid=(1, 2)), GridLayout(1, 2))
+    assert tuple(pop.positions[1]) == tuple(target)
+    return tuple(pop.positions[0])
 
 
 def test_brightness_decays_monotonically():
-    rs = np.linspace(0.0, 2.0, 40)
-    vals = [brightness(1.0, 2.5, float(r)) for r in rs]
-    assert all(a > b for a, b in zip(vals, vals[1:]))
-
-
-def test_brightness_unit_distance_reference_value():
-    got = brightness(1.0, 1.0, 1.0)
-    assert got == math.exp(-1.0)
-    assert abs(got - 0.36788) <= 1e-5
+    # the share of the separation a move covers is b * exp(-gamma * r^2)
+    rs = np.linspace(0.46, 0.9, 12)
+    params = still_params(gamma=2.5)
+    shares = [
+        (move_toward_bright((0.95 - r, 0.5), (0.95, 0.5), params)[0] - (0.95 - r)) / r for r in rs
+    ]
+    assert all(a > b for a, b in zip(shares, shares[1:]))
 
 
 def test_brightness_rejects_bad_shape_parameters():
-    with pytest.raises(ParameterError):
-        brightness(0.0, 1.0, 0.5)
-    with pytest.raises(ParameterError):
-        brightness(1.0, 0.0, 0.5)
-
-
-def test_move_onto_self_stays_put_without_jitter():
-    rng = np.random.default_rng(0)
-    got = move((0.4, 0.6), (0.4, 0.6), still_params(), rng)
-    assert got == (0.4, 0.6)
+    for bad in (dict(b=0.0), dict(gamma=0.0)):
+        with pytest.raises(ParameterError):
+            SwarmParams(**bad)
 
 
 def test_move_with_flat_falloff_lands_on_target():
     # gamma ~ 0 and b = 1 make the pull carry the whole separation
-    rng = np.random.default_rng(0)
-    got = move((0.0, 0.0), (1.0, 0.0), still_params(b=1.0, gamma=1e-12), rng)
-    assert abs(got[0] - 1.0) <= 1e-9 and got[1] == 0.0
+    got = move_toward_bright((0.0, 0.5), (1.0, 0.5), still_params(b=1.0, gamma=1e-12))
+    assert abs(got[0] - 1.0) <= 1e-9 and got[1] == 0.5
 
 
 def test_move_matches_closed_form():
-    rng = np.random.default_rng(0)
-    got = move((0.0, 0.0), (1.0, 0.0), still_params(b=0.5, gamma=1.0), rng)
-    assert got == (0.5 * math.exp(-1.0), 0.0)
+    got = move_toward_bright((0.0, 0.5), (1.0, 0.5), still_params(b=0.5, gamma=1.0))
+    assert got == (0.5 * math.exp(-1.0), 0.5)
+    assert abs(got[0] - 0.5 * 0.36788) <= 1e-5
 
 
 def test_move_clips_to_unit_square():
-    rng = np.random.default_rng(0)
-    got = move((0.9, 0.9), (1.0, 1.0), still_params(b=50.0, gamma=0.001), rng)
+    got = move_toward_bright((0.2, 0.5), (1.0, 1.0), still_params(b=50.0, gamma=0.001))
     assert got == (1.0, 1.0)
 
 
 def test_move_jitter_is_reproducible():
     params = SwarmParams(eta=0.2, d_min=0.0)
-    a = move((0.3, 0.3), (0.7, 0.7), params, np.random.default_rng(11))
-    b = move((0.3, 0.3), (0.7, 0.7), params, np.random.default_rng(11))
+    a = move_toward_bright((0.3, 0.3), (0.7, 0.7), params, seed=11)
+    b = move_toward_bright((0.3, 0.3), (0.7, 0.7), params, seed=11)
     assert a == b
-    c = move((0.3, 0.3), (0.7, 0.7), params, np.random.default_rng(12))
+    c = move_toward_bright((0.3, 0.3), (0.7, 0.7), params, seed=12)
     assert a != c
 
 
@@ -165,7 +157,7 @@ def test_layout_rejects_degenerate_sides():
 def test_spawn_polarity_split_and_ranges():
     pop = FireflyPopulation.spawn(10, SwarmParams(excit_fraction=0.7, seed=3))
     assert len(pop) == 10
-    assert pop.n_excitatory == 7 and pop.n_inhibitory == 3
+    assert pop.n_excitatory == 7
     assert np.all(pop.excitatory[:7]) and not np.any(pop.excitatory[7:])
     assert pop.positions.shape == (10, 2)
     assert np.all(pop.positions >= 0.0) and np.all(pop.positions <= 1.0)
@@ -185,14 +177,6 @@ def test_redraw_moves_agents_but_keeps_polarity():
     assert not np.array_equal(pop.positions, before)
     assert np.array_equal(pop.excitatory, polarity)
     assert np.array_equal(pop.brightness, np.zeros(12))
-
-
-def test_flies_property_mirrors_arrays():
-    pop = manual_population([[0.1, 0.2], [0.8, 0.9]], [True, False], SwarmParams())
-    pop.brightness = np.array([0.5, 0.25])
-    flies = pop.flies
-    assert flies[0] == Firefly(position=(0.1, 0.2), polarity=Polarity.EXCITATORY, brightness=0.5)
-    assert flies[1].polarity is Polarity.INHIBITORY
 
 
 def test_swarm_params_reject_bad_values():
@@ -384,7 +368,7 @@ def test_synthesis_from_pure_excitation_is_nonnegative_with_unit_rows():
     params = SwarmParams(excit_fraction=1.0, seed=21, d_min=0.0)
     pop = FireflyPopulation.spawn(200, params)
     layout = GridLayout(5, 5)
-    wm = synthesize_weights(pop, layout, 25)
+    wm = synthesize_weights(pop, layout, 0.5)
     assert np.all(wm.w >= 0.0)
     assert np.array_equal(np.diagonal(wm.w), np.zeros(25))
     assert np.all(wm.w <= 0.5)
@@ -398,7 +382,7 @@ def test_synthesis_concentrates_on_the_occupied_cell():
     pop = manual_population(
         np.full((12, 2), 0.5), [True] * 12, SwarmParams(d_min=0.0)
     )
-    wm = synthesize_weights(pop, layout, 25)
+    wm = synthesize_weights(pop, layout, 0.5)
     centers = layout.cell_positions()
     sigma = 1.5 * layout.pitch
     for i in range(25):
@@ -419,7 +403,7 @@ def test_synthesis_inhibitory_agent_makes_a_negative_column():
     pop = manual_population(
         [[0.1, 0.1], [0.9, 0.9]], [True, False], SwarmParams(d_min=0.0)
     )
-    wm = synthesize_weights(pop, layout, 25)
+    wm = synthesize_weights(pop, layout, 0.5)
     col = wm.w[:, 24]
     assert col[24] == 0.0
     assert np.all(col[:24] < 0.0)
@@ -430,21 +414,14 @@ def test_synthesis_inhibitory_agent_makes_a_negative_column():
 def test_synthesis_requires_an_excitatory_agent():
     pop = manual_population([[0.2, 0.2], [0.7, 0.7]], [False, False], SwarmParams())
     with pytest.raises(ParameterError):
-        synthesize_weights(pop, GridLayout(5, 5), 25)
-
-
-def test_synthesis_rejects_size_mismatch():
-    pop = FireflyPopulation.spawn(5, SwarmParams(seed=0))
-    with pytest.raises(ShapeMismatchError):
-        synthesize_weights(pop, GridLayout(3, 3), 10)
+        synthesize_weights(pop, GridLayout(5, 5), 0.5)
 
 
 def test_synthesis_rejects_bad_caps():
     pop = FireflyPopulation.spawn(5, SwarmParams(seed=0))
-    with pytest.raises(ParameterError):
-        synthesize_weights(pop, GridLayout(3, 3), 9, v=-1.0)
-    with pytest.raises(ParameterError):
-        synthesize_weights(pop, GridLayout(3, 3), 9, inhibition_cap=-0.1)
+    for v in (0.0, -1.0):
+        with pytest.raises(ParameterError):
+            synthesize_weights(pop, GridLayout(3, 3), v)
 
 
 # ---------------------------------------------------------------------------
@@ -461,6 +438,30 @@ def test_population_file_round_trip(tmp_path):
     assert np.array_equal(back.positions, pop.positions)
     assert np.array_equal(back.excitatory, pop.excitatory)
     assert np.array_equal(back.brightness, pop.brightness)
+
+
+@st.composite
+def populations(draw):
+    count = draw(st.integers(1, 20))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    return manual_population(
+        draw(arrays(np.float64, (count, 2), elements=finite)),
+        draw(arrays(np.bool_, count)),
+        SwarmParams(),
+    ), draw(arrays(np.float64, count, elements=finite))
+
+
+@settings(max_examples=50, deadline=None)
+@given(populations())
+def test_population_file_round_trip_for_generated_populations(tmp_path_factory, case):
+    pop, pop.brightness = case
+    path = tmp_path_factory.mktemp("pop") / "pop.csv"
+    save_population_csv(pop, path)
+    back = load_population_csv(path, pop.params)
+    for name in ("positions", "excitatory", "brightness"):
+        got, want = getattr(back, name), getattr(pop, name)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_population_file_rejects_damage(tmp_path):

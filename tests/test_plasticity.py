@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fireflynet.dynamics import (
-    CorrelationTensor,
-    Resolvent,
     WeightMatrix,
     correlation_tensor,
 )
@@ -29,20 +27,20 @@ def uniform_weights(n: int) -> WeightMatrix:
     return WeightMatrix(w)
 
 
-def gram_tensor(n: int, seed: int, unit_rows: bool = False) -> "correlation_tensor":
+def gram_tensor(n: int, seed: int, unit_rows: bool = False) -> np.ndarray:
     d = np.random.default_rng(seed).random((n, n))
     if unit_rows:
         d /= np.linalg.norm(d, axis=1, keepdims=True)
-    return correlation_tensor(Resolvent(d), ActiveSet(tuple(range(n))))
+    return correlation_tensor(d, ActiveSet(tuple(range(n))))
 
 
 def zero_tensor(n: int):
-    return correlation_tensor(Resolvent(np.eye(n)), ActiveSet(()))
+    return correlation_tensor(np.eye(n), ActiveSet(()))
 
 
 def clamping_case(
     n: int, seed: int, load: float, beta: float
-) -> tuple[np.ndarray, CorrelationTensor]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Random start weights in [0, 0.5] with full rows, and a skewed Gram
     tensor scaled so that dt * beta * max T = load at dt = 0.01.
 
@@ -54,7 +52,7 @@ def clamping_case(
     np.fill_diagonal(w, 0.0)
     x = rng.random((n, 4)) ** 4
     t_mat = x @ x.T
-    return w, CorrelationTensor(t_mat * (load / (0.01 * beta * t_mat.max())), ActiveSet(()))
+    return w, t_mat * (load / (0.01 * beta * t_mat.max()))
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +109,7 @@ def test_rhs_cooperation_term_vanishes_for_constant_tensor_and_unit_rows():
     n = 9
     w = np.full((n, n), 1.0 / (n - 1))
     np.fill_diagonal(w, 0.0)
-    tensor = CorrelationTensor(np.full((n, n), 2.0), ActiveSet(tuple(range(n))))
+    tensor = np.full((n, n), 2.0)
     params = PlasticityParams(n=n, alpha=0.0, beta=1.0)
     f = haeussler_rhs(WeightMatrix(w), tensor, params)
     assert np.abs(f).max() <= 1e-12
@@ -125,10 +123,9 @@ def test_rhs_matches_triple_loop_reference():
             np.fill_diagonal(w, 0.0)
             raw = rng.random((n, n))
             t_mat = (raw + raw.T) / 2.0
-            tensor = CorrelationTensor(t_mat, ActiveSet(tuple(range(n))))
             alpha, beta = float(rng.uniform(0.001, 0.2)), float(rng.uniform(0.1, 2.0))
             params = PlasticityParams(n=n, alpha=alpha, beta=beta)
-            f = haeussler_rhs(WeightMatrix(w), tensor, params)
+            f = haeussler_rhs(WeightMatrix(w), t_mat, params)
             ref = growth_rate_loops(w.tolist(), t_mat.tolist(), alpha, beta)
             assert np.abs(f - np.asarray(ref)).max() <= 1e-12
 
@@ -143,8 +140,8 @@ def test_rhs_matches_budgeted_grouping():
     tensor = gram_tensor(n, 4)
     params = PlasticityParams(n=n, alpha=0.05, beta=1.0)
     f = haeussler_rhs(WeightMatrix(w), tensor, params)
-    coop = (w * tensor.t).sum(axis=1, keepdims=True)
-    regrouped = params.alpha + params.beta * w * tensor.t - w * (params.alpha * n + params.beta * coop)
+    coop = (w * tensor).sum(axis=1, keepdims=True)
+    regrouped = params.alpha + params.beta * w * tensor - w * (params.alpha * n + params.beta * coop)
     np.fill_diagonal(regrouped, 0.0)
     assert np.abs(f - regrouped).max() <= 1e-13
 
@@ -231,7 +228,7 @@ def test_evolution_winner_sits_on_strongest_cooperation():
     params = PlasticityParams(n=n, alpha=0.01, beta=1.0, max_steps=60000)
     for seed in range(10):
         tensor = gram_tensor(n, seed + 200, unit_rows=True)
-        t_off = tensor.t.copy()
+        t_off = tensor.copy()
         np.fill_diagonal(t_off, -np.inf)
         wf, _ = evolve_weights(uniform_weights(n), tensor, params)
         for i in range(n):
@@ -280,7 +277,7 @@ EVOLUTION_CASES = {
 @pytest.mark.parametrize("case", sorted(EVOLUTION_CASES))
 def test_evolution_matches_the_reference_bit_for_bit(case):
     w0, tensor, params, converges = EVOLUTION_CASES[case]
-    expected, trace, steps, converged, final_max_rhs = evolve_reference(w0, tensor.t, params)
+    expected, trace, steps, converged, final_max_rhs = evolve_reference(w0, tensor, params)
     wf, report = evolve_weights(WeightMatrix(w0), tensor, params)
     assert np.array_equal(wf.w, expected)
     assert report.trace == trace
@@ -310,7 +307,7 @@ def evolution_inputs(draw):
     limit = draw(st.floats(0.0, 0.99)) * (1.0 - dt * alpha * n) / dt
     if beta * t_mat.max() > limit:
         t_mat *= limit / (beta * t_mat.max())
-    return w, CorrelationTensor(t_mat, ActiveSet(())), params
+    return w, t_mat, params
 
 
 @settings(deadline=None)
@@ -337,10 +334,10 @@ def test_evolution_rejects_out_of_range_start():
 def test_evolution_rejects_a_non_finite_tensor_up_front():
     n = 4
     tensor = gram_tensor(n, 3)
-    t = tensor.t.copy()
+    t = tensor.copy()
     t[0, 1] = np.nan
     with pytest.raises(ParameterError, match="correlation tensor"):
-        evolve_weights(uniform_weights(n), CorrelationTensor(t, tensor.source_set), PlasticityParams(n=n))
+        evolve_weights(uniform_weights(n), t, PlasticityParams(n=n))
 
 
 def test_report_serialization(tmp_path):

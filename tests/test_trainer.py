@@ -4,6 +4,8 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fireflynet.dynamics import WeightMatrix, load_matrix_csv
 from fireflynet.errors import (
@@ -25,6 +27,7 @@ from fireflynet.patterns import (
 from fireflynet.plasticity import PlasticityParams
 from fireflynet.trainer import (
     CONFIG_KEY_HELP,
+    CONFIG_KEYS,
     ExperimentReport,
     Model,
     TrainerConfig,
@@ -373,7 +376,7 @@ def test_weights_and_their_resolvent_are_read_only_and_the_caller_array_is_not()
     with pytest.raises(ValueError):
         model.weights.w[0, 1] = 0.25
     with pytest.raises(ValueError):
-        model.weights.resolvent.d[0, 1] = 0.25
+        model.weights.resolvent[0, 1] = 0.25
     a = np.zeros((3, 3))
     wm = WeightMatrix(a)
     assert a.flags.writeable
@@ -437,6 +440,41 @@ def test_hand_wired_config_round_trips():
     assert relaxed.hand_wired_neighbors is None
 
 
+@st.composite
+def config_dicts(draw):
+    """Flat key/value dicts over every key, each key present or left at
+    its default; the grid sides, when present, multiply to n."""
+    if draw(st.booleans()):
+        rows, cols = draw(st.integers(1, 6)), draw(st.integers(2, 6))
+        kv = {"n": str(rows * cols), "rows": str(rows), "cols": str(cols)}
+    else:
+        kv = {"n": str(draw(st.integers(2, 40)))}
+    # floats below 0.15 keep dt * alpha * n < 1 for n <= 40
+    by_kind = {bool: st.booleans(), int: st.integers(1, 50), float: st.floats(1e-4, 0.15)}
+    by_key = {
+        "boundary": st.sampled_from(["open", "periodic"]),
+        "learn_schedule": st.sampled_from(["onset", "converged"]),
+        "hand_wired_neighbors": st.integers(0, 0 if "rows" in kv else 3),
+    }
+    for spec in CONFIG_KEYS:
+        if spec.key in kv or not draw(st.booleans()):
+            continue
+        strategy = by_key[spec.key] if spec.key in by_key else by_kind[spec.kind]
+        kv[spec.key] = spec.format(draw(strategy))
+    return kv
+
+
+@settings(max_examples=100, deadline=None)
+@given(config_dicts())
+def test_config_round_trips_through_text_for_generated_configs(kv):
+    try:
+        cfg = config_from_dict(kv)
+    except ConfigError:
+        assume(False)
+    back = config_from_dict(parse_kv_text(format_kv(config_to_dict(cfg))))
+    assert back == cfg
+
+
 def test_config_dict_rejects_malformed_input():
     with pytest.raises(ConfigError):
         config_from_dict({"n": "9", "bogus": "1"})
@@ -456,6 +494,9 @@ def test_config_dict_rejects_malformed_input():
         config_from_dict({"n": "9", "boundary": "twisted"})
     with pytest.raises(ConfigError):
         config_from_dict({"n": "9", "v": "-1.0"})
+    for raw in ("nan", "inf", "-inf", "1e999"):
+        with pytest.raises(ConfigError, match="dt: expected a finite number"):
+            config_from_dict({"n": "9", "dt": raw})
 
 
 def test_every_help_key_is_accepted():
