@@ -25,7 +25,6 @@ from .firefly import (
     synthesize_weights,
 )
 from .patterns import (
-    ActiveSet,
     Pattern,
     active_set,
     add_noise,

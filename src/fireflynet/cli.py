@@ -24,7 +24,7 @@ from .errors import (
     PatternAnnihilatedError,
     ShapeMismatchError,
 )
-from .patterns import Pattern, load_image, save_image, save_pattern_csv
+from .patterns import Pattern, load_image, read_text, save_image, save_pattern_csv, write_table
 from .trainer import (
     CONFIG_KEY_HELP,
     CONFIG_KEYS,
@@ -124,7 +124,7 @@ def _load_run_config(args: argparse.Namespace) -> dict[str, str]:
         path = Path(args.config)
         if not path.is_file():
             raise FormatError(f"config file not found: {path}")
-        kv = parse_kv_text(path.read_text())
+        kv = parse_kv_text(read_text(path))
     for item in args.set:
         if "=" not in item:
             raise UsageError(f"--set expects KEY=VALUE, got {item!r}")
@@ -211,6 +211,10 @@ def _cmd_train(args: argparse.Namespace) -> int:
         raise FormatError(f"no .csv or .pgm patterns in {pattern_dir}")
     patterns = []
     for f in files:
+        try:
+            f.stem.encode()  # the stem becomes a template label and a saved file name
+        except UnicodeEncodeError:
+            raise FormatError(f"pattern file name is not UTF-8: {str(f)!r}") from None
         loaded = load_image(f)
         patterns.append(Pattern(loaded.values, grid=loaded.grid, label=f.stem))
 
@@ -218,10 +222,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     save_model(model, out)
     if model.history:
-        lines = ["presentation,steps,converged,final_max_rhs"]
-        for k, rep in enumerate(model.history):
-            lines.append(f"{k},{rep.steps},{int(rep.converged)},{rep.final_max_rhs!r}")
-        (out / "training_summary.csv").write_text("\n".join(lines) + "\n")
+        rows = [(k, rep.steps, int(rep.converged), rep.final_max_rhs) for k, rep in enumerate(model.history)]
+        write_table(out / "training_summary.csv", ("presentation", "steps", "converged", "final_max_rhs"), rows)
         model.history[-1].save_trace_csv(out / "trace_final.csv")
     _row_sum_warning(model)
     n_converged = sum(r.converged for r in model.history)
@@ -267,15 +269,11 @@ def _cmd_recall(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     save_pattern_csv(output, out / "pattern_output.csv")
     save_image(output, out / "pattern_output.pgm")
-    report = [
-        f"cosine = {metrics.cosine!r}",
-        f"mse = {metrics.mse!r}",
-        f"pearson = {metrics.pearson!r}",
-        f"best_match_label = {metrics.best_match_label or ''}",
-    ]
-    (out / "report.txt").write_text("\n".join(report) + "\n")
+    report = format_kv({"cosine": metrics.cosine, "mse": metrics.mse, "pearson": metrics.pearson,
+                        "best_match_label": metrics.best_match_label or ""})
+    (out / "report.txt").write_text(report)
     _row_sum_warning(model)
-    print("\n".join(report))
+    print(report, end="")
     return 0
 
 
@@ -347,19 +345,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 results[index] = metrics
 
     metric_names = sorted({name for m in results.values() for name in m})
-    lines = [",".join(["run", *param_names, "seed", *metric_names])]
-    for index, task in enumerate(tasks):
-        _, overrides, _, _, seed = task
-        metrics = results[index]
-        cells = [str(index)]
-        cells.extend(overrides[name] for name in param_names)
-        cells.append(str(seed))
-        for name in metric_names:
-            value = metrics.get(name, "")
-            cells.append(repr(value) if isinstance(value, float) else str(value))
-        lines.append(",".join(cells))
+    rows = [
+        [index, *(overrides[name] for name in param_names), seed]
+        + [results[index].get(name, "") for name in metric_names]
+        for index, (_, overrides, _, _, seed) in enumerate(tasks)
+    ]
     out.mkdir(parents=True, exist_ok=True)
-    (out / "sweep.csv").write_text("\n".join(lines) + "\n")
+    write_table(out / "sweep.csv", ["run", *param_names, "seed", *metric_names], rows)
     print(f"{len(tasks)} runs -> {out / 'sweep.csv'}")
     return 0
 
@@ -384,8 +376,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (FormatError, ShapeMismatchError, PatternAnnihilatedError, ParameterError, OSError,
-            UnicodeDecodeError) as exc:
+    except (FormatError, ShapeMismatchError, PatternAnnihilatedError, ParameterError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     except FireflynetError as exc:

@@ -1,11 +1,12 @@
-"""Linear network response: truncated resolvent and source correlations.
+"""Linear network response: the three-hop response operator and source
+correlations.
 
-The recurrent layer is linearized around its operating point, so the
-equilibrium response to a source vector s is (I - W)^-1 s.  The inverse
-is approximated by the third-order expansion D = I + W + W^2 + W^3,
-which is cheap, always defined, and accurate when row sums of |W| stay
-well below 1 (truncation error is bounded by q^4/(1-q) in the infinity
-norm for q = max absolute row sum).
+The layer's response to a source vector s is D s, with the paper's
+three-hop response operator D = I + W + W^2 + W^3 (paths of up to three
+synapses); every model trains and recalls with D as it is.  When q, the
+max absolute row sum, is below 1, D is also the third-order truncation
+of (I - W)^-1 with error at most q^4/(1-q) in the infinity norm; trained
+swarm models have q >= 1, where that bound does not apply.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, ParameterError, ShapeMismatchError
-from .patterns import FLOAT_FMT, ActiveSet, Pattern, write_p5
+from .errors import ParameterError, ShapeMismatchError
+from .patterns import Pattern, read_grid_csv, write_grid_csv, write_p5
 
 
 @dataclass(frozen=True)
@@ -88,22 +89,21 @@ def equilibrium_response(d: np.ndarray, s: Pattern) -> tuple[Pattern, np.ndarray
     return Pattern(activity, grid=s.grid, label=s.label), raw
 
 
-def correlation_tensor(d: np.ndarray, s_set: ActiveSet) -> np.ndarray:
+def correlation_tensor(d: np.ndarray, sources: np.ndarray) -> np.ndarray:
     """Pairwise response correlations induced by a set of unit sources.
 
     T[i, j] = sum over sources k in the set of D[i, k] * D[j, k]: the
     correlation of responses at i and j when every cell of the source set
-    fires independently with unit strength.  Symmetric and positive
-    semidefinite by construction.  An empty source set is legal and gives
-    the all-zeros tensor.
+    (an int index array) fires independently with unit strength.
+    Symmetric and positive semidefinite by construction.  An empty source
+    set is legal and gives the all-zeros tensor.
     """
     n = d.shape[0]
-    if len(s_set) == 0:
+    if len(sources) == 0:
         return np.zeros((n, n))
-    idx = s_set.to_array()
-    if idx[0] < 0 or idx[-1] >= n:
-        raise ParameterError(f"source indices out of range for n={n}: {idx[0]}..{idx[-1]}")
-    cols = d[:, idx]
+    if sources.min() < 0 or sources.max() >= n:
+        raise ParameterError(f"source indices out of range for n={n}: {sources.min()}..{sources.max()}")
+    cols = d[:, sources]
     return cols @ cols.T
 
 
@@ -116,35 +116,11 @@ def save_matrix_csv(a: np.ndarray, path: str | Path) -> None:
     m = np.asarray(a, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ParameterError(f"matrix CSV requires a square matrix, got {m.shape}")
-    lines = [str(m.shape[0])]
-    for row in m:
-        lines.append(",".join(FLOAT_FMT % x for x in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_grid_csv(path, m.shape[:1], m)
 
 
 def load_matrix_csv(path: str | Path) -> np.ndarray:
-    text = Path(path).read_text()
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise FormatError(f"empty matrix file: {path}")
-    try:
-        n = int(lines[0])
-    except ValueError as exc:
-        raise FormatError(f"malformed matrix header {lines[0]!r} in {path}") from exc
-    if n < 1:
-        raise FormatError(f"non-positive matrix size {n} in {path}")
-    if len(lines) - 1 != n:
-        raise ShapeMismatchError(f"{path}: header says {n} rows, file has {len(lines) - 1}")
-    out = np.empty((n, n))
-    for r, ln in enumerate(lines[1:]):
-        fields = ln.split(",")
-        if len(fields) != n:
-            raise ShapeMismatchError(f"{path}: header says {n} cols, row has {len(fields)}")
-        try:
-            out[r] = [float(f) for f in fields]
-        except ValueError as exc:
-            raise FormatError(f"non-numeric value in {path}: {ln!r}") from exc
-    return out
+    return read_grid_csv(path, "matrix", 1)
 
 
 def save_matrix_pgm(a: np.ndarray, path: str | Path) -> None:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .dynamics import WeightMatrix
 from .errors import FormatError, ParameterError, ShapeMismatchError
-from .patterns import FLOAT_FMT, Pattern
+from .patterns import FLOAT_FMT, Pattern, read_text, write_table
 
 # Settling passes before giving up on the spacing constraint, the slack
 # under d_min that counts as satisfied (pushes below this fall under
@@ -40,8 +40,6 @@ SETTLE_OVERSHOOT = 1.05
 class SwarmParams:
     """Swarm movement and sizing knobs.
 
-    ``seed`` feeds a fresh population's generator; leave it None when the
-    owner derives the generator from its own seed hierarchy.
     ``reset_per_pattern`` redraws positions before each presentation
     instead of letting the swarm carry over and redistribute.
     ``kernel_pitches``, ``inhib_pitches`` and ``inhibition_gain`` shape
@@ -53,7 +51,6 @@ class SwarmParams:
     eta: float = 0.05
     d_min: float = 0.05
     steps: int = 10
-    seed: int | None = None
     excit_fraction: float = 0.7
     population_factor: float = 1.0
     reset_per_pattern: bool = False
@@ -148,18 +145,11 @@ class FireflyPopulation:
     settle_converged: bool = True
 
     @classmethod
-    def spawn(
-        cls,
-        count: int,
-        params: SwarmParams,
-        rng: np.random.Generator | None = None,
-    ) -> "FireflyPopulation":
+    def spawn(cls, count: int, params: SwarmParams, rng: np.random.Generator) -> "FireflyPopulation":
         """Uniform positions; the first round(count * excit_fraction) agents
         are excitatory, the rest inhibitory."""
         if count < 1:
             raise ParameterError(f"population count must be >= 1, got {count}")
-        if rng is None:
-            rng = np.random.default_rng(params.seed)
         n_excit = int(round(count * params.excit_fraction))
         excitatory = np.zeros(count, dtype=bool)
         excitatory[:n_excit] = True
@@ -369,21 +359,22 @@ def synthesize_weights(pop: FireflyPopulation, layout: GridLayout, v: float) -> 
 # population snapshot IO
 # ---------------------------------------------------------------------------
 
+_POPULATION_COLUMNS = ("x", "y", "polarity", "brightness")
+
+
 def save_population_csv(pop: FireflyPopulation, path: str | Path) -> None:
     """One row per agent: x, y, polarity (E/I), brightness."""
-    lines = ["x,y,polarity,brightness"]
-    for (x, y), exc, br in zip(pop.positions, pop.excitatory, pop.brightness):
-        code = "E" if exc else "I"
-        lines.append(f"{FLOAT_FMT % x},{FLOAT_FMT % y},{code},{FLOAT_FMT % br}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = (
+        (FLOAT_FMT % x, FLOAT_FMT % y, "E" if exc else "I", FLOAT_FMT % br)
+        for (x, y), exc, br in zip(pop.positions, pop.excitatory, pop.brightness)
+    )
+    write_table(path, _POPULATION_COLUMNS, rows)
 
 
-def load_population_csv(
-    path: str | Path, params: SwarmParams, rng: np.random.Generator | None = None
-) -> FireflyPopulation:
+def load_population_csv(path: str | Path, params: SwarmParams, rng: np.random.Generator) -> FireflyPopulation:
     """Rebuild a population snapshot; generator state is fresh, not restored."""
-    lines = [ln.strip() for ln in Path(path).read_text().splitlines() if ln.strip()]
-    if not lines or lines[0] != "x,y,polarity,brightness":
+    lines = [ln.strip() for ln in read_text(path).splitlines() if ln.strip()]
+    if not lines or tuple(lines[0].split(",")) != _POPULATION_COLUMNS:
         raise FormatError(f"malformed population header in {path}")
     positions = []
     excitatory = []
@@ -407,5 +398,5 @@ def load_population_csv(
         excitatory=np.asarray(excitatory, dtype=bool),
         brightness=np.asarray(bright, dtype=float),
         params=params,
-        rng=rng if rng is not None else np.random.default_rng(params.seed),
+        rng=rng,
     )

@@ -8,7 +8,11 @@ similarity metrics stay scale-free.
 Supported file formats:
   * pattern CSV: first line ``rows,cols``, then ``rows`` lines of
     ``cols`` comma-separated reals
-  * PGM images, both ASCII (P2) and binary (P5), 8-bit only
+  * PGM images, 8-bit only: ASCII (P2) and binary (P5) are read, P5 is
+    written
+
+The file IO section also holds the text reader and the CSV readers and
+writers that every module's files go through.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -234,30 +238,11 @@ def mask(p: Pattern, masked_indices: Iterable[int]) -> Pattern:
 # active set
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ActiveSet:
-    """Sorted indices of cells whose activity exceeds a threshold."""
-
-    indices: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "indices", tuple(sorted(int(i) for i in self.indices)))
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-    def __contains__(self, i: int) -> bool:
-        return i in set(self.indices)
-
-    def to_array(self) -> np.ndarray:
-        return np.asarray(self.indices, dtype=int)
-
-
-def active_set(p: Pattern, threshold: float) -> ActiveSet:
-    """Indices with activity strictly above ``threshold`` (>= 0)."""
+def active_set(p: Pattern, threshold: float) -> np.ndarray:
+    """Sorted indices with activity strictly above ``threshold`` (>= 0)."""
     if threshold < 0.0:
         raise ParameterError(f"threshold must be >= 0, got {threshold}")
-    return ActiveSet(tuple(int(i) for i in np.flatnonzero(p.values > threshold)))
+    return np.flatnonzero(p.values > threshold)
 
 
 def relative_threshold(p: Pattern, fraction: float) -> float:
@@ -271,61 +256,82 @@ def relative_threshold(p: Pattern, fraction: float) -> float:
 # file IO
 # ---------------------------------------------------------------------------
 
-def save_pattern_csv(p: Pattern, path: str | Path) -> None:
-    """Write the ``rows,cols`` header then the grid values, row-major."""
-    table = p.as_grid()
-    rows, cols = table.shape
-    lines = [f"{rows},{cols}"]
-    for row in table:
-        lines.append(",".join(FLOAT_FMT % x for x in row))
+def read_text(path: str | Path) -> str:
+    """The text of a file; one that does not decode is a FormatError naming it."""
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"cannot decode {path}: {exc}") from exc
+
+
+def format_cell(value: object) -> str:
+    """One cell of a run table or report: floats by repr, everything else by str."""
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def write_table(path: str | Path, header: Sequence[object], rows: Iterable[Sequence[object]]) -> None:
+    """A comma-separated header line, then one line per row, cells by ``format_cell``."""
+    lines = [",".join(map(format_cell, header))]
+    lines.extend(",".join(map(format_cell, row)) for row in rows)
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def load_pattern_csv(path: str | Path) -> Pattern:
-    """Load a pattern CSV; the result is renormalized."""
-    text = Path(path).read_text()
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+def write_grid_csv(path: str | Path, sizes: Sequence[int], table: np.ndarray) -> None:
+    """Numeric-grid CSV: a header line of int sizes, then rows of ``FLOAT_FMT`` floats."""
+    write_table(path, sizes, ([FLOAT_FMT % x for x in row] for row in table))
+
+
+def read_grid_csv(path: str | Path, kind: str, n_sizes: int) -> np.ndarray:
+    """Read a numeric-grid CSV whose header holds ``n_sizes`` positive ints:
+    the row count first, the column count last (one size for a square
+    matrix).  ``kind`` names the file in messages."""
+    lines = [ln.strip() for ln in read_text(path).splitlines() if ln.strip()]
     if not lines:
-        raise FormatError(f"empty pattern file: {path}")
-    head = lines[0].split(",")
-    if len(head) != 2:
-        raise FormatError(f"malformed pattern header {lines[0]!r} in {path}")
+        raise FormatError(f"empty {kind} file: {path}")
     try:
-        rows, cols = int(head[0]), int(head[1])
-    except ValueError as exc:
-        raise FormatError(f"malformed pattern header {lines[0]!r} in {path}") from exc
-    if rows < 1 or cols < 1:
-        raise FormatError(f"non-positive dimensions {rows}x{cols} in {path}")
+        sizes = [int(f) for f in lines[0].split(",")]
+    except ValueError:
+        sizes = []
+    if len(sizes) != n_sizes:
+        raise FormatError(f"malformed {kind} header {lines[0]!r} in {path}")
+    if min(sizes) < 1:
+        raise FormatError(f"non-positive {kind} size {lines[0]!r} in {path}")
+    rows, cols = sizes[0], sizes[-1]
     if len(lines) - 1 != rows:
         raise ShapeMismatchError(f"{path}: header says {rows} rows, file has {len(lines) - 1}")
-    values: list[float] = []
+    values = []
     for ln in lines[1:]:
         fields = ln.split(",")
         if len(fields) != cols:
             raise ShapeMismatchError(f"{path}: header says {cols} cols, row has {len(fields)}")
         try:
-            values.extend(float(f) for f in fields)
+            values.append([float(f) for f in fields])
         except ValueError as exc:
             raise FormatError(f"non-numeric value in {path}: {ln!r}") from exc
-    arr = np.asarray(values, dtype=float)
-    if np.any(arr < 0.0):
+    return np.array(values)
+
+
+def save_pattern_csv(p: Pattern, path: str | Path) -> None:
+    """Write the ``rows,cols`` header then the grid values, row-major."""
+    table = p.as_grid()
+    write_grid_csv(path, table.shape, table)
+
+
+def load_pattern_csv(path: str | Path) -> Pattern:
+    """Load a pattern CSV; the result is renormalized."""
+    table = read_grid_csv(path, "pattern", 2)
+    if np.any(table < 0.0):
         raise FormatError(f"negative activity value in {path}")
-    return Pattern(_unit(arr), grid=(rows, cols))
+    return Pattern(_unit(table.ravel()), grid=table.shape)
 
 
-def save_pgm(p: Pattern, path: str | Path, *, binary: bool = True) -> None:
-    """Write an 8-bit PGM; values are scaled so the peak maps to 255."""
+def save_pgm(p: Pattern, path: str | Path) -> None:
+    """Write an 8-bit binary PGM; values are scaled so the peak maps to 255."""
     grid = p.as_grid()
     peak = float(grid.max())
     if peak <= 0.0:
         raise PatternAnnihilatedError("pattern annihilated: cannot render all-zero image")
-    pixels = np.rint(grid / peak * 255.0).astype(np.uint8)
-    rows, cols = pixels.shape
-    if binary:
-        write_p5(pixels, path)
-    else:
-        body = "\n".join(" ".join(str(int(x)) for x in row) for row in pixels)
-        Path(path).write_text(f"P2\n{cols} {rows}\n255\n{body}\n")
+    write_p5(np.rint(grid / peak * 255.0).astype(np.uint8), path)
 
 
 def write_p5(pixels: np.ndarray, path: str | Path) -> None:

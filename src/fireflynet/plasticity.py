@@ -22,17 +22,17 @@ import numpy as np
 
 from .dynamics import WeightMatrix
 from .errors import ParameterError, ShapeMismatchError
+from .patterns import write_table
 
 @dataclass(frozen=True)
 class PlasticityParams:
-    """Rule constants plus integration controls for a network of n cells.
+    """Rule constants plus integration controls; n is the network size.
 
     The Euler step must satisfy dt * (alpha * n + beta * max T) < 1 to
-    keep the linearized update contractive; the part that depends on the
-    correlation tensor is checked when evolution starts, the rest here.
+    keep the linearized update contractive; ``check_stability`` tests it
+    once n and the correlation tensor's peak are known.
     """
 
-    n: int
     alpha: float = 0.01
     beta: float = 1.0
     v: float = 0.5
@@ -41,8 +41,6 @@ class PlasticityParams:
     tol: float = 1e-6
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ParameterError(f"n must be >= 1, got {self.n}")
         if self.alpha < 0.0 or self.beta < 0.0:
             raise ParameterError(f"alpha and beta must be >= 0, got ({self.alpha}, {self.beta})")
         if self.v <= 0.0:
@@ -53,14 +51,10 @@ class PlasticityParams:
             raise ParameterError(f"max_steps must be >= 1, got {self.max_steps}")
         if self.tol <= 0.0:
             raise ParameterError(f"tol must be > 0, got {self.tol}")
-        if self.dt * self.alpha * self.n >= 1.0:
-            raise ParameterError(
-                f"unstable step: dt*alpha*n = {self.dt * self.alpha * self.n:g} >= 1"
-            )
 
-    def check_stability(self, t_max: float) -> None:
-        """Full stability guard once the tensor's peak entry is known."""
-        margin = self.dt * (self.alpha * self.n + self.beta * max(t_max, 0.0))
+    def check_stability(self, n: int, t_max: float) -> None:
+        """Stability guard for n cells and a tensor whose peak entry is t_max."""
+        margin = self.dt * (self.alpha * n + self.beta * max(t_max, 0.0))
         if margin >= 1.0:
             raise ParameterError(
                 f"unstable step: dt*(alpha*n + beta*maxT) = {margin:g} >= 1; reduce dt"
@@ -76,18 +70,16 @@ def haeussler_rhs(w: WeightMatrix, t: np.ndarray, params: PlasticityParams) -> n
     The j' sum skips the diagonal, which costs nothing here because the
     weight diagonal is pinned at zero.
     """
-    _check_sizes(w, t, params)
-    n = params.n
+    _check_sizes(w, t)
+    n = w.n
     f = np.empty((n, n))
     _rate_into(f, w.w, t, params, np.empty((n, n)), np.empty((n, n)), np.empty((n, 1)))
     return f
 
 
-def _check_sizes(w: WeightMatrix, t: np.ndarray, params: PlasticityParams) -> None:
+def _check_sizes(w: WeightMatrix, t: np.ndarray) -> None:
     if t.shape != w.w.shape:
         raise ShapeMismatchError(f"weights are {w.n}x{w.n} but tensor is {t.shape}")
-    if w.n != params.n:
-        raise ShapeMismatchError(f"params sized for n={params.n}, weights for n={w.n}")
 
 
 def _rate_into(
@@ -105,16 +97,17 @@ def _rate_into(
     in the grouping alpha * (1 - n * w) + (beta * w) * (T - row_coop),
     rows summed along the contiguous axis, which fixes the result bits.
     """
+    n = ww.shape[0]
     np.multiply(ww, tt, out=coop)
     np.add.reduce(coop, axis=1, keepdims=True, out=row_coop)  # sum_j' w_ij' T_ij'
-    np.multiply(params.n, ww, out=f)
+    np.multiply(n, ww, out=f)
     np.subtract(1.0, f, out=f)
     np.multiply(params.alpha, f, out=f)
     np.multiply(params.beta, ww, out=coop)
     np.subtract(tt, row_coop, out=gap)
     np.multiply(coop, gap, out=coop)
     np.add(f, coop, out=f)
-    f.reshape(-1)[:: params.n + 1] = 0.0  # the diagonal, as a strided view
+    f.reshape(-1)[:: n + 1] = 0.0  # the diagonal, as a strided view
 
 
 @dataclass
@@ -132,18 +125,9 @@ class EvolveReport:
     final_max_rhs: float = 0.0
     trace: list[tuple[int, float, float, float, float]] = field(default_factory=list)
 
-    def to_text(self) -> str:
-        return (
-            f"steps = {self.steps}\n"
-            f"converged = {str(self.converged).lower()}\n"
-            f"final_max_rhs = {self.final_max_rhs!r}\n"
-        )
-
     def save_trace_csv(self, path: str | Path) -> None:
-        lines = ["step,max_rhs,min_row_sum,mean_row_sum,max_row_sum"]
-        for step, max_rhs, lo, mean, hi in self.trace:
-            lines.append(f"{step},{max_rhs!r},{lo!r},{mean!r},{hi!r}")
-        Path(path).write_text("\n".join(lines) + "\n")
+        header = ("step", "max_rhs", "min_row_sum", "mean_row_sum", "max_row_sum")
+        write_table(path, header, self.trace)
 
 
 def evolve_weights(
@@ -166,14 +150,14 @@ def evolve_weights(
     over n, as numpy's mean computes it; that order fixes the result
     bits that the byte-determinism checks compare.
     """
-    _check_sizes(w, t, params)
+    _check_sizes(w, t)
     if np.any(w.w < 0.0) or np.any(w.w > params.v):
         raise ParameterError("evolution requires starting weights within [0, v]")
     if not np.all(np.isfinite(t)):
         raise ParameterError("correlation tensor entries must be finite")
-    params.check_stability(float(t.max()) if t.size else 0.0)
+    params.check_stability(w.n, float(t.max()) if t.size else 0.0)
 
-    n, tt = params.n, t
+    n, tt = w.n, t
     dt, v = params.dt, params.v
     threshold = params.tol * dt
     current = w.w.copy()

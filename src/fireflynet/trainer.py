@@ -45,18 +45,20 @@ from .firefly import (
     synthesize_weights,
 )
 from .patterns import (
-    ActiveSet,
     Pattern,
     active_set,
     add_noise,
     cosine,
+    format_cell,
     fuse,
     gaussian_2d,
     load_pattern_csv,
     mask,
+    read_text,
     relative_threshold,
     save_image,
     save_pattern_csv,
+    write_table,
 )
 from .plasticity import EvolveReport, PlasticityParams, evolve_weights
 
@@ -104,7 +106,7 @@ class TrainerConfig:
     boundary: str = "open"
     use_firefly: bool = False
     learn_schedule: str = "onset"
-    plasticity: PlasticityParams | None = None
+    plasticity: PlasticityParams = field(default_factory=PlasticityParams)
     swarm: SwarmParams = field(default_factory=SwarmParams)
     theta_act: float = 0.1
     pattern_count: int = 1
@@ -124,12 +126,7 @@ class TrainerConfig:
             raise ConfigError(f"boundary must be one of {BOUNDARIES}, got {self.boundary!r}")
         if self.learn_schedule not in SCHEDULES:
             raise ConfigError(f"learn_schedule must be one of {SCHEDULES}, got {self.learn_schedule!r}")
-        if self.plasticity is None:
-            object.__setattr__(self, "plasticity", PlasticityParams(n=self.n))
-        elif self.plasticity.n != self.n:
-            raise ShapeMismatchError(
-                f"plasticity params sized for n={self.plasticity.n}, config has n={self.n}"
-            )
+        self.plasticity.check_stability(self.n, 0.0)
         if not 0.0 <= self.theta_act:
             raise ParameterError(f"theta_act must be >= 0, got {self.theta_act}")
         if self.pattern_count < 1:
@@ -223,24 +220,13 @@ def init_model(config: TrainerConfig) -> Model:
     """Seeded model: distance-decaying random weights (or a hand-wired
     ring) plus a fresh swarm population when the config asks for one."""
     n = config.n
+    distance_sq = config.layout().cell_distance_sq(config.boundary == "periodic")
     if config.hand_wired_neighbors is not None:
         k = config.hand_wired_neighbors
-        w = np.zeros((n, n))
-        level = 1.0 / (2 * k)
-        for i in range(n):
-            for step in range(1, k + 1):
-                if config.boundary == "periodic":
-                    w[i, (i + step) % n] = level
-                    w[i, (i - step) % n] = level
-                else:
-                    if i + step < n:
-                        w[i, i + step] = level
-                    if i - step >= 0:
-                        w[i, i - step] = level
+        w = np.where((distance_sq > 0.0) & (distance_sq <= k * k), 1.0 / (2 * k), 0.0)
     else:
         rng = _rng(config.master_seed, _STREAM_WEIGHTS)
         sigma = config.init_sigma_cells
-        distance_sq = config.layout().cell_distance_sq(config.boundary == "periodic")
         kernel = np.exp(-distance_sq / (2.0 * sigma * sigma))
         w = kernel * rng.random((n, n))
         np.fill_diagonal(w, 0.0)
@@ -261,7 +247,7 @@ def init_model(config: TrainerConfig) -> Model:
 # presentation and recall
 # ---------------------------------------------------------------------------
 
-def _active_source(model: Model, p: Pattern, d: np.ndarray) -> ActiveSet:
+def _active_source(model: Model, p: Pattern, d: np.ndarray) -> np.ndarray:
     """Active set per the learning schedule: the raw input at onset, or
     the network's settled response when learning after convergence."""
     if model.config.learn_schedule == "onset":
@@ -386,7 +372,7 @@ def complete(
     masked = {int(i) for i in masked_indices}
     output, metrics = recall(model, mask(partial, masked), partial)
     active = active_set(partial, relative_threshold(partial, model.config.theta_act))
-    metrics.low_confidence = bool(masked) and masked.issuperset(active.indices)
+    metrics.low_confidence = bool(masked) and masked.issuperset(active.tolist())
     return output, metrics
 
 
@@ -434,8 +420,9 @@ def parse_kv_text(text: str) -> dict[str, str]:
     return out
 
 
-def format_kv(kv: dict[str, str]) -> str:
-    return "\n".join(f"{k} = {v}" for k, v in kv.items()) + "\n"
+def format_kv(kv: dict[str, object]) -> str:
+    """``key = value`` lines, values by ``format_cell``."""
+    return "\n".join(f"{k} = {format_cell(v)}" for k, v in kv.items()) + "\n"
 
 
 @dataclass(frozen=True)
@@ -546,15 +533,14 @@ def config_from_dict(kv: dict[str, str]) -> TrainerConfig:
         else:
             kwargs[spec.owner][spec.field] = value
     top = kwargs[TrainerConfig]
-    n = top.get("n")
-    if n is None:
+    if "n" not in top:
         raise ConfigError("config requires n")
     if len(sides) == 1:
         raise ConfigError("rows and cols must be given together")
     try:
         return TrainerConfig(
             grid=tuple(sides) if sides else None,
-            plasticity=PlasticityParams(n=n, **kwargs[PlasticityParams]),
+            plasticity=PlasticityParams(**kwargs[PlasticityParams]),
             swarm=SwarmParams(**kwargs[SwarmParams]),
             **top,
         )
@@ -597,7 +583,7 @@ def load_model(model_dir: str | Path) -> Model:
     continuing to train deterministically from the checkpoint files.
     """
     root = Path(model_dir)
-    config = config_from_dict(parse_kv_text((root / "config.cfg").read_text()))
+    config = config_from_dict(parse_kv_text(read_text(root / "config.cfg")))
     w = load_matrix_csv(root / "w_matrix.csv")
     if w.shape[0] != config.n:
         raise ShapeMismatchError(
@@ -640,25 +626,16 @@ class ExperimentReport:
     artifacts: list[str] = field(default_factory=list)
 
     def to_text(self) -> str:
-        lines = [f"experiment = {self.name}"]
-        for key, value in self.metrics.items():
-            lines.append(f"{key} = {value!r}" if isinstance(value, float) else f"{key} = {value}")
-        return "\n".join(lines) + "\n"
+        return format_kv({"experiment": self.name, **self.metrics})
 
     def save(self, out_dir: str | Path) -> None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         (out / "report.txt").write_text(self.to_text())
         if self.rows:
-            header = list(self.rows[0].keys())
-            lines = [",".join(header)]
-            for row in self.rows:
-                cells = []
-                for key in header:
-                    value = row.get(key, "")
-                    cells.append(repr(value) if isinstance(value, float) else str(value))
-                lines.append(",".join(cells))
-            (out / "metrics.csv").write_text("\n".join(lines) + "\n")
+            header = list(self.rows[0])
+            rows = ([row.get(key, "") for key in header] for row in self.rows)
+            write_table(out / "metrics.csv", header, rows)
 
 
 def _emit(report: ExperimentReport, out: Path | None, name: str, writer: Callable[[Path], None]) -> None:
@@ -721,7 +698,7 @@ def _experiment_evolve1d(
     )
     model = init_model(scfg)
     w_initial = model.weights.w
-    tensor = correlation_tensor(model.weights.resolvent, ActiveSet(tuple(range(scfg.n))))
+    tensor = correlation_tensor(model.weights.resolvent, np.arange(scfg.n))
     evolved, evo = evolve_weights(model.weights, tensor, scfg.plasticity)
     w_final = evolved.w
 
@@ -770,10 +747,8 @@ def _experiment_evolve1d(
         report,
         out,
         f"weight_row_{mid}.csv",
-        lambda p: p.write_text(
-            "j,initial,final\n"
-            + "\n".join(f"{j},{float(w_initial[mid, j])!r},{float(w_final[mid, j])!r}" for j in range(n))
-            + "\n"
+        lambda p: write_table(
+            p, ("j", "initial", "final"), [(j, float(w_initial[mid, j]), float(w_final[mid, j])) for j in range(n)]
         ),
     )
     _emit(report, out, "trace.csv", lambda p: evo.save_trace_csv(p))
@@ -961,20 +936,10 @@ def digit_template(label: str) -> Pattern:
 
 
 def _experiment_digits(
-    config: TrainerConfig,
-    out: Path | None,
-    seeds: Sequence[int],
-    templates: Sequence[Pattern] | None = None,
+    config: TrainerConfig, out: Path | None, seeds: Sequence[int]
 ) -> ExperimentReport:
-    """Store digit images, cue with noisy copies, score label matching."""
-    if templates is None:
-        templates = [digit_template("0"), digit_template("1")]
-    if any(t.label is None for t in templates):
-        raise ParameterError("digit templates must carry labels")
-    grid = templates[0].grid
-    if grid is None or any(t.grid != grid for t in templates):
-        raise ShapeMismatchError("digit templates must share one grid")
-    n = templates[0].n
+    """Store the built-in digit glyphs, cue with noisy copies, score label matching."""
+    templates = [digit_template("0"), digit_template("1")]
 
     report = ExperimentReport(name="digits")
     correct_cues = 0
@@ -982,14 +947,9 @@ def _experiment_digits(
     perfect_seeds = 0
     for order, seed in enumerate(seeds):
         scfg = replace(
-            config,
-            n=n,
-            grid=grid,
-            master_seed=seed,
-            pattern_count=len(templates),
-            plasticity=replace(config.plasticity, n=n),
+            config, n=templates[0].n, grid=templates[0].grid, master_seed=seed, pattern_count=len(templates)
         )
-        model = train(init_model(scfg), list(templates))
+        model = train(init_model(scfg), templates)
         seed_ok = True
         for k, template in enumerate(templates):
             cue = add_noise(template, NOISE_LEVEL, _int_seed(seed, _STREAM_NOISE, k))

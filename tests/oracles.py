@@ -211,9 +211,9 @@ def evolve_reference(w, t, params) -> tuple[np.ndarray, list, int, bool, float]:
     tol * dt.  The grouping is the library's, so results agree bit for
     bit.
     """
-    n = params.n
     tt = np.asarray(t, dtype=float)
     current = np.array(w, dtype=float)
+    n = current.shape[0]
     trace = []
     steps, converged, final_max_rhs = 0, False, 0.0
     for step in range(1, params.max_steps + 1):
@@ -270,5 +270,5 @@ def complete_reference(model, partial, masked_indices):
     output, _ = recall_reference(model, cue)
     metrics = _similarity(output, partial, model.templates)
     active = active_set(partial, relative_threshold(partial, model.config.theta_act))
-    metrics.low_confidence = bool(masked) and all(i in set(masked) for i in active.indices)
+    metrics.low_confidence = bool(masked) and all(i in set(masked) for i in active.tolist())
     return output, metrics

@@ -16,7 +16,7 @@ from fireflynet.dynamics import (
     truncated_resolvent,
 )
 from fireflynet.firefly import FireflyPopulation, GridLayout, SwarmParams, swarm_step
-from fireflynet.patterns import ActiveSet, Pattern
+from fireflynet.patterns import Pattern
 from fireflynet.plasticity import PlasticityParams, evolve_weights, haeussler_rhs
 from fireflynet.trainer import TrainerConfig, run_experiment
 
@@ -52,7 +52,7 @@ def test_criterion_02_growth_rate_matches_the_triple_loop_oracle():
             t_mat = (raw + raw.T) / 2.0
             alpha = float(rng.uniform(0.001, 0.2))
             beta = float(rng.uniform(0.1, 2.0))
-            params = PlasticityParams(n=n, alpha=alpha, beta=beta)
+            params = PlasticityParams(alpha=alpha, beta=beta)
             f = haeussler_rhs(WeightMatrix(w), t_mat, params)
             ref = growth_rate_loops(w.tolist(), t_mat.tolist(), alpha, beta)
             assert np.abs(f - np.asarray(ref)).max() <= 1e-12
@@ -63,11 +63,11 @@ def test_criterion_03_fixed_points_of_the_weight_rule():
     t0 = time.perf_counter()
     # (a) without cooperation, evolution lands on the uniform level
     n = 6
-    params = PlasticityParams(n=n, alpha=0.1, beta=1.0, max_steps=5000)
+    params = PlasticityParams(alpha=0.1, beta=1.0, max_steps=5000)
     rng = np.random.default_rng(7)
     w0 = rng.random((n, n)) * params.v
     np.fill_diagonal(w0, 0.0)
-    zero_t = correlation_tensor(np.eye(n), ActiveSet(()))
+    zero_t = correlation_tensor(np.eye(n), np.array((), dtype=int))
     wf, report = evolve_weights(WeightMatrix(w0), zero_t, params)
     assert report.converged
     off = ~np.eye(n, dtype=bool)
@@ -78,8 +78,8 @@ def test_criterion_03_fixed_points_of_the_weight_rule():
     m = 8
     uniform = np.full((m, m), 1.0 / m)
     np.fill_diagonal(uniform, 0.0)
-    some_t = correlation_tensor(np.random.default_rng(1).random((m, m)), ActiveSet(tuple(range(m))))
-    decay_only = PlasticityParams(n=m, alpha=0.3, beta=0.0)
+    some_t = correlation_tensor(np.random.default_rng(1).random((m, m)), np.array(tuple(range(m)), dtype=int))
+    decay_only = PlasticityParams(alpha=0.3, beta=0.0)
     f1 = haeussler_rhs(WeightMatrix(uniform), some_t, decay_only)
     assert np.abs(f1).max() <= 1e-12
     # ... and a constant tensor with unit row sums kills the competition
@@ -87,7 +87,7 @@ def test_criterion_03_fixed_points_of_the_weight_rule():
     unit_rows = np.full((k, k), 1.0 / (k - 1))
     np.fill_diagonal(unit_rows, 0.0)
     const_t = np.full((k, k), 2.0)
-    growth_only = PlasticityParams(n=k, alpha=0.0, beta=1.0)
+    growth_only = PlasticityParams(alpha=0.0, beta=1.0)
     f2 = haeussler_rhs(WeightMatrix(unit_rows), const_t, growth_only)
     assert np.abs(f2).max() <= 1e-12
     assert time.perf_counter() - t0 < 1.0
@@ -108,7 +108,7 @@ def test_criterion_05_correlation_tensor_structure():
     t0 = time.perf_counter()
     rng = np.random.default_rng(3)
     n = 6
-    full = ActiveSet(tuple(range(n)))
+    full = np.array(tuple(range(n)), dtype=int)
     for _ in range(50):
         d = rng.random((n, n))
         t = correlation_tensor(d, full)

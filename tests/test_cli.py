@@ -1,5 +1,6 @@
 """End-to-end command line runs, exercised in process through main()."""
 
+import os
 import shutil
 
 import numpy as np
@@ -66,6 +67,18 @@ def test_train_rejects_missing_or_empty_pattern_dirs(tmp_path, capsys):
     assert main(["train", "--patterns", str(empty), "--out", str(out), *SMALL]) == 3
     err = capsys.readouterr().err
     assert "data error" in err
+
+
+def test_train_rejects_a_pattern_file_name_that_is_not_utf8(tmp_path, capsys):
+    # the file stem becomes a template label, saved as part of a file name
+    pats = tmp_path / "pats"
+    write_patterns(pats)
+    save_pattern_csv(gaussian_2d(3, 3, 1.0, 1.0, 1.0, 1.0), pats / os.fsdecode(b"a\xff.csv"))
+    out = tmp_path / "m"
+    assert main(["train", "--patterns", str(pats), "--out", str(out), *SMALL]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and "a\\udcff.csv" in err
+    assert not out.exists()
 
 
 def test_train_rejects_patterns_of_the_wrong_size(tmp_path):
@@ -170,17 +183,31 @@ def test_recall_on_damaged_input_files_exits_with_a_documented_code(swarm_model,
     assert main([*args, "--cue", str(run / "cue.csv"), "--out", str(run / "out")]) in (0, 2, 3)
 
 
-def test_undecodable_input_files_are_data_errors(tmp_path, capsys):
+def test_undecodable_input_files_are_data_errors(tmp_path, swarm_model, capsys):
+    # each message names the file, so a user with many inputs can find it
     pats = tmp_path / "pats"
     write_patterns(pats)
     (pats / "p1.csv").write_bytes(b"3,3\n\xff\xfe\n")
     assert main(["train", "--patterns", str(pats), "--out", str(tmp_path / "m"), *SMALL]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and str(pats / "p1.csv") in err
     config = tmp_path / "run.cfg"
     config.write_bytes(b"epochs = \xe9\n")
     write_patterns(tmp_path / "good")
     args = ["train", "--patterns", str(tmp_path / "good"), "--out", str(tmp_path / "m2")]
     assert main([*args, "--config", str(config), *SMALL]) == 3
-    assert capsys.readouterr().err.count("data error") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and str(config) in err
+    # the cue, the --config file and each file of a saved model
+    for k, name in enumerate(RECALL_INPUTS):
+        run = tmp_path / f"recall{k}"
+        shutil.copytree(swarm_model, run)
+        bad = run / name
+        bad.write_bytes(b"\xff" + bad.read_bytes())
+        args = ["recall", "--config", str(run / "run.cfg"), "--model", str(run / "model")]
+        assert main([*args, "--cue", str(run / "cue.csv"), "--out", str(run / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and str(bad) in err
 
 
 def test_recall_requires_model_and_cue(tmp_path, capsys):
@@ -225,8 +252,10 @@ def test_experiment_runs_are_byte_identical(tmp_path):
 def test_experiment_rejects_unknown_names_and_keys(tmp_path, capsys):
     assert main(["experiment", "teleport", "--set", "n=25", "--out", str(tmp_path / "x")]) == 2
     assert main(["experiment", "evolve1d", "--set", "warp=9", "--out", str(tmp_path / "y")]) == 2
+    unstable = ["--set", "n=100", "--set", "alpha=1", "--set", "dt=0.011"]  # dt * alpha * n >= 1
+    assert main(["experiment", "evolve1d", *unstable, "--out", str(tmp_path / "z")]) == 2
     err = capsys.readouterr().err
-    assert "unknown experiment" in err and "unknown config key" in err
+    assert "unknown experiment" in err and "unknown config key" in err and "unstable step" in err
 
 
 @pytest.mark.parametrize("key", ["dt", "v", "swarm_b"])

@@ -16,7 +16,7 @@ from fireflynet.dynamics import (
     truncated_resolvent,
 )
 from fireflynet.errors import FormatError, ParameterError, ShapeMismatchError
-from fireflynet.patterns import ActiveSet, Pattern, load_image
+from fireflynet.patterns import Pattern, load_image
 
 from oracles import inf_norm_diff, inverse_of_i_minus, matmul_loops
 
@@ -137,7 +137,7 @@ def test_response_clamps_negative_entries_for_activity():
 
 def test_tensor_identity_resolvent_single_source():
     d = np.eye(8)
-    t = correlation_tensor(d, ActiveSet((5,)))
+    t = correlation_tensor(d, np.array((5,), dtype=int))
     e5 = np.zeros(8)
     e5[5] = 1.0
     assert np.array_equal(t, np.outer(e5, e5))
@@ -145,7 +145,7 @@ def test_tensor_identity_resolvent_single_source():
 
 def test_tensor_identity_resolvent_full_set():
     d = np.eye(8)
-    t = correlation_tensor(d, ActiveSet(tuple(range(8))))
+    t = correlation_tensor(d, np.array(tuple(range(8)), dtype=int))
     assert np.array_equal(t, np.eye(8))
 
 
@@ -153,7 +153,7 @@ def test_tensor_equals_d_squared_for_symmetric_resolvent():
     rng = np.random.default_rng(11)
     a = rng.random((6, 6))
     d = (a + a.T) / 2.0
-    t = correlation_tensor(d, ActiveSet(tuple(range(6))))
+    t = correlation_tensor(d, np.array(tuple(range(6)), dtype=int))
     expected = matmul_loops(d.tolist(), d.tolist())
     assert np.abs(t - np.asarray(expected)).max() <= 1e-12
 
@@ -163,7 +163,7 @@ def test_tensor_is_symmetric_and_psd():
         rng = np.random.default_rng(seed)
         d = rng.random((7, 7))
         idx = tuple(int(i) for i in rng.choice(7, size=rng.integers(1, 8), replace=False))
-        t = correlation_tensor(d, ActiveSet(idx))
+        t = correlation_tensor(d, np.array(idx, dtype=int))
         assert np.abs(t - t.T).max() <= 1e-12
         assert float(np.linalg.eigvalsh(t).min()) >= -1e-10
 
@@ -173,7 +173,7 @@ def resolvent_and_sources(draw):
     n = draw(st.integers(1, 12))
     d = draw(arrays(np.float64, (n, n), elements=st.floats(-4.0, 4.0)))
     sources = draw(st.sets(st.integers(0, n - 1)))
-    return d, ActiveSet(tuple(sorted(sources)))
+    return d, np.array(tuple(sorted(sources)), dtype=int)
 
 
 @settings(max_examples=200, deadline=None)
@@ -191,21 +191,21 @@ def test_tensor_grows_with_the_source_set():
     # in the ordering where the difference stays positive semidefinite
     rng = np.random.default_rng(21)
     d = rng.random((7, 7))
-    small = ActiveSet((1, 4))
-    big = ActiveSet((1, 2, 4, 6))
+    small = np.array((1, 4), dtype=int)
+    big = np.array((1, 2, 4, 6), dtype=int)
     t_small = correlation_tensor(d, small)
     t_big = correlation_tensor(d, big)
     assert float(np.linalg.eigvalsh(t_big - t_small).min()) >= -1e-10
 
 
 def test_tensor_empty_source_set_is_zero():
-    t = correlation_tensor(np.eye(5), ActiveSet(()))
+    t = correlation_tensor(np.eye(5), np.array((), dtype=int))
     assert np.array_equal(t, np.zeros((5, 5)))
 
 
 def test_tensor_rejects_out_of_range_sources():
     with pytest.raises(ParameterError):
-        correlation_tensor(np.eye(5), ActiveSet((7,)))
+        correlation_tensor(np.eye(5), np.array((7,), dtype=int))
 
 
 # ---------------------------------------------------------------------------

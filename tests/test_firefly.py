@@ -155,7 +155,7 @@ def test_layout_rejects_degenerate_sides():
 # ---------------------------------------------------------------------------
 
 def test_spawn_polarity_split_and_ranges():
-    pop = FireflyPopulation.spawn(10, SwarmParams(excit_fraction=0.7, seed=3))
+    pop = FireflyPopulation.spawn(10, SwarmParams(excit_fraction=0.7), rng=np.random.default_rng(3))
     assert len(pop) == 10
     assert pop.n_excitatory == 7
     assert np.all(pop.excitatory[:7]) and not np.any(pop.excitatory[7:])
@@ -166,11 +166,11 @@ def test_spawn_polarity_split_and_ranges():
 
 def test_spawn_rejects_empty_population():
     with pytest.raises(ParameterError):
-        FireflyPopulation.spawn(0, SwarmParams())
+        FireflyPopulation.spawn(0, SwarmParams(), rng=np.random.default_rng(0))
 
 
 def test_redraw_moves_agents_but_keeps_polarity():
-    pop = FireflyPopulation.spawn(12, SwarmParams(seed=4))
+    pop = FireflyPopulation.spawn(12, SwarmParams(), rng=np.random.default_rng(4))
     before = pop.positions.copy()
     polarity = pop.excitatory.copy()
     pop.redraw_positions()
@@ -202,7 +202,7 @@ def test_swarm_params_reject_bad_values():
 
 def test_step_with_flat_activity_moves_nobody():
     layout = GridLayout(3, 3)
-    pop = FireflyPopulation.spawn(15, still_params(seed=6))
+    pop = FireflyPopulation.spawn(15, still_params(), rng=np.random.default_rng(6))
     before = pop.positions.copy()
     swarm_step(pop, Pattern(np.zeros(9), grid=(3, 3)), layout)
     assert np.array_equal(pop.positions, before)
@@ -211,7 +211,7 @@ def test_step_with_flat_activity_moves_nobody():
 def test_step_refreshes_brightness_from_nearest_cell():
     layout = GridLayout(3, 3)
     activity = Pattern(np.arange(9, dtype=float) / 10.0, grid=(3, 3))
-    pop = FireflyPopulation.spawn(20, SwarmParams(seed=7, d_min=0.0))
+    pop = FireflyPopulation.spawn(20, SwarmParams(d_min=0.0), rng=np.random.default_rng(7))
     expected = activity.values[layout.nearest_cell(pop.positions)]
     swarm_step(pop, activity, layout)
     assert np.array_equal(pop.brightness, expected)
@@ -237,7 +237,7 @@ def test_step_leaves_the_brightest_agent_alone():
 
 def test_step_conserves_counts_and_polarity():
     layout = GridLayout(4, 4)
-    pop = FireflyPopulation.spawn(24, SwarmParams(seed=8))
+    pop = FireflyPopulation.spawn(24, SwarmParams(), rng=np.random.default_rng(8))
     polarity = pop.excitatory.copy()
     swarm_step(pop, Pattern(np.random.default_rng(0).random(16), grid=(4, 4)), layout)
     assert len(pop) == 24
@@ -261,7 +261,7 @@ def test_step_is_deterministic_under_jitter():
     activity = Pattern(np.arange(9, dtype=float), grid=(3, 3))
     runs = []
     for _ in range(2):
-        pop = FireflyPopulation.spawn(18, SwarmParams(seed=9, eta=0.05))
+        pop = FireflyPopulation.spawn(18, SwarmParams(eta=0.05), rng=np.random.default_rng(9))
         for _ in range(3):
             swarm_step(pop, activity, layout)
         runs.append(pop.positions.copy())
@@ -270,7 +270,7 @@ def test_step_is_deterministic_under_jitter():
 
 def test_step_rejects_mismatched_activity():
     layout = GridLayout(3, 3)
-    pop = FireflyPopulation.spawn(5, SwarmParams(seed=1))
+    pop = FireflyPopulation.spawn(5, SwarmParams(), rng=np.random.default_rng(1))
     with pytest.raises(ShapeMismatchError):
         swarm_step(pop, Pattern(np.zeros(8)), layout)
 
@@ -365,8 +365,8 @@ def test_spacing_disabled_is_a_no_op():
 # ---------------------------------------------------------------------------
 
 def test_synthesis_from_pure_excitation_is_nonnegative_with_unit_rows():
-    params = SwarmParams(excit_fraction=1.0, seed=21, d_min=0.0)
-    pop = FireflyPopulation.spawn(200, params)
+    params = SwarmParams(excit_fraction=1.0, d_min=0.0)
+    pop = FireflyPopulation.spawn(200, params, rng=np.random.default_rng(21))
     layout = GridLayout(5, 5)
     wm = synthesize_weights(pop, layout, 0.5)
     assert np.all(wm.w >= 0.0)
@@ -418,7 +418,7 @@ def test_synthesis_requires_an_excitatory_agent():
 
 
 def test_synthesis_rejects_bad_caps():
-    pop = FireflyPopulation.spawn(5, SwarmParams(seed=0))
+    pop = FireflyPopulation.spawn(5, SwarmParams(), rng=np.random.default_rng(0))
     for v in (0.0, -1.0):
         with pytest.raises(ParameterError):
             synthesize_weights(pop, GridLayout(3, 3), v)
@@ -429,12 +429,12 @@ def test_synthesis_rejects_bad_caps():
 # ---------------------------------------------------------------------------
 
 def test_population_file_round_trip(tmp_path):
-    params = SwarmParams(seed=30)
-    pop = FireflyPopulation.spawn(20, params)
+    params = SwarmParams()
+    pop = FireflyPopulation.spawn(20, params, rng=np.random.default_rng(30))
     pop.brightness = np.random.default_rng(1).random(20)
     path = tmp_path / "pop.csv"
     save_population_csv(pop, path)
-    back = load_population_csv(path, params)
+    back = load_population_csv(path, params, np.random.default_rng(0))
     assert np.array_equal(back.positions, pop.positions)
     assert np.array_equal(back.excitatory, pop.excitatory)
     assert np.array_equal(back.brightness, pop.brightness)
@@ -457,7 +457,7 @@ def test_population_file_round_trip_for_generated_populations(tmp_path_factory, 
     pop, pop.brightness = case
     path = tmp_path_factory.mktemp("pop") / "pop.csv"
     save_population_csv(pop, path)
-    back = load_population_csv(path, pop.params)
+    back = load_population_csv(path, pop.params, np.random.default_rng(0))
     for name in ("positions", "excitatory", "brightness"):
         got, want = getattr(back, name), getattr(pop, name)
         assert np.array_equal(got, want)
@@ -474,9 +474,9 @@ def test_population_file_rejects_damage(tmp_path):
         "empty.csv": "x,y,polarity,brightness\n",
     }
     (tmp_path / "good.csv").write_text(good)
-    load_population_csv(tmp_path / "good.csv", SwarmParams())
+    load_population_csv(tmp_path / "good.csv", SwarmParams(), np.random.default_rng(0))
     for name, text in cases.items():
         p = tmp_path / name
         p.write_text(text)
         with pytest.raises(FormatError):
-            load_population_csv(p, SwarmParams())
+            load_population_csv(p, SwarmParams(), np.random.default_rng(0))

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from fireflynet.dynamics import load_matrix_csv
 from fireflynet.errors import (
     FormatError,
     ParameterError,
@@ -299,7 +300,7 @@ def test_mask_rejects_out_of_range_indices():
 
 def test_active_set_threshold_zero_is_full_for_positive_pattern():
     p = gaussian_1d(25, 12.0, 5.0)
-    assert active_set(p, 0.0).indices == tuple(range(25))
+    assert active_set(p, 0.0).tolist() == list(range(25))
 
 
 def test_active_set_at_or_above_peak_is_empty():
@@ -311,8 +312,8 @@ def test_active_set_at_or_above_peak_is_empty():
 def test_active_set_matches_brute_force_scan():
     p = gaussian_2d(5, 5, 2.0, 2.0, 1.0, 1.0)
     theta = 0.5 * float(p.values.max())
-    expected = tuple(i for i in range(25) if p.values[i] > theta)
-    assert active_set(p, theta).indices == expected
+    expected = [i for i in range(25) if p.values[i] > theta]
+    assert active_set(p, theta).tolist() == expected
 
 
 def test_active_set_rejects_negative_threshold():
@@ -328,9 +329,8 @@ def test_relative_threshold_scales_with_peak():
 
 def test_active_set_membership_and_array():
     s = active_set(Pattern(np.array([0.0, 3.0, 0.5, 2.0])), 1.0)
-    assert s.indices == (1, 3)
+    assert s.tolist() == [1, 3] and s.dtype.kind == "i"
     assert 1 in s and 2 not in s
-    assert np.array_equal(s.to_array(), np.array([1, 3]))
 
 
 # ---------------------------------------------------------------------------
@@ -346,11 +346,19 @@ def test_pattern_csv_round_trip_is_lossless(tmp_path):
     assert np.abs(q.values - p.values).max() <= 1e-12
 
 
+def write_p2(p, path):
+    """The ASCII (P2) form of the raster save_pgm writes as P5."""
+    pixels = np.rint(p.as_grid() / p.values.max() * 255.0).astype(np.uint8)
+    rows, cols = pixels.shape
+    body = "\n".join(" ".join(str(int(x)) for x in row) for row in pixels)
+    path.write_text(f"P2\n{cols} {rows}\n255\n{body}\n")
+
+
 def test_pgm_round_trip_within_quantization(tmp_path):
     p = gaussian_2d(5, 5, 2.0, 2.0, 1.0, 1.0)
-    for binary in (True, False):
-        path = tmp_path / f"p_{binary}.pgm"
-        save_pgm(p, path, binary=binary)
+    for write in (save_pgm, write_p2):
+        path = tmp_path / f"p_{write.__name__}.pgm"
+        write(p, path)
         q = load_image(path)
         assert q.grid == (5, 5)
         # compare peak-scaled profiles: 8-bit quantization allows 1/255
@@ -361,8 +369,8 @@ def test_pgm_round_trip_within_quantization(tmp_path):
 
 def test_ascii_and_binary_pgm_agree(tmp_path):
     p = gaussian_2d(4, 6, 2.0, 1.0, 1.0, 1.5)
-    save_pgm(p, tmp_path / "b.pgm", binary=True)
-    save_pgm(p, tmp_path / "a.pgm", binary=False)
+    save_pgm(p, tmp_path / "b.pgm")
+    write_p2(p, tmp_path / "a.pgm")
     assert np.array_equal(load_image(tmp_path / "b.pgm").values, load_image(tmp_path / "a.pgm").values)
 
 
@@ -412,6 +420,33 @@ def test_pattern_csv_error_cases(tmp_path):
     negative.write_text("1,2\n0.5,-0.5\n")
     with pytest.raises(FormatError):
         load_pattern_csv(negative)
+
+
+# Each case is the file text given the loader's header for size k.
+DAMAGED_GRIDS = {
+    "empty": (lambda head: "", FormatError),
+    "non-integer header": (lambda head: head("two") + "\n1,0\n0,1\n", FormatError),
+    "extra header field": (lambda head: head(2) + ",2\n1,0\n0,1\n", FormatError),
+    "size below 1": (lambda head: head(0) + "\n", FormatError),
+    "too few rows": (lambda head: head(2) + "\n1,0\n", ShapeMismatchError),
+    "ragged row": (lambda head: head(2) + "\n1,0\n0\n", ShapeMismatchError),
+    "non-numeric cell": (lambda head: head(2) + "\n1,0\n0,x\n", FormatError),
+}
+GRID_LOADERS = {
+    "pattern": (load_pattern_csv, lambda k: f"{k},{k}"),
+    "matrix": (load_matrix_csv, lambda k: f"{k}"),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(DAMAGED_GRIDS))
+@pytest.mark.parametrize("kind", sorted(GRID_LOADERS))
+def test_pattern_and_matrix_loaders_reject_the_same_damage(tmp_path, kind, damage):
+    load, head = GRID_LOADERS[kind]
+    text, error = DAMAGED_GRIDS[damage]
+    path = tmp_path / "damaged.csv"
+    path.write_text(text(head))
+    with pytest.raises(error):
+        load(path)
 
 
 def test_save_image_dispatches_on_extension(tmp_path):

@@ -11,7 +11,6 @@ from fireflynet.dynamics import (
     correlation_tensor,
 )
 from fireflynet.errors import ParameterError, ShapeMismatchError
-from fireflynet.patterns import ActiveSet
 from fireflynet.plasticity import (
     PlasticityParams,
     evolve_weights,
@@ -31,11 +30,11 @@ def gram_tensor(n: int, seed: int, unit_rows: bool = False) -> np.ndarray:
     d = np.random.default_rng(seed).random((n, n))
     if unit_rows:
         d /= np.linalg.norm(d, axis=1, keepdims=True)
-    return correlation_tensor(d, ActiveSet(tuple(range(n))))
+    return correlation_tensor(d, np.array(tuple(range(n)), dtype=int))
 
 
 def zero_tensor(n: int):
-    return correlation_tensor(np.eye(n), ActiveSet(()))
+    return correlation_tensor(np.eye(n), np.array((), dtype=int))
 
 
 def clamping_case(
@@ -61,27 +60,26 @@ def clamping_case(
 
 def test_params_validate_their_domains():
     with pytest.raises(ParameterError):
-        PlasticityParams(n=0)
+        PlasticityParams(alpha=-0.1)
     with pytest.raises(ParameterError):
-        PlasticityParams(n=5, alpha=-0.1)
+        PlasticityParams(v=0.0)
     with pytest.raises(ParameterError):
-        PlasticityParams(n=5, v=0.0)
+        PlasticityParams(dt=0.0)
     with pytest.raises(ParameterError):
-        PlasticityParams(n=5, dt=0.0)
+        PlasticityParams(max_steps=0)
     with pytest.raises(ParameterError):
-        PlasticityParams(n=5, max_steps=0)
-    with pytest.raises(ParameterError):
-        PlasticityParams(n=5, tol=0.0)
+        PlasticityParams(tol=0.0)
 
 
 def test_params_reject_unstable_steps():
-    # dt * alpha * n must stay below 1 at construction
+    # dt * alpha * n must stay below 1 whatever the tensor
     with pytest.raises(ParameterError):
-        PlasticityParams(n=100, alpha=1.0, dt=0.011)
+        PlasticityParams(alpha=1.0, dt=0.011).check_stability(100, 0.0)
     # the tensor-dependent part is checked when evolution starts
-    params = PlasticityParams(n=4, alpha=0.01, beta=1.0, dt=0.01)
+    params = PlasticityParams(alpha=0.01, beta=1.0, dt=0.01)
+    params.check_stability(4, 0.0)
     with pytest.raises(ParameterError):
-        params.check_stability(150.0)
+        params.check_stability(4, 150.0)
 
 
 # ---------------------------------------------------------------------------
@@ -91,14 +89,14 @@ def test_params_reject_unstable_steps():
 def test_rhs_first_term_vanishes_at_uniform_level():
     # beta = 0 and w = 1/n off-diagonal kill the decay term; n = 8 keeps
     # 1/n exactly representable so the zero is bitwise
-    params = PlasticityParams(n=8, alpha=0.3, beta=0.0)
+    params = PlasticityParams(alpha=0.3, beta=0.0)
     f = haeussler_rhs(uniform_weights(8), gram_tensor(8, 0), params)
     assert np.array_equal(f, np.zeros((8, 8)))
 
 
 def test_rhs_first_term_near_zero_at_uniform_level_inexact_n():
     # 1/6 is not exactly representable; the residue is rounding noise
-    params = PlasticityParams(n=6, alpha=0.3, beta=0.0)
+    params = PlasticityParams(alpha=0.3, beta=0.0)
     f = haeussler_rhs(uniform_weights(6), gram_tensor(6, 0), params)
     assert np.abs(f).max() <= 1e-15
 
@@ -110,7 +108,7 @@ def test_rhs_cooperation_term_vanishes_for_constant_tensor_and_unit_rows():
     w = np.full((n, n), 1.0 / (n - 1))
     np.fill_diagonal(w, 0.0)
     tensor = np.full((n, n), 2.0)
-    params = PlasticityParams(n=n, alpha=0.0, beta=1.0)
+    params = PlasticityParams(alpha=0.0, beta=1.0)
     f = haeussler_rhs(WeightMatrix(w), tensor, params)
     assert np.abs(f).max() <= 1e-12
 
@@ -124,7 +122,7 @@ def test_rhs_matches_triple_loop_reference():
             raw = rng.random((n, n))
             t_mat = (raw + raw.T) / 2.0
             alpha, beta = float(rng.uniform(0.001, 0.2)), float(rng.uniform(0.1, 2.0))
-            params = PlasticityParams(n=n, alpha=alpha, beta=beta)
+            params = PlasticityParams(alpha=alpha, beta=beta)
             f = haeussler_rhs(WeightMatrix(w), t_mat, params)
             ref = growth_rate_loops(w.tolist(), t_mat.tolist(), alpha, beta)
             assert np.abs(f - np.asarray(ref)).max() <= 1e-12
@@ -138,7 +136,7 @@ def test_rhs_matches_budgeted_grouping():
     w = rng.random((n, n)) * 0.4
     np.fill_diagonal(w, 0.0)
     tensor = gram_tensor(n, 4)
-    params = PlasticityParams(n=n, alpha=0.05, beta=1.0)
+    params = PlasticityParams(alpha=0.05, beta=1.0)
     f = haeussler_rhs(WeightMatrix(w), tensor, params)
     coop = (w * tensor).sum(axis=1, keepdims=True)
     regrouped = params.alpha + params.beta * w * tensor - w * (params.alpha * n + params.beta * coop)
@@ -147,15 +145,13 @@ def test_rhs_matches_budgeted_grouping():
 
 
 def test_rhs_diagonal_is_forced_to_zero():
-    f = haeussler_rhs(uniform_weights(5), gram_tensor(5, 9), PlasticityParams(n=5))
+    f = haeussler_rhs(uniform_weights(5), gram_tensor(5, 9), PlasticityParams())
     assert np.array_equal(np.diagonal(f), np.zeros(5))
 
 
 def test_rhs_shape_mismatches():
     with pytest.raises(ShapeMismatchError):
-        haeussler_rhs(uniform_weights(5), gram_tensor(6, 0), PlasticityParams(n=5))
-    with pytest.raises(ShapeMismatchError):
-        haeussler_rhs(uniform_weights(5), gram_tensor(5, 0), PlasticityParams(n=6))
+        haeussler_rhs(uniform_weights(5), gram_tensor(6, 0), PlasticityParams())
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +162,7 @@ def test_evolution_with_zero_tensor_relaxes_to_uniform():
     # without cooperation the unique rest point is 1/n everywhere off
     # the diagonal
     n = 6
-    params = PlasticityParams(n=n, alpha=0.1, beta=1.0, max_steps=5000)
+    params = PlasticityParams(alpha=0.1, beta=1.0, max_steps=5000)
     rng = np.random.default_rng(12)
     w0 = rng.random((n, n)) * 0.5
     np.fill_diagonal(w0, 0.0)
@@ -186,7 +182,7 @@ def test_single_step_composes_clamp_and_rate():
     w0[0] = [0.0, 0.5, 0.01, 0.01, 0.01, 0.01]
     np.fill_diagonal(w0, 0.0)
     tensor = gram_tensor(n, 9)
-    params = PlasticityParams(n=n, max_steps=1)
+    params = PlasticityParams(max_steps=1)
     wf, report = evolve_weights(WeightMatrix(w0), tensor, params)
     f = haeussler_rhs(WeightMatrix(w0), tensor, params)
     unclamped = w0 + params.dt * f
@@ -203,7 +199,7 @@ def test_evolution_keeps_weights_in_range_and_diagonal_zero():
         rng = np.random.default_rng(seed)
         w0 = rng.random((n, n)) * 0.5
         np.fill_diagonal(w0, 0.0)
-        params = PlasticityParams(n=n, max_steps=300)
+        params = PlasticityParams(max_steps=300)
         wf, _ = evolve_weights(WeightMatrix(w0), gram_tensor(n, seed + 50), params)
         assert np.all(wf.w >= 0.0) and np.all(wf.w <= params.v)
         assert np.array_equal(np.diagonal(wf.w), np.zeros(n))
@@ -213,7 +209,7 @@ def test_evolution_row_sums_settle_near_one():
     # generic cooperation with a controlled scale: converged rows sit
     # inside [0.9, 1.1]
     n = 6
-    params = PlasticityParams(n=n, alpha=0.05, beta=1.0, max_steps=20000)
+    params = PlasticityParams(alpha=0.05, beta=1.0, max_steps=20000)
     for seed in range(10):
         wf, report = evolve_weights(uniform_weights(n), gram_tensor(n, seed, unit_rows=True), params)
         assert report.converged
@@ -225,7 +221,7 @@ def test_evolution_winner_sits_on_strongest_cooperation():
     # from a uniform start the entry with the largest cooperation in its
     # row ends up carrying the largest weight
     n = 6
-    params = PlasticityParams(n=n, alpha=0.01, beta=1.0, max_steps=60000)
+    params = PlasticityParams(alpha=0.01, beta=1.0, max_steps=60000)
     for seed in range(10):
         tensor = gram_tensor(n, seed + 200, unit_rows=True)
         t_off = tensor.copy()
@@ -237,7 +233,7 @@ def test_evolution_winner_sits_on_strongest_cooperation():
 
 def test_non_convergence_is_reported_not_raised():
     n = 6
-    params = PlasticityParams(n=n, alpha=0.1, max_steps=3)
+    params = PlasticityParams(alpha=0.1, max_steps=3)
     w0 = np.zeros((n, n))
     wf, report = evolve_weights(WeightMatrix(w0), zero_tensor(n), params)
     assert not report.converged
@@ -247,28 +243,28 @@ def test_non_convergence_is_reported_not_raised():
 
 EVOLUTION_CASES = {
     # one cell: the rate is all diagonal, so the first step changes nothing
-    "n1-converges": (np.zeros((1, 1)), gram_tensor(1, 3), PlasticityParams(n=1), True),
+    "n1-converges": (np.zeros((1, 1)), gram_tensor(1, 3), PlasticityParams(), True),
     "n25-converges": (
         uniform_weights(25).w,
         gram_tensor(25, 5, unit_rows=True),
-        PlasticityParams(n=25, alpha=0.1, beta=0.7, max_steps=2000),
+        PlasticityParams(alpha=0.1, beta=0.7, max_steps=2000),
         True,
     ),
     "n25-clamps": (
         *clamping_case(25, 0, 0.9, 1.3),
-        PlasticityParams(n=25, alpha=0.0, beta=1.3),
+        PlasticityParams(alpha=0.0, beta=1.3),
         False,
     ),
     # n = 129 rows cross numpy's 128-element pairwise-summation block
     "n129-clamps": (
         *clamping_case(129, 0, 0.5, 0.7),
-        PlasticityParams(n=129, alpha=0.0, beta=0.7, max_steps=60),
+        PlasticityParams(alpha=0.0, beta=0.7, max_steps=60),
         False,
     ),
     "n129-budget": (
         uniform_weights(129).w,
         gram_tensor(129, 7, unit_rows=True),
-        PlasticityParams(n=129, max_steps=60),
+        PlasticityParams(max_steps=60),
         False,
     ),
 }
@@ -285,7 +281,7 @@ def test_evolution_matches_the_reference_bit_for_bit(case):
     assert report.converged == converged == converges
     assert repr(report.final_max_rhs) == repr(final_max_rhs)
     if "clamps" in case:
-        off = expected[~np.eye(params.n, dtype=bool)]
+        off = expected[~np.eye(len(expected), dtype=bool)]
         assert (off == 0.0).any() and (off == params.v).any()
 
 
@@ -297,7 +293,7 @@ def evolution_inputs(draw):
     dt = draw(st.sampled_from([0.001, 0.01, 0.05]))
     alpha = draw(st.floats(0.0, 1.0))
     beta = draw(st.floats(0.0, 5.0))
-    params = PlasticityParams(n=n, alpha=alpha, beta=beta, v=v, dt=dt, max_steps=draw(st.integers(1, 50)))
+    params = PlasticityParams(alpha=alpha, beta=beta, v=v, dt=dt, max_steps=draw(st.integers(1, 50)))
     w = draw(arrays(np.float64, (n, n), elements=st.floats(0.0, v)))
     np.fill_diagonal(w, 0.0)
     x = draw(arrays(np.float64, (n, draw(st.integers(1, n))), elements=st.floats(-1.0, 1.0)))
@@ -317,14 +313,14 @@ def test_evolution_keeps_weights_in_range_for_generated_inputs(inputs):
     wf, report = evolve_weights(WeightMatrix(w0), tensor, params)
     assert np.all(np.isfinite(wf.w))
     assert np.all(wf.w >= 0.0) and np.all(wf.w <= params.v)
-    assert np.array_equal(np.diagonal(wf.w), np.zeros(params.n))
+    assert np.array_equal(np.diagonal(wf.w), np.zeros(len(w0)))
     assert len(report.trace) == report.steps
     assert 1 <= report.steps <= params.max_steps
 
 
 def test_evolution_rejects_out_of_range_start():
     n = 4
-    params = PlasticityParams(n=n)
+    params = PlasticityParams()
     w = np.zeros((n, n))
     w[0, 1] = params.v + 0.2
     with pytest.raises(ParameterError):
@@ -337,15 +333,15 @@ def test_evolution_rejects_a_non_finite_tensor_up_front():
     t = tensor.copy()
     t[0, 1] = np.nan
     with pytest.raises(ParameterError, match="correlation tensor"):
-        evolve_weights(uniform_weights(n), t, PlasticityParams(n=n))
+        evolve_weights(uniform_weights(n), t, PlasticityParams())
 
 
 def test_report_serialization(tmp_path):
     n = 5
-    params = PlasticityParams(n=n, max_steps=4)
+    params = PlasticityParams(max_steps=4)
     _, report = evolve_weights(uniform_weights(n), gram_tensor(n, 1), params)
-    text = report.to_text()
-    assert "steps = 4" in text and "converged = false" in text
+    assert report.steps == 4 and not report.converged
+    assert report.final_max_rhs == report.trace[-1][1]
     path = tmp_path / "trace.csv"
     report.save_trace_csv(path)
     lines = path.read_text().splitlines()

@@ -45,7 +45,6 @@ from fireflynet.trainer import (
     save_model,
     train,
 )
-from fireflynet.trainer import _experiment_digits
 
 from oracles import complete_reference, recall_reference
 
@@ -80,8 +79,8 @@ def test_config_rejects_inconsistent_fields():
         TrainerConfig(n=9, boundary="twisted")
     with pytest.raises(ConfigError):
         TrainerConfig(n=9, learn_schedule="never")
-    with pytest.raises(ShapeMismatchError):
-        TrainerConfig(n=9, plasticity=PlasticityParams(n=8))
+    with pytest.raises(ParameterError):  # dt * alpha * n >= 1
+        TrainerConfig(n=100, plasticity=PlasticityParams(alpha=1.0, dt=0.011))
     with pytest.raises(ParameterError):
         TrainerConfig(n=9, theta_act=-0.1)
     with pytest.raises(ParameterError):
@@ -174,7 +173,7 @@ def test_init_spawns_population_only_when_asked():
 
 def test_blank_input_relaxes_weights_to_uniform():
     cfg = small_config(
-        plasticity=PlasticityParams(n=25, alpha=0.1, max_steps=20000), master_seed=1
+        plasticity=PlasticityParams(alpha=0.1, max_steps=20000), master_seed=1
     )
     model = init_model(cfg)
     present_pattern(model, Pattern(np.zeros(25), grid=(5, 5)))
@@ -190,7 +189,7 @@ def test_second_presentation_of_the_same_pattern_settles_faster():
     for seed in range(20):
         cfg = small_config(
             master_seed=seed,
-            plasticity=PlasticityParams(n=25, v=0.05, max_steps=20000),
+            plasticity=PlasticityParams(v=0.05, max_steps=20000),
         )
         model = init_model(cfg)
         present_pattern(model, center_bump())
@@ -203,12 +202,12 @@ def test_second_presentation_of_the_same_pattern_settles_faster():
 def test_learning_favors_connections_inside_the_active_set():
     for seed in range(5):
         cfg = small_config(
-            master_seed=seed, plasticity=PlasticityParams(n=25, max_steps=20000)
+            master_seed=seed, plasticity=PlasticityParams(max_steps=20000)
         )
         model = init_model(cfg)
         p = center_bump()
         present_pattern(model, p)
-        act = set(active_set(p, relative_threshold(p, cfg.theta_act)).indices)
+        act = set(active_set(p, relative_threshold(p, cfg.theta_act)).tolist())
         inact = [i for i in range(25) if i not in act]
         w = model.weights.w
         aa = np.mean([w[i, j] for i in act for j in act if i != j])
@@ -226,7 +225,7 @@ def test_training_on_all_shifts_washes_out_the_random_init():
             use_firefly=False,
             master_seed=seed,
             epochs=1,
-            plasticity=PlasticityParams(n=25, alpha=0.01, max_steps=400),
+            plasticity=PlasticityParams(alpha=0.01, max_steps=400),
         )
         model = train(init_model(cfg), [gaussian_1d(25, c, 1.5, wrap=True) for c in range(25)])
         w = model.weights.w
@@ -330,7 +329,7 @@ def read_path_cases(model):
     cues = [a, add_noise(a, 0.3, 11), gaussian_2d(5, 5, 0.5, 3.5, 1.2, 0.8)]
     for cue in cues + cues:
         assert_same_read(recall(model, cue), recall_reference(model, cue))
-    covered = active_set(a, relative_threshold(a, model.config.theta_act)).indices
+    covered = active_set(a, relative_threshold(a, model.config.theta_act)).tolist()
     for masked, flagged in ((covered, True), ([0, 7, 24], False)):
         got = complete(model, a, masked)
         assert got[1].low_confidence is flagged
@@ -406,7 +405,7 @@ def test_config_round_trips_through_text():
         boundary="periodic",
         use_firefly=True,
         learn_schedule="converged",
-        plasticity=PlasticityParams(n=12, alpha=0.02, beta=0.8, v=0.4, dt=0.005, max_steps=123, tol=1e-7),
+        plasticity=PlasticityParams(alpha=0.02, beta=0.8, v=0.4, dt=0.005, max_steps=123, tol=1e-7),
         swarm=SwarmParams(
             b=1.5,
             gamma=2.0,
@@ -616,22 +615,6 @@ def test_digit_glyphs_are_binary_and_distinct():
     assert cosine(zero, one) < 0.5
     with pytest.raises(ParameterError):
         digit_template("7")
-
-
-def test_digits_experiment_validates_templates():
-    cfg = TrainerConfig(n=4, grid=(2, 2))
-    with pytest.raises(ParameterError):
-        _experiment_digits(cfg, None, [0], templates=[Pattern(np.ones(4), grid=(2, 2))])
-    with pytest.raises(ShapeMismatchError):
-        _experiment_digits(
-            cfg,
-            None,
-            [0],
-            templates=[
-                Pattern(np.ones(4), grid=(2, 2), label="a"),
-                Pattern(np.ones(4), grid=(1, 4), label="b"),
-            ],
-        )
 
 
 def test_report_save_writes_summary_and_table(tmp_path):
