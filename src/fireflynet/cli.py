@@ -210,11 +210,15 @@ def _cmd_train(args: argparse.Namespace) -> int:
     if not files:
         raise FormatError(f"no .csv or .pgm patterns in {pattern_dir}")
     patterns = []
+    labelled: dict[str, Path] = {}
     for f in files:
         try:
             f.stem.encode()  # the stem becomes a template label and a saved file name
         except UnicodeEncodeError:
             raise FormatError(f"pattern file name is not UTF-8: {str(f)!r}") from None
+        if f.stem in labelled:  # a model keeps one template per label
+            raise FormatError(f"pattern files {labelled[f.stem]} and {f} share the label {f.stem!r}")
+        labelled[f.stem] = f
         loaded = load_image(f)
         patterns.append(Pattern(loaded.values, grid=loaded.grid, label=f.stem))
 
@@ -262,7 +266,10 @@ def _cmd_recall(args: argparse.Namespace) -> int:
     if model_kv:  # allow overriding recall-time knobs such as recall_iterations
         merged = config_to_dict(model.config)
         merged.update(model_kv)
-        model = replace(model, config=config_from_dict(merged))
+        config = config_from_dict(merged)
+        if config.n != model.config.n:
+            raise ConfigError(f"n: the saved weights are for {model.config.n} cells, not {config.n}")
+        model = replace(model, config=config)
     cue = load_image(run_kv["cue"])
 
     output, metrics = recall(model, cue)

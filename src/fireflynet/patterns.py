@@ -65,9 +65,9 @@ class Pattern:
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 1 or v.size == 0:
             raise ParameterError(f"pattern values must be a non-empty 1D vector, got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise ParameterError("pattern values must be finite")
-        if np.any(v < 0.0):
+        if (v < 0.0).any():
             raise ParameterError("pattern values must be non-negative")
         object.__setattr__(self, "values", v)
         if self.grid is not None:

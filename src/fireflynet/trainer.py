@@ -46,6 +46,7 @@ from .firefly import (
 )
 from .patterns import (
     Pattern,
+    _unit,
     active_set,
     add_noise,
     cosine,
@@ -311,19 +312,23 @@ def train(model: Model, patterns: Sequence[Pattern]) -> Model:
 
 
 def _similarity(output: Pattern, reference: Pattern, templates: Sequence[Pattern]) -> RecallMetrics:
-    ref = reference.normalize()
+    """Score an output against the unit-scaled reference and the templates.
+    Each metric runs the ops of ``np.mean``, ``ndarray.std``'s zero test or
+    ``np.corrcoef`` in order, minus their wrappers, so the bits are theirs."""
+    a, ref = output.values, _unit(reference.values)
     cos = cosine(output, ref)
-    mse = float(np.mean((output.values - ref.values) ** 2))
-    a, b = output.values, ref.values
-    if float(a.std()) <= 0.0 or float(b.std()) <= 0.0:
+    n = a.size
+    diff = a - ref
+    mse = float(np.add.reduce(diff * diff) / n)
+    x = np.array((a, ref))
+    x -= np.add.reduce(x, axis=1, keepdims=True) / n
+    if not (np.add.reduce(x * x, axis=1) / n).all():  # a row with zero std
         pearson = 0.0
     else:
-        pearson = float(np.corrcoef(a, b)[0, 1])
-    best = None
-    if templates:
-        scored = [(cosine(output, t), t.label) for t in templates if t.label is not None]
-        if scored:
-            best = max(scored, key=lambda s: s[0])[1]
+        c = np.dot(x, x.T) * np.true_divide(1, n - 1)
+        pearson = float(min(max(c[0, 1] / math.sqrt(c[0, 0]) / math.sqrt(c[1, 1]), -1.0), 1.0))
+    scored = [(cosine(output, t), t.label) for t in templates if t.label is not None]
+    best = max(scored, key=lambda s: s[0])[1] if scored else None
     return RecallMetrics(cosine=cos, mse=mse, pearson=pearson, best_match_label=best)
 
 
@@ -351,7 +356,7 @@ def recall(
     out = cue.values
     for _ in range(cfg.recall_iterations):
         raw = d @ out
-        out = np.clip(raw, 0.0, None)
+        out = np.maximum(raw, 0.0)
         norm = math.sqrt(float(np.dot(out, out)))
         if norm <= 1e-12:
             out = np.zeros_like(out)

@@ -17,8 +17,8 @@ import numpy as np
 
 from fireflynet.dynamics import truncated_resolvent
 from fireflynet.errors import ParameterError, ShapeMismatchError
-from fireflynet.patterns import Pattern, active_set, mask, relative_threshold
-from fireflynet.trainer import _similarity
+from fireflynet.patterns import Pattern, active_set, cosine, mask, relative_threshold
+from fireflynet.trainer import RecallMetrics
 
 
 def gauss_value(x: float, mu: float, sigma: float) -> float:
@@ -238,6 +238,25 @@ def evolve_reference(w, t, params) -> tuple[np.ndarray, list, int, bool, float]:
     return current, trace, steps, converged, final_max_rhs
 
 
+def similarity_reference(output, reference, templates):
+    """Recall scoring as it read when it went through numpy's own
+    ``mean``, ``std`` and ``corrcoef``."""
+    ref = reference.normalize()
+    cos = cosine(output, ref)
+    mse = float(np.mean((output.values - ref.values) ** 2))
+    a, b = output.values, ref.values
+    if float(a.std()) <= 0.0 or float(b.std()) <= 0.0:
+        pearson = 0.0
+    else:
+        pearson = float(np.corrcoef(a, b)[0, 1])
+    best = None
+    if templates:
+        scored = [(cosine(output, t), t.label) for t in templates if t.label is not None]
+        if scored:
+            best = max(scored, key=lambda s: s[0])[1]
+    return RecallMetrics(cosine=cos, mse=mse, pearson=pearson, best_match_label=best)
+
+
 def recall_reference(model, cue):
     """Recall as it read before the resolvent was memoised: D is rebuilt
     from ``model.weights`` on every call and the output scored against
@@ -259,7 +278,7 @@ def recall_reference(model, cue):
             break
         out = out / norm
     output = Pattern(out, grid=cue.grid)
-    return output, _similarity(output, cue, model.templates)
+    return output, similarity_reference(output, cue, model.templates)
 
 
 def complete_reference(model, partial, masked_indices):
@@ -268,7 +287,7 @@ def complete_reference(model, partial, masked_indices):
     masked = sorted(set(int(i) for i in masked_indices))
     cue = mask(partial, masked)
     output, _ = recall_reference(model, cue)
-    metrics = _similarity(output, partial, model.templates)
+    metrics = similarity_reference(output, partial, model.templates)
     active = active_set(partial, relative_threshold(partial, model.config.theta_act))
     metrics.low_confidence = bool(masked) and all(i in set(masked) for i in active.tolist())
     return output, metrics

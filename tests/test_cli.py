@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fireflynet.cli import RUN_KEY_HELP, SWEEPABLE, main
-from fireflynet.patterns import Pattern, gaussian_2d, save_pattern_csv
+from fireflynet.patterns import Pattern, gaussian_2d, save_image, save_pattern_csv
 from fireflynet.trainer import CONFIG_KEY_HELP
 
 
@@ -81,6 +81,20 @@ def test_train_rejects_a_pattern_file_name_that_is_not_utf8(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_train_rejects_two_pattern_files_with_one_stem(tmp_path, capsys):
+    # the stem is the template label, and a model keeps one template per label
+    pats = tmp_path / "pats"
+    pats.mkdir()
+    save_pattern_csv(gaussian_2d(3, 3, 1.0, 1.0, 1.0, 1.0), pats / "a.csv")
+    save_image(gaussian_2d(3, 3, 1.5, 1.5, 1.0, 1.0), pats / "a.pgm")
+    out = tmp_path / "m"
+    assert main(["train", "--patterns", str(pats), "--out", str(out), *SMALL]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ")
+    assert str(pats / "a.csv") in err and str(pats / "a.pgm") in err
+    assert not out.exists()
+
+
 def test_train_rejects_patterns_of_the_wrong_size(tmp_path):
     pats = tmp_path / "pats"
     pats.mkdir()
@@ -126,6 +140,18 @@ def test_recall_accepts_config_overrides(tmp_path):
         ]
     )
     assert code == 0
+
+
+def test_recall_rejects_an_override_that_changes_the_network_size(tmp_path, capsys):
+    model_dir = train_small_model(tmp_path)
+    cue = tmp_path / "cue.csv"
+    save_pattern_csv(Pattern(np.ones(4), grid=(2, 2)), cue)
+    out = tmp_path / "r"
+    resize = ["--set", "n=4", "--set", "rows=2", "--set", "cols=2"]
+    code = main(["recall", "--model", str(model_dir), "--cue", str(cue), "--out", str(out), *resize])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("config error: n: ")
+    assert not out.exists()
 
 
 def test_recall_reports_broken_cue_files(tmp_path, capsys):

@@ -11,6 +11,7 @@ from fireflynet.dynamics import WeightMatrix, load_matrix_csv
 from fireflynet.errors import (
     ConfigError,
     ParameterError,
+    PatternAnnihilatedError,
     ShapeMismatchError,
 )
 from fireflynet.firefly import SwarmParams
@@ -31,6 +32,7 @@ from fireflynet.trainer import (
     ExperimentReport,
     Model,
     TrainerConfig,
+    _similarity,
     complete,
     config_from_dict,
     config_to_dict,
@@ -46,7 +48,7 @@ from fireflynet.trainer import (
     train,
 )
 
-from oracles import complete_reference, recall_reference
+from oracles import complete_reference, recall_reference, similarity_reference
 
 
 def small_config(**kw) -> TrainerConfig:
@@ -358,6 +360,51 @@ def test_a_wiped_out_response_matches_the_reference():
     assert not got[0].values.any() and got[1].cosine == 0.0
     assert_same_read(got, recall_reference(model, cue))
     assert_same_read(complete(model, cue, [1]), complete_reference(model, cue, [1]))
+
+
+def score_vectors(n: int):
+    """Length-n activity vectors: all zero, constant, one nonzero entry,
+    or arbitrary, with entries in [0, 1] down to the subnormals."""
+    value = st.floats(0.0, 1.0)
+
+    def single(i: int, x: float) -> np.ndarray:
+        v = np.zeros(n)
+        v[i] = x
+        return v
+
+    return st.one_of(
+        st.just(np.zeros(n)),
+        value.map(lambda x: np.full(n, x)),
+        st.tuples(st.integers(0, n - 1), value).map(lambda ix: single(*ix)),
+        st.lists(value, min_size=n, max_size=n).map(np.array),
+    )
+
+
+@st.composite
+def scoring_inputs(draw):
+    n = draw(st.integers(2, 150))
+    output = Pattern(draw(score_vectors(n)))
+    reference = Pattern(draw(score_vectors(n)))
+    labels = st.sampled_from([None, "a", "b"])
+    templates = [
+        Pattern(draw(score_vectors(n)), label=draw(labels)) for _ in range(draw(st.integers(0, 3)))
+    ]
+    return output, reference, templates
+
+
+@settings(max_examples=400, deadline=None)
+@given(scoring_inputs())
+def test_recall_scoring_matches_the_numpy_reference_bit_for_bit(inputs):
+    try:
+        want = similarity_reference(*inputs)
+    except PatternAnnihilatedError:
+        with pytest.raises(PatternAnnihilatedError):
+            _similarity(*inputs)
+        return
+    got = _similarity(*inputs)
+    assert [repr(got.cosine), repr(got.mse), repr(got.pearson), got.best_match_label] == [
+        repr(want.cosine), repr(want.mse), repr(want.pearson), want.best_match_label
+    ]
 
 
 def test_recall_follows_the_weights_after_a_presentation():
