@@ -249,10 +249,11 @@ def enforce_min_distance(pop: FireflyPopulation) -> FireflyPopulation:
     outcome lands in settle_converged and the best-effort positions are
     kept either way.
 
-    The row-major i<j pair list is built once per call.  Each agent's
-    displacement sums its pushes as the lower-index end in pair order,
-    then its pushes as the higher-index end in pair order; that order
-    fixes the result bits that the byte-determinism checks compare.
+    The row-major i<j pair list is built once per call, and positions
+    are held as one (2, F) array, x then y.  Each agent's displacement
+    sums its pushes as the lower-index end in pair order, then its
+    pushes as the higher-index end in pair order; that order fixes the
+    result bits that the byte-determinism checks compare.
     """
     d_min = pop.params.d_min
     count = len(pop)
@@ -260,45 +261,47 @@ def enforce_min_distance(pop: FireflyPopulation) -> FireflyPopulation:
         pop.settle_converged = True
         return pop
 
-    pos = pop.positions.copy()
+    xy = pop.positions.T.copy()
     ii, jj = np.triu_indices(count, k=1)
+    # each pair's x and y bins at its lower-index end, then at its higher
+    bins = np.stack([ii, ii + count, jj, jj + count])
+    too_close, reach = d_min - SETTLE_EPS, SETTLE_OVERSHOOT * d_min
     converged = False
     for _ in range(MAX_SETTLE_SWEEPS):
-        x, y = pos[:, 0], pos[:, 1]
-        dx = x[jj] - x[ii]  # separation of pair (i, j) points i -> j
-        dy = y[jj] - y[ii]
+        sep = xy.take(jj, axis=1) - xy.take(ii, axis=1)  # pair (i, j) points i -> j
+        dx, dy = sep
         dist = np.sqrt(dx * dx + dy * dy)
-        bad = dist < d_min - SETTLE_EPS
-        if not bad.any():
+        bad = np.flatnonzero(dist < too_close)
+        if not bad.size:
             converged = True
             break
-        bi, bj = ii[bad], jj[bad]
         gaps = dist[bad]
-        ux, uy = dx[bad], dy[bad]
-        touching = gaps < 1e-15
-        if touching.any():
+        unit = sep[:, bad]
+        if np.minimum.reduce(gaps) < 1e-15:
+            touching = gaps < 1e-15
             angles = 2.0 * math.pi * pop.rng.random(int(touching.sum()))
-            ux[touching] = np.cos(angles)
-            uy[touching] = np.sin(angles)
-        apart = ~touching
-        ux[apart] /= gaps[apart]
-        uy[apart] /= gaps[apart]
-        half = 0.5 * (SETTLE_OVERSHOOT * d_min - gaps)
-        # Every push on the lower-index end in pair order, then every push
-        # on the higher-index end: bincount sums its weights in input order.
-        ends = np.concatenate([bi, bj])
-        shift = np.column_stack([
-            np.bincount(ends, weights=np.concatenate([-(half * ux), half * ux]), minlength=count),
-            np.bincount(ends, weights=np.concatenate([-(half * uy), half * uy]), minlength=count),
-        ])
-        moved = np.clip(pos + shift, 0.0, 1.0)
-        if np.abs(moved - pos).max() < 1e-12:
+            unit[:, touching] = np.cos(angles), np.sin(angles)
+            apart = ~touching
+            unit[:, apart] /= gaps[apart]
+        else:
+            unit /= gaps
+        push = 0.5 * (reach - gaps) * unit
+        # bincount sums its weights in input order, so each agent's shift
+        # is its pushes as the lower-index end in pair order, then its
+        # pushes as the higher-index end; x bins are 0..F-1, y bins F..2F-1.
+        shift = np.bincount(
+            bins[:, bad].ravel(),
+            weights=np.concatenate((-push, push)).ravel(),
+            minlength=2 * count,
+        ).reshape(2, count)
+        moved = np.clip(xy + shift, 0.0, 1.0)
+        if np.maximum.reduce(np.absolute(moved - xy), axis=None) < 1e-12:
             # clipping cancelled every push (wall deadlock); no progress
             # possible, keep the best-effort layout
-            pos = moved
+            xy = moved
             break
-        pos = moved
-    pop.positions = pos
+        xy = moved
+    pop.positions = np.ascontiguousarray(xy.T)
     pop.settle_converged = converged
     return pop
 

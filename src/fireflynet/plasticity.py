@@ -8,13 +8,17 @@ average and shrinks the rest.  The cooperation term redistributes weight
 within a row (soft competition) and drives row sums toward 1.
 
 Growth is bounded by a hard saturation ceiling v.  Integration is
-forward Euler with a fixed step, clamping into [0, v] after every step,
-so the excitatory range is invariant under evolution and a weight
-driven past v is held at v.
+forward Euler, clamping into [0, v] after every step, so the excitatory
+range is invariant under evolution and a weight driven past v is held
+at v.  The step is STEP_FRACTION of the stability bound that the
+presentation's tensor allows, unless a fixed dt is set, and evolution
+runs until the weights stop moving: the learned state is the rule's
+fixed point, not a transient cut off by the step budget.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -24,20 +28,29 @@ from .dynamics import WeightMatrix
 from .errors import ParameterError, ShapeMismatchError
 from .patterns import write_table
 
+# The share of the stability bound 1 / (alpha * n + beta * max|T|) that a
+# derived Euler step takes.
+STEP_FRACTION = 0.9
+
+
 @dataclass(frozen=True)
 class PlasticityParams:
-    """Rule constants plus integration controls; n is the network size.
+    """Rule constants plus integration controls.
 
-    The Euler step must satisfy dt * (alpha * n + beta * max T) < 1 to
-    keep the linearized update contractive; ``check_stability`` tests it
-    once n and the correlation tensor's peak are known.
+    dt left unset (None) makes each evolution derive its step from its
+    tensor, STEP_FRACTION of the stability bound (see ``step``); a set dt
+    is a fixed step and must satisfy dt * (alpha * n + beta * max T) < 1
+    to keep the linearized update contractive, which ``check_stability``
+    tests once n and the correlation tensor's peak are known.  max_steps
+    caps the Euler steps of one evolution; at the derived step 1,000 lets
+    more than 99% of presentations reach quiescence.
     """
 
     alpha: float = 0.01
     beta: float = 1.0
     v: float = 0.5
-    dt: float = 0.01
-    max_steps: int = 400
+    dt: float | None = None
+    max_steps: int = 1000
     tol: float = 1e-6
 
     def __post_init__(self) -> None:
@@ -45,7 +58,7 @@ class PlasticityParams:
             raise ParameterError(f"alpha and beta must be >= 0, got ({self.alpha}, {self.beta})")
         if self.v <= 0.0:
             raise ParameterError(f"saturation ceiling v must be > 0, got {self.v}")
-        if self.dt <= 0.0:
+        if self.dt is not None and not self.dt > 0.0:  # NaN included
             raise ParameterError(f"dt must be > 0, got {self.dt}")
         if self.max_steps < 1:
             raise ParameterError(f"max_steps must be >= 1, got {self.max_steps}")
@@ -53,12 +66,33 @@ class PlasticityParams:
             raise ParameterError(f"tol must be > 0, got {self.tol}")
 
     def check_stability(self, n: int, t_max: float) -> None:
-        """Stability guard for n cells and a tensor whose peak entry is t_max."""
+        """Stability guard for a set dt, n cells and a tensor whose peak
+        entry is t_max.  An unset dt passes: the derived step sits inside
+        the bound by construction."""
+        if self.dt is None:
+            return
         margin = self.dt * (self.alpha * n + self.beta * max(t_max, 0.0))
         if margin >= 1.0:
             raise ParameterError(
                 f"unstable step: dt*(alpha*n + beta*maxT) = {margin:g} >= 1; reduce dt"
             )
+
+    def step(self, n: int, t: np.ndarray) -> float:
+        """The Euler step for n cells under the tensor t.
+
+        A set dt passes ``check_stability`` and is used as it is.  Unset,
+        the step is STEP_FRACTION / (alpha * n + beta * max|T|); max|T| is
+        max T for the positive semi-definite tensors that
+        ``correlation_tensor`` makes.  Where that denominator is 0 (or so
+        small that the quotient overflows) the rate is identically zero
+        (or below resolution) and the step is 1.
+        """
+        if self.dt is not None:
+            self.check_stability(n, float(t.max()) if t.size else 0.0)
+            return self.dt
+        rate = self.alpha * n + self.beta * (float(np.absolute(t).max()) if t.size else 0.0)
+        dt = STEP_FRACTION / rate if rate > 0.0 else 1.0
+        return dt if math.isfinite(dt) else 1.0
 
 
 def haeussler_rhs(w: WeightMatrix, t: np.ndarray, params: PlasticityParams) -> np.ndarray:
@@ -73,7 +107,8 @@ def haeussler_rhs(w: WeightMatrix, t: np.ndarray, params: PlasticityParams) -> n
     _check_sizes(w, t)
     n = w.n
     f = np.empty((n, n))
-    _rate_into(f, w.w, t, params, np.empty((n, n)), np.empty((n, n)), np.empty((n, 1)))
+    scratch = (np.empty((n, n)), np.empty((n, n)), np.empty((n, 1)))
+    _rate_into(f, f.reshape(-1)[:: n + 1], w.w, t, params.alpha, params.beta, *scratch)
     return f
 
 
@@ -84,38 +119,43 @@ def _check_sizes(w: WeightMatrix, t: np.ndarray) -> None:
 
 def _rate_into(
     f: np.ndarray,
+    f_diag: np.ndarray,
     ww: np.ndarray,
     tt: np.ndarray,
-    params: PlasticityParams,
+    alpha: float,
+    beta: float,
     coop: np.ndarray,
     gap: np.ndarray,
     row_coop: np.ndarray,
 ) -> None:
     """Write the rate into the contiguous n x n buffer f, allocating nothing.
 
-    coop and gap (n x n) and row_coop (n x 1) are scratch.  The ops run
-    in the grouping alpha * (1 - n * w) + (beta * w) * (T - row_coop),
-    rows summed along the contiguous axis, which fixes the result bits.
+    f_diag is f's diagonal as a strided view; coop and gap (n x n) and
+    row_coop (n x 1) are scratch.  The ops run in the grouping
+    alpha * (1 - n * w) + (beta * w) * (T - row_coop), rows summed along
+    the contiguous axis, which fixes the result bits.
     """
     n = ww.shape[0]
     np.multiply(ww, tt, out=coop)
     np.add.reduce(coop, axis=1, keepdims=True, out=row_coop)  # sum_j' w_ij' T_ij'
     np.multiply(n, ww, out=f)
     np.subtract(1.0, f, out=f)
-    np.multiply(params.alpha, f, out=f)
-    np.multiply(params.beta, ww, out=coop)
+    np.multiply(alpha, f, out=f)
+    np.multiply(beta, ww, out=coop)
     np.subtract(tt, row_coop, out=gap)
     np.multiply(coop, gap, out=coop)
     np.add(f, coop, out=f)
-    f.reshape(-1)[:: n + 1] = 0.0  # the diagonal, as a strided view
+    f_diag.fill(0.0)
 
 
 @dataclass
 class EvolveReport:
     """What happened during one evolution run.
 
-    ``trace`` holds one row per Euler step:
-    (step, max |rhs|, min row sum, mean row sum, max row sum).
+    ``table`` holds one row per Euler step: (max |rhs|, min row sum, mean
+    row sum, max row sum), as a float array, which keeps every
+    presentation's record in a model's history compact; ``trace`` gives
+    the same rows as tuples headed by the step number.
     A run that exhausts max_steps without meeting the tolerance is a
     meaningful partial result, not an error; ``converged`` says which.
     """
@@ -123,7 +163,11 @@ class EvolveReport:
     steps: int = 0
     converged: bool = False
     final_max_rhs: float = 0.0
-    trace: list[tuple[int, float, float, float, float]] = field(default_factory=list)
+    table: np.ndarray = field(default_factory=lambda: np.empty((0, 4)))
+
+    @property
+    def trace(self) -> list[tuple[int, float, float, float, float]]:
+        return [(k, *row) for k, row in enumerate(self.table.tolist(), start=1)]
 
     def save_trace_csv(self, path: str | Path) -> None:
         header = ("step", "max_rhs", "min_row_sum", "mean_row_sum", "max_row_sum")
@@ -135,66 +179,71 @@ def evolve_weights(
 ) -> tuple[WeightMatrix, EvolveReport]:
     """Integrate the rule until quiescence or the step budget runs out.
 
-    Convergence criterion: the largest actual weight change in a step
-    falls below tol * dt.  Weights are clamped into [0, v] after every
-    step, so the returned matrix always satisfies the excitatory range
-    invariant regardless of where the integration stopped.
+    The Euler step comes from ``PlasticityParams.step``: STEP_FRACTION
+    of the stability bound for this tensor, or the set dt.  Convergence
+    criterion: the largest actual weight change in a step falls below
+    tol * dt.  Weights are clamped into [0, v] after every step, so the
+    returned matrix always satisfies the excitatory range invariant
+    regardless of where the integration stopped.
 
     The step allocates nothing: the current and next weights ping-pong
-    between two buffers, three more n x n work buffers are made once per
-    call, and each step's row sums and max |f| land in preallocated
-    arrays that the trace is built from after the loop.  The rate keeps
-    the grouping alpha * (1 - n * w) + (beta * w) * (T - row_coop) op
-    for op (see ``_rate_into``), the clamp is max with 0 then min with v,
-    and the trace's mean row sum is the row-sum vector's pairwise sum
-    over n, as numpy's mean computes it; that order fixes the result
-    bits that the byte-determinism checks compare.
+    between two buffers, the rate and the weight change share one
+    (2, n, n) buffer so that one absolute value and one max-reduction
+    give both max |f| and the step's largest change, and the per-step row
+    sums and maxima land in arrays that the report's table is built from
+    after the loop.  The rate keeps the grouping alpha * (1 - n * w) +
+    (beta * w) * (T - row_coop) op for op (see ``_rate_into``), the clamp
+    is max with 0 then min with v, and the trace's mean row sum is the
+    row-sum vector's pairwise sum over n, as numpy's mean computes it;
+    that order fixes the result bits that the byte-determinism checks
+    compare.
     """
     _check_sizes(w, t)
     if np.any(w.w < 0.0) or np.any(w.w > params.v):
         raise ParameterError("evolution requires starting weights within [0, v]")
     if not np.all(np.isfinite(t)):
         raise ParameterError("correlation tensor entries must be finite")
-    params.check_stability(w.n, float(t.max()) if t.size else 0.0)
-
-    n, tt = w.n, t
-    dt, v = params.dt, params.v
+    n = w.n
+    dt = params.step(n, t)
+    alpha, beta, v = params.alpha, params.beta, params.v
     threshold = params.tol * dt
+    multiply, add, subtract = np.multiply, np.add, np.subtract
+    maximum, minimum, absolute = np.maximum, np.minimum, np.absolute
+    add_reduce, max_reduce = np.add.reduce, np.maximum.reduce
+
     current = w.w.copy()
     upcoming = np.empty_like(current)
-    f = np.empty_like(current)  # the rate, then |f|
+    moves = np.empty((2, n, n))  # the rate f and next - current, then both absolute
+    f, change = moves
     coop = np.empty_like(current)  # w * T, then the cooperation term, then dt * f
-    gap = np.empty_like(current)  # T - row_coop, then |next - current|
+    gap = np.empty_like(current)  # T - row_coop
     row_coop = np.empty((n, 1))
     row_sums = np.empty((params.max_steps, n))
-    peaks = np.empty(params.max_steps)
+    peaks = np.empty((params.max_steps, 2))  # max |f| and the largest change, per step
     # the diagonals as strided views: every (n+1)-th element of the flat buffer
+    f_diag = f.reshape(-1)[:: n + 1]
     current_diag = current.reshape(-1)[:: n + 1]
     upcoming_diag = upcoming.reshape(-1)[:: n + 1]
 
     steps, converged = params.max_steps, False
     for k in range(params.max_steps):
-        _rate_into(f, current, tt, params, coop, gap, row_coop)
-        np.multiply(dt, f, out=coop)
-        np.add(current, coop, out=upcoming)
-        np.maximum(upcoming, 0.0, out=upcoming)
-        np.minimum(upcoming, v, out=upcoming)
+        _rate_into(f, f_diag, current, t, alpha, beta, coop, gap, row_coop)
+        multiply(dt, f, out=coop)
+        add(current, coop, out=upcoming)
+        maximum(upcoming, 0.0, out=upcoming)
+        minimum(upcoming, v, out=upcoming)
         upcoming_diag.fill(0.0)
-        np.subtract(upcoming, current, out=gap)
-        np.absolute(gap, out=gap)
-        delta = np.maximum.reduce(gap, axis=None)
+        subtract(upcoming, current, out=change)
+        absolute(moves, out=moves)
+        peak = peaks[k]
+        max_reduce(moves, axis=(1, 2), out=peak)
         current, upcoming = upcoming, current
         current_diag, upcoming_diag = upcoming_diag, current_diag
-
-        np.add.reduce(current, axis=1, out=row_sums[k])
-        np.absolute(f, out=f)
-        peaks[k] = np.maximum.reduce(f, axis=None)
-        if delta < threshold:
+        add_reduce(current, axis=1, out=row_sums[k])
+        if peak[1] < threshold:
             steps, converged = k + 1, True
             break
 
     sums = row_sums[:steps]
-    max_rhs = peaks[:steps].tolist()
-    columns = (sums.min(axis=1), sums.sum(axis=1) / n, sums.max(axis=1))
-    trace = list(zip(range(1, steps + 1), max_rhs, *(c.tolist() for c in columns)))
-    return WeightMatrix(current), EvolveReport(steps, converged, max_rhs[-1], trace)
+    table = np.column_stack((peaks[:steps, 0], sums.min(axis=1), sums.sum(axis=1) / n, sums.max(axis=1)))
+    return WeightMatrix(current), EvolveReport(steps, converged, float(table[-1, 0]), table)

@@ -61,7 +61,7 @@ from .patterns import (
     save_pattern_csv,
     write_table,
 )
-from .plasticity import EvolveReport, PlasticityParams, evolve_weights
+from .plasticity import STEP_FRACTION, EvolveReport, PlasticityParams, evolve_weights
 
 # Experiment scenario constants.
 NOISE_LEVEL = 0.2
@@ -435,15 +435,16 @@ class ConfigKey:
     """One flat config key: the dataclass field it sets and its help text.
 
     The field's default decides how the key is parsed and echoed (bool,
-    int, float or a plain string); fields without a default are integers.
-    The grid sides rows and cols both set ``grid``, in that order.  A
-    field left at None is not echoed.
+    int, float or a plain string); a field without a default, or with
+    None, takes ``unset_kind``.  The grid sides rows and cols both set
+    ``grid``, in that order.  A field left at None is not echoed.
     """
 
     key: str
     owner: type
     help: str
     attr: str = ""  # the owner's field, when its name is not the key
+    unset_kind: type = int
 
     @property
     def field(self) -> str:
@@ -452,7 +453,7 @@ class ConfigKey:
     @property
     def kind(self) -> type:
         default = getattr(self.owner, self.field, None)
-        return int if default is None else type(default)
+        return self.unset_kind if default is None else type(default)
 
     def parse(self, raw: str) -> bool | int | float | str:
         if self.kind is bool:
@@ -488,8 +489,13 @@ CONFIG_KEYS: tuple[ConfigKey, ...] = (
     ConfigKey("alpha", PlasticityParams, "uniform-decay rate of the weight rule"),
     ConfigKey("beta", PlasticityParams, "competition gain of the weight rule"),
     ConfigKey("v", PlasticityParams, "saturation ceiling on excitatory weights"),
-    ConfigKey("dt", PlasticityParams, "Euler step of weight evolution"),
-    ConfigKey("max_steps", PlasticityParams, "step budget per presentation"),
+    ConfigKey(
+        "dt",
+        PlasticityParams,
+        f"fixed Euler step of weight evolution (unset: {STEP_FRACTION} of the tensor's stability bound)",
+        unset_kind=float,
+    ),
+    ConfigKey("max_steps", PlasticityParams, "cap on Euler steps per presentation, which stops at quiescence"),
     ConfigKey("tol", PlasticityParams, "quiescence tolerance on weight change"),
     ConfigKey("swarm_b", SwarmParams, "attraction amplitude", "b"),
     ConfigKey("swarm_gamma", SwarmParams, "attraction falloff with squared distance", "gamma"),
@@ -613,6 +619,8 @@ def load_model(model_dir: str | Path) -> Model:
             stored.append((int(name[1]), f, label))
         for _, f, label in sorted(stored):
             p = load_pattern_csv(f)
+            if p.n != config.n:
+                raise FormatError(f"template {f} has {p.n} values but config says n={config.n}")
             model.templates.append(Pattern(p.values, grid=p.grid, label=label))
     return model
 
@@ -649,6 +657,11 @@ def _emit(report: ExperimentReport, out: Path | None, name: str, writer: Callabl
     out.mkdir(parents=True, exist_ok=True)
     writer(out / name)
     report.artifacts.append(name)
+
+
+def _converged_fraction(reports: Sequence[EvolveReport]) -> float:
+    """Share of the evolutions that reached quiescence within max_steps."""
+    return sum(r.converged for r in reports) / len(reports)
 
 
 def _scenario_grid(config: TrainerConfig) -> tuple[int, int]:
@@ -699,7 +712,6 @@ def _experiment_evolve1d(
         boundary="periodic",
         use_firefly=False,
         hand_wired_neighbors=config.hand_wired_neighbors or 3,
-        plasticity=replace(config.plasticity, max_steps=max(config.plasticity.max_steps, 20000)),
     )
     model = init_model(scfg)
     w_initial = model.weights.w
@@ -733,6 +745,7 @@ def _experiment_evolve1d(
         "nearest_over_third_margin": margin,
         "row_sum_min": float(row_sums.min()),
         "row_sum_max": float(row_sums.max()),
+        "converged_fraction": _converged_fraction([evo]),
     }
     report.rows = [
         {
@@ -740,6 +753,7 @@ def _experiment_evolve1d(
             "nearest": float(w_final[i, (i + 1) % n]),
             "third": float(w_final[i, (i + 3) % n]),
             "row_sum": float(row_sums[i]),
+            "converged_fraction": report.metrics["converged_fraction"],
         }
         for i in range(n)
     ]
@@ -767,6 +781,7 @@ def _experiment_recall2d(
     compare how faithfully the network echoes it back."""
     report = ExperimentReport(name="recall2d")
     diffs, cos_with, cos_without = [], [], []
+    history: list[EvolveReport] = []
     for order, seed in enumerate(seeds):
         rows, cols = _scenario_grid(config)
         pattern = _random_bump(config, _rng(seed, _STREAM_PATTERN), label="stored")
@@ -780,8 +795,16 @@ def _experiment_recall2d(
         diffs.append(cw - cwo)
         cos_with.append(cw)
         cos_without.append(cwo)
+        seed_history = outputs[True][2].history + outputs[False][2].history
+        history += seed_history
         report.rows.append(
-            {"seed": int(seed), "cos_with": cw, "cos_without": cwo, "paired_diff": cw - cwo}
+            {
+                "seed": int(seed),
+                "cos_with": cw,
+                "cos_without": cwo,
+                "paired_diff": cw - cwo,
+                "converged_fraction": _converged_fraction(seed_history),
+            }
         )
         if order == 0:
             _emit(report, out, "pattern_input.csv", lambda p: save_pattern_csv(pattern, p))
@@ -800,6 +823,7 @@ def _experiment_recall2d(
         "median_cos_with": float(np.median(cos_with)),
         "median_cos_without": float(np.median(cos_without)),
         "seeds": len(list(seeds)),
+        "converged_fraction": _converged_fraction(history),
     }
     return report
 
@@ -810,10 +834,12 @@ def _corruption_experiment(
     """Shared driver for denoise (noisy cue) and complete (masked cue)."""
     report = ExperimentReport(name=name)
     improvements = []
+    history: list[EvolveReport] = []
     for order, seed in enumerate(seeds):
         scfg = replace(config, grid=_scenario_grid(config), master_seed=seed)
         templates = _distinct_bumps(scfg, _rng(seed, _STREAM_PATTERN), scfg.pattern_count)
         model = train(init_model(scfg), templates)
+        history += model.history
         for k, template in enumerate(templates):
             if name == "denoise":
                 cue = add_noise(template, NOISE_LEVEL, _int_seed(seed, _STREAM_NOISE, k))
@@ -835,6 +861,7 @@ def _corruption_experiment(
                     "output_cosine": float(metrics.cosine),
                     "improvement": float(gain),
                     "best_match": metrics.best_match_label or "",
+                    "converged_fraction": _converged_fraction(model.history),
                 }
             )
             if order == 0 and k == 0:
@@ -853,6 +880,7 @@ def _corruption_experiment(
         "mean_improvement": float(np.mean(improvements)),
         "fraction_improved": float(np.mean([g > 0.0 for g in improvements])),
         "seeds": len(list(seeds)),
+        "converged_fraction": _converged_fraction(history),
     }
     return report
 
@@ -864,10 +892,12 @@ def _experiment_fused(
     network should answer roughly equidistant from both."""
     report = ExperimentReport(name="fused")
     gaps = []
+    history: list[EvolveReport] = []
     for order, seed in enumerate(seeds):
         scfg = replace(config, grid=_scenario_grid(config), master_seed=seed, pattern_count=2)
         t1, t2 = _distinct_bumps(scfg, _rng(seed, _STREAM_PATTERN), 2)
         model = train(init_model(scfg), [t1, t2])
+        history += model.history
         cue = fuse(t1, t2, 1.0, 1.0)
         output, _ = recall(model, cue)
         c1, c2 = cosine(output, t1), cosine(output, t2)
@@ -882,6 +912,7 @@ def _experiment_fused(
                 "gap": float(abs(c1 - c2)),
                 "skew_cos_t1": float(cosine(skew_out, t1)),
                 "skew_cos_t2": float(cosine(skew_out, t2)),
+                "converged_fraction": _converged_fraction(model.history),
             }
         )
         if order == 0:
@@ -893,6 +924,7 @@ def _experiment_fused(
         "median_gap": float(np.median(gaps)),
         "gap_target": FUSED_GAP_TARGET,
         "seeds": len(list(seeds)),
+        "converged_fraction": _converged_fraction(history),
     }
     return report
 
@@ -950,11 +982,13 @@ def _experiment_digits(
     correct_cues = 0
     total_cues = 0
     perfect_seeds = 0
+    history: list[EvolveReport] = []
     for order, seed in enumerate(seeds):
         scfg = replace(
             config, n=templates[0].n, grid=templates[0].grid, master_seed=seed, pattern_count=len(templates)
         )
         model = train(init_model(scfg), templates)
+        history += model.history
         seed_ok = True
         for k, template in enumerate(templates):
             cue = add_noise(template, NOISE_LEVEL, _int_seed(seed, _STREAM_NOISE, k))
@@ -970,6 +1004,7 @@ def _experiment_digits(
                     "best_match": metrics.best_match_label or "",
                     "correct": int(hit),
                     "output_cosine_true": float(cosine(output, template)),
+                    "converged_fraction": _converged_fraction(model.history),
                 }
             )
             if order == 0:
@@ -983,6 +1018,7 @@ def _experiment_digits(
         "cue_accuracy": correct_cues / max(total_cues, 1),
         "perfect_seeds": perfect_seeds,
         "seeds": n_seeds,
+        "converged_fraction": _converged_fraction(history),
     }
     return report
 

@@ -18,6 +18,7 @@ import numpy as np
 from fireflynet.dynamics import truncated_resolvent
 from fireflynet.errors import ParameterError, ShapeMismatchError
 from fireflynet.patterns import Pattern, active_set, cosine, mask, relative_threshold
+from fireflynet.plasticity import STEP_FRACTION
 from fireflynet.trainer import RecallMetrics
 
 
@@ -204,7 +205,9 @@ def evolve_reference(w, t, params) -> tuple[np.ndarray, list, int, bool, float]:
     """The plain clamped Euler loop, one fresh array per operation.
 
     Returns (weights, trace, steps, converged, final_max_rhs) with the
-    meanings of ``EvolveReport``.  Every step evaluates
+    meanings of ``EvolveReport``.  dt is params.dt when set, else
+    STEP_FRACTION / (alpha * n + beta * max|T|), or 1 when that
+    denominator is 0.  Every step evaluates
       f = alpha * (1 - n * w) + (beta * w) * (T - rowsum(w * T)),
     zeroes f's diagonal, clamps w + dt * f into [0, v], zeroes the
     diagonal again and stops once the largest weight change falls below
@@ -214,13 +217,17 @@ def evolve_reference(w, t, params) -> tuple[np.ndarray, list, int, bool, float]:
     tt = np.asarray(t, dtype=float)
     current = np.array(w, dtype=float)
     n = current.shape[0]
+    dt = params.dt
+    if dt is None:
+        rate = params.alpha * n + params.beta * float(np.max(np.abs(tt)))
+        dt = STEP_FRACTION / rate if rate > 0.0 else 1.0
     trace = []
     steps, converged, final_max_rhs = 0, False, 0.0
     for step in range(1, params.max_steps + 1):
         row_coop = np.sum(current * tt, axis=1, keepdims=True)
         f = params.alpha * (1.0 - n * current) + params.beta * current * (tt - row_coop)
         np.fill_diagonal(f, 0.0)
-        proposed = np.clip(current + params.dt * f, 0.0, params.v)
+        proposed = np.clip(current + dt * f, 0.0, params.v)
         np.fill_diagonal(proposed, 0.0)
         delta = float(np.abs(proposed - current).max())
         current = proposed
@@ -232,7 +239,7 @@ def evolve_reference(w, t, params) -> tuple[np.ndarray, list, int, bool, float]:
         )
         steps = step
         final_max_rhs = max_rhs
-        if delta < params.tol * params.dt:
+        if delta < params.tol * dt:
             converged = True
             break
     return current, trace, steps, converged, final_max_rhs

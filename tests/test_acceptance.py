@@ -159,6 +159,7 @@ def test_criterion_07_recall_cleans_noisy_cues():
     cfg = TrainerConfig(n=25, grid=(5, 5), use_firefly=True, pattern_count=3)
     report = run_experiment(cfg, "denoise", seeds=range(20))
     assert report.metrics["median_improvement"] > 0.0
+    assert report.metrics["converged_fraction"] >= 0.99
     assert time.perf_counter() - t0 < 30.0
 
 
@@ -167,6 +168,7 @@ def test_criterion_08_recall_completes_masked_cues():
     cfg = TrainerConfig(n=25, grid=(5, 5), use_firefly=True, pattern_count=3)
     report = run_experiment(cfg, "complete", seeds=range(20))
     assert report.metrics["median_improvement"] > 0.0
+    assert report.metrics["converged_fraction"] >= 0.99
     assert time.perf_counter() - t0 < 30.0
 
 
@@ -174,6 +176,7 @@ def test_criterion_09_swarm_topology_does_not_hurt_recall():
     cfg = TrainerConfig(n=100, grid=(10, 10), use_firefly=True)
     report = run_experiment(cfg, "recall2d", seeds=range(20))
     assert report.metrics["median_paired_diff"] >= 0.0
+    assert report.metrics["converged_fraction"] >= 0.99
 
 
 def test_criterion_10_digit_cues_find_their_labels():
@@ -181,6 +184,7 @@ def test_criterion_10_digit_cues_find_their_labels():
     cfg = TrainerConfig(n=121, grid=(11, 11), use_firefly=True)
     report = run_experiment(cfg, "digits", seeds=range(20))
     assert report.metrics["perfect_seeds"] >= 18
+    assert report.metrics["converged_fraction"] >= 0.99
     assert time.perf_counter() - t0 < 60.0
 
 

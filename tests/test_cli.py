@@ -164,6 +164,20 @@ def test_recall_reports_broken_cue_files(tmp_path, capsys):
     assert "data error" in err and "cue.csv" in err
 
 
+def test_recall_rejects_a_stored_template_of_the_wrong_length(tmp_path, capsys):
+    model_dir = train_small_model(tmp_path)
+    template = model_dir / "templates" / "t0_p0.csv"
+    save_pattern_csv(Pattern(np.ones(4), grid=(2, 2)), template)
+    cue = tmp_path / "cue.csv"
+    save_pattern_csv(gaussian_2d(3, 3, 1.0, 1.0, 1.0, 1.0), cue)
+    out = tmp_path / "r"
+    code = main(["recall", "--model", str(model_dir), "--cue", str(cue), "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: template ") and str(template) in err and "n=9" in err
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def swarm_model(tmp_path_factory):
     """A small trained model that has every saved file, population.csv too."""

@@ -352,6 +352,33 @@ def test_spacing_matches_the_pair_loop_oracle_bit_for_bit(points, d_min, converg
     assert pop.rng.random() == ref_rng.random()
 
 
+@st.composite
+def settle_inputs(draw):
+    """A crowd in the unit square, some agents on a wall or in a corner and
+    some sharing a position, with a spacing that may not fit them all."""
+    count = draw(st.integers(2, 16))
+    coordinate = st.one_of(st.sampled_from([0.0, 1.0, 0.5]), st.floats(0.0, 1.0))
+    points = draw(arrays(np.float64, (count, 2), elements=coordinate))
+    for k in range(draw(st.integers(0, count - 1))):  # copy agents onto others
+        points[draw(st.integers(0, count - 1))] = points[draw(st.integers(0, count - 1))]
+    return points, draw(st.floats(0.01, 0.6)), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(deadline=None, max_examples=60)
+@given(settle_inputs())
+def test_spacing_matches_the_pair_loop_oracle_for_generated_populations(inputs):
+    points, d_min, seed = inputs
+    pop = manual_population(points, [True] * len(points), SwarmParams(d_min=d_min), seed=seed)
+    ref_rng = np.random.default_rng(seed)
+    expected, expected_converged = settle_loops(
+        points, d_min, ref_rng, MAX_SETTLE_SWEEPS, SETTLE_EPS, SETTLE_OVERSHOOT
+    )
+    enforce_min_distance(pop)
+    assert np.array_equal(pop.positions, np.asarray(expected))
+    assert pop.settle_converged == expected_converged
+    assert pop.rng.random() == ref_rng.random()
+
+
 def test_spacing_disabled_is_a_no_op():
     pop = manual_population([[0.5, 0.5], [0.5, 0.5]], [True, True], SwarmParams(d_min=0.0))
     before = pop.positions.copy()

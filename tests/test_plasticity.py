@@ -12,6 +12,7 @@ from fireflynet.dynamics import (
 )
 from fireflynet.errors import ParameterError, ShapeMismatchError
 from fireflynet.plasticity import (
+    STEP_FRACTION,
     PlasticityParams,
     evolve_weights,
     haeussler_rhs,
@@ -66,6 +67,8 @@ def test_params_validate_their_domains():
     with pytest.raises(ParameterError):
         PlasticityParams(dt=0.0)
     with pytest.raises(ParameterError):
+        PlasticityParams(dt=float("nan"))
+    with pytest.raises(ParameterError):
         PlasticityParams(max_steps=0)
     with pytest.raises(ParameterError):
         PlasticityParams(tol=0.0)
@@ -80,6 +83,20 @@ def test_params_reject_unstable_steps():
     params.check_stability(4, 0.0)
     with pytest.raises(ParameterError):
         params.check_stability(4, 150.0)
+
+
+def test_an_unset_dt_takes_its_share_of_the_stability_bound():
+    t = gram_tensor(6, 2)
+    params = PlasticityParams(alpha=0.05, beta=2.0)
+    assert params.step(6, t) == STEP_FRACTION / (0.05 * 6 + 2.0 * float(np.abs(t).max()))
+    params.check_stability(6, 1e9)  # a derived step needs no check
+    # a rate that is identically zero, or below resolution, takes step 1
+    assert PlasticityParams(alpha=0.0).step(6, zero_tensor(6)) == 1.0
+    assert PlasticityParams(alpha=5e-324, beta=0.0).step(6, zero_tensor(6)) == 1.0
+    # a set dt is used as it is, once it passes the stability check
+    assert PlasticityParams(dt=0.01).step(6, t) == 0.01
+    with pytest.raises(ParameterError, match="unstable step"):
+        PlasticityParams(dt=0.01).step(6, t * (200.0 / t.max()))
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +202,7 @@ def test_single_step_composes_clamp_and_rate():
     params = PlasticityParams(max_steps=1)
     wf, report = evolve_weights(WeightMatrix(w0), tensor, params)
     f = haeussler_rhs(WeightMatrix(w0), tensor, params)
-    unclamped = w0 + params.dt * f
+    unclamped = w0 + params.step(n, tensor) * f
     assert unclamped[0, 1] > params.v
     expected = np.clip(unclamped, 0.0, params.v)
     np.fill_diagonal(expected, 0.0)
@@ -243,30 +260,51 @@ def test_non_convergence_is_reported_not_raised():
 
 EVOLUTION_CASES = {
     # one cell: the rate is all diagonal, so the first step changes nothing
-    "n1-converges": (np.zeros((1, 1)), gram_tensor(1, 3), PlasticityParams(), True),
+    "n1-converges": (np.zeros((1, 1)), gram_tensor(1, 3), PlasticityParams(dt=0.01), True),
     "n25-converges": (
         uniform_weights(25).w,
         gram_tensor(25, 5, unit_rows=True),
-        PlasticityParams(alpha=0.1, beta=0.7, max_steps=2000),
+        PlasticityParams(alpha=0.1, beta=0.7, dt=0.01, max_steps=2000),
         True,
     ),
     "n25-clamps": (
         *clamping_case(25, 0, 0.9, 1.3),
-        PlasticityParams(alpha=0.0, beta=1.3),
+        PlasticityParams(alpha=0.0, beta=1.3, dt=0.01, max_steps=400),
         False,
     ),
     # n = 129 rows cross numpy's 128-element pairwise-summation block
     "n129-clamps": (
         *clamping_case(129, 0, 0.5, 0.7),
-        PlasticityParams(alpha=0.0, beta=0.7, max_steps=60),
+        PlasticityParams(alpha=0.0, beta=0.7, dt=0.01, max_steps=60),
         False,
     ),
     "n129-budget": (
         uniform_weights(129).w,
         gram_tensor(129, 7, unit_rows=True),
-        PlasticityParams(max_steps=60),
+        PlasticityParams(dt=0.01, max_steps=60),
         False,
     ),
+    # the step derived from the tensor
+    "n1-derived-converges": (np.zeros((1, 1)), gram_tensor(1, 3), PlasticityParams(), True),
+    "n25-derived-converges": (
+        uniform_weights(25).w,
+        gram_tensor(25, 5, unit_rows=True),
+        PlasticityParams(alpha=0.1, beta=0.7),
+        True,
+    ),
+    "n25-derived-clamps": (
+        *clamping_case(25, 0, 0.9, 1.3),
+        PlasticityParams(alpha=0.0, beta=1.3, max_steps=400),
+        False,
+    ),
+    "n129-derived-converges": (
+        uniform_weights(129).w,
+        gram_tensor(129, 7, unit_rows=True),
+        PlasticityParams(),
+        True,
+    ),
+    # alpha = 0 and a zero tensor: the rate is identically zero and the step is 1
+    "n6-derived-zero-rate": (uniform_weights(6).w, zero_tensor(6), PlasticityParams(alpha=0.0), True),
 }
 
 
@@ -287,10 +325,11 @@ def test_evolution_matches_the_reference_bit_for_bit(case):
 
 @st.composite
 def evolution_inputs(draw):
-    """Start weights in [0, v] and a Gram tensor inside the stability bound."""
+    """Start weights in [0, v] and a Gram tensor inside the stability bound
+    of a set dt, or any Gram tensor when dt is left to be derived."""
     n = draw(st.integers(1, 12))
     v = draw(st.floats(0.05, 1.0))
-    dt = draw(st.sampled_from([0.001, 0.01, 0.05]))
+    dt = draw(st.sampled_from([None, 0.001, 0.01, 0.05]))
     alpha = draw(st.floats(0.0, 1.0))
     beta = draw(st.floats(0.0, 5.0))
     params = PlasticityParams(alpha=alpha, beta=beta, v=v, dt=dt, max_steps=draw(st.integers(1, 50)))
@@ -298,11 +337,12 @@ def evolution_inputs(draw):
     np.fill_diagonal(w, 0.0)
     x = draw(arrays(np.float64, (n, draw(st.integers(1, n))), elements=st.floats(-1.0, 1.0)))
     t_mat = x @ x.T
-    # let beta * max T spend at most 99% of what dt * alpha * n leaves of
-    # the stability budget, scaling the tensor down where it overspends
-    limit = draw(st.floats(0.0, 0.99)) * (1.0 - dt * alpha * n) / dt
-    if beta * t_mat.max() > limit:
-        t_mat *= limit / (beta * t_mat.max())
+    if dt is not None:
+        # let beta * max T spend at most 99% of what dt * alpha * n leaves of
+        # the stability budget, scaling the tensor down where it overspends
+        limit = draw(st.floats(0.0, 0.99)) * (1.0 - dt * alpha * n) / dt
+        if beta * t_mat.max() > limit:
+            t_mat *= limit / (beta * t_mat.max())
     return w, t_mat, params
 
 

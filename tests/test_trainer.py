@@ -478,6 +478,16 @@ def test_config_round_trips_through_text():
     assert back == cfg
 
 
+def test_an_unset_dt_is_left_out_of_the_echo_and_a_set_one_parses_as_a_float():
+    kv = config_to_dict(TrainerConfig(n=9))
+    assert "dt" not in kv and kv["max_steps"] == "1000"
+    assert config_from_dict(kv).plasticity.dt is None
+    assert config_from_dict({"n": "9", "dt": "1"}).plasticity.dt == 1.0
+    assert config_from_dict({"n": "9", "dt": "0.01"}).plasticity == PlasticityParams(dt=0.01)
+    # an unset dt skips the stability check a set one has to pass
+    TrainerConfig(n=100, plasticity=PlasticityParams(alpha=1.0))
+
+
 def test_hand_wired_config_round_trips():
     cfg = TrainerConfig(n=10, hand_wired_neighbors=2)
     back = config_from_dict(parse_kv_text(format_kv(config_to_dict(cfg))))
@@ -638,7 +648,7 @@ def test_evolve1d_artifacts_are_readable(tmp_path):
     assert int(j) == 12 and float(final) == w_final[12, 12]
     assert (tmp_path / "report.txt").read_text().startswith("experiment = evolve1d")
     header = (tmp_path / "metrics.csv").read_text().splitlines()[0]
-    assert header == "i,nearest,third,row_sum"
+    assert header == "i,nearest,third,row_sum,converged_fraction"
     load_image(tmp_path / "w_matrix_final.pgm")
 
 
