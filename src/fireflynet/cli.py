@@ -173,6 +173,8 @@ def _run_seeds(run_kv: dict[str, str], config: TrainerConfig) -> list[int]:
             raise ConfigError(f"seeds: expected comma list of ints, got {run_kv['seeds']!r}") from exc
         if not seeds:
             raise ConfigError("seeds: empty list")
+        if min(seeds) < 0:
+            raise ConfigError(f"seeds must be >= 0, got {min(seeds)}")
         return seeds
     if "seed_count" in run_kv:
         try:

@@ -11,9 +11,9 @@ Growth is bounded by a hard saturation ceiling v.  Integration is
 forward Euler, clamping into [0, v] after every step, so the excitatory
 range is invariant under evolution and a weight driven past v is held
 at v.  The step is STEP_FRACTION of the stability bound that the
-presentation's tensor allows, unless a fixed dt is set, and evolution
-runs until the weights stop moving: the learned state is the rule's
-fixed point, not a transient cut off by the step budget.
+presentation's tensor allows, and evolution runs until the weights stop
+moving: the learned state is the rule's fixed point, not a transient cut
+off by the step budget.
 """
 
 from __future__ import annotations
@@ -37,19 +37,15 @@ STEP_FRACTION = 0.9
 class PlasticityParams:
     """Rule constants plus integration controls.
 
-    dt left unset (None) makes each evolution derive its step from its
-    tensor, STEP_FRACTION of the stability bound (see ``step``); a set dt
-    is a fixed step and must satisfy dt * (alpha * n + beta * max T) < 1
-    to keep the linearized update contractive, which ``check_stability``
-    tests once n and the correlation tensor's peak are known.  max_steps
-    caps the Euler steps of one evolution; at the derived step 1,000 lets
-    more than 99% of presentations reach quiescence.
+    Each evolution derives its Euler step from its tensor, STEP_FRACTION
+    of the stability bound (see ``step``).  max_steps caps the Euler
+    steps of one evolution; at the derived step 1,000 lets more than 99%
+    of presentations reach quiescence.
     """
 
     alpha: float = 0.01
     beta: float = 1.0
     v: float = 0.5
-    dt: float | None = None
     max_steps: int = 1000
     tol: float = 1e-6
 
@@ -58,38 +54,20 @@ class PlasticityParams:
             raise ParameterError(f"alpha and beta must be >= 0, got ({self.alpha}, {self.beta})")
         if self.v <= 0.0:
             raise ParameterError(f"saturation ceiling v must be > 0, got {self.v}")
-        if self.dt is not None and not self.dt > 0.0:  # NaN included
-            raise ParameterError(f"dt must be > 0, got {self.dt}")
         if self.max_steps < 1:
             raise ParameterError(f"max_steps must be >= 1, got {self.max_steps}")
         if self.tol <= 0.0:
             raise ParameterError(f"tol must be > 0, got {self.tol}")
 
-    def check_stability(self, n: int, t_max: float) -> None:
-        """Stability guard for a set dt, n cells and a tensor whose peak
-        entry is t_max.  An unset dt passes: the derived step sits inside
-        the bound by construction."""
-        if self.dt is None:
-            return
-        margin = self.dt * (self.alpha * n + self.beta * max(t_max, 0.0))
-        if margin >= 1.0:
-            raise ParameterError(
-                f"unstable step: dt*(alpha*n + beta*maxT) = {margin:g} >= 1; reduce dt"
-            )
-
     def step(self, n: int, t: np.ndarray) -> float:
-        """The Euler step for n cells under the tensor t.
-
-        A set dt passes ``check_stability`` and is used as it is.  Unset,
-        the step is STEP_FRACTION / (alpha * n + beta * max|T|); max|T| is
-        max T for the positive semi-definite tensors that
-        ``correlation_tensor`` makes.  Where that denominator is 0 (or so
-        small that the quotient overflows) the rate is identically zero
-        (or below resolution) and the step is 1.
+        """The Euler step for n cells under the tensor t:
+        STEP_FRACTION / (alpha * n + beta * max|T|), which keeps
+        dt * (alpha * n + beta * max T) < 1 and so the linearized update
+        contractive; max|T| is max T for the positive semi-definite
+        tensors that ``correlation_tensor`` makes.  Where that denominator
+        is 0 (or so small that the quotient overflows) the rate is
+        identically zero (or below resolution) and the step is 1.
         """
-        if self.dt is not None:
-            self.check_stability(n, float(t.max()) if t.size else 0.0)
-            return self.dt
         rate = self.alpha * n + self.beta * (float(np.absolute(t).max()) if t.size else 0.0)
         dt = STEP_FRACTION / rate if rate > 0.0 else 1.0
         return dt if math.isfinite(dt) else 1.0
@@ -180,23 +158,23 @@ def evolve_weights(
     """Integrate the rule until quiescence or the step budget runs out.
 
     The Euler step comes from ``PlasticityParams.step``: STEP_FRACTION
-    of the stability bound for this tensor, or the set dt.  Convergence
-    criterion: the largest actual weight change in a step falls below
-    tol * dt.  Weights are clamped into [0, v] after every step, so the
-    returned matrix always satisfies the excitatory range invariant
-    regardless of where the integration stopped.
+    of the stability bound for this tensor.  Convergence criterion: the
+    largest actual weight change in a step falls below tol * dt.  Weights
+    are clamped into [0, v] after every step, so the returned matrix
+    always satisfies the excitatory range invariant regardless of where
+    the integration stopped.
 
-    The step allocates nothing: the current and next weights ping-pong
-    between two buffers, the rate and the weight change share one
-    (2, n, n) buffer so that one absolute value and one max-reduction
-    give both max |f| and the step's largest change, and the per-step row
-    sums and maxima land in arrays that the report's table is built from
-    after the loop.  The rate keeps the grouping alpha * (1 - n * w) +
-    (beta * w) * (T - row_coop) op for op (see ``_rate_into``), the clamp
-    is max with 0 then min with v, and the trace's mean row sum is the
-    row-sum vector's pairwise sum over n, as numpy's mean computes it;
-    that order fixes the result bits that the byte-determinism checks
-    compare.
+    The step allocates nothing but the records' growth: the current and
+    next weights ping-pong between two buffers, the rate and the weight
+    change share one (2, n, n) buffer so that one absolute value and one
+    max-reduction give both max |f| and the step's largest change, and
+    the per-step row sums and maxima land in records that the report's
+    table is built from after the loop; those start at 64 rows and
+    double when full.  The rate keeps the grouping alpha * (1 - n * w) + (beta * w) * (T -
+    row_coop) op for op (see ``_rate_into``), the clamp is max with 0
+    then min with v, and the trace's mean row sum is the row-sum vector's
+    pairwise sum over n, as numpy's mean computes it; that order fixes
+    the result bits that the byte-determinism checks compare.
     """
     _check_sizes(w, t)
     if np.any(w.w < 0.0) or np.any(w.w > params.v):
@@ -218,8 +196,9 @@ def evolve_weights(
     coop = np.empty_like(current)  # w * T, then the cooperation term, then dt * f
     gap = np.empty_like(current)  # T - row_coop
     row_coop = np.empty((n, 1))
-    row_sums = np.empty((params.max_steps, n))
-    peaks = np.empty((params.max_steps, 2))  # max |f| and the largest change, per step
+    # per-step records, sized by the steps run rather than by the cap
+    row_sums = np.empty((min(params.max_steps, 64), n))
+    peaks = np.empty((len(row_sums), 2))  # max |f| and the largest change, per step
     # the diagonals as strided views: every (n+1)-th element of the flat buffer
     f_diag = f.reshape(-1)[:: n + 1]
     current_diag = current.reshape(-1)[:: n + 1]
@@ -227,6 +206,8 @@ def evolve_weights(
 
     steps, converged = params.max_steps, False
     for k in range(params.max_steps):
+        if k == len(peaks):  # full: double both records
+            row_sums, peaks = np.concatenate((row_sums, row_sums)), np.concatenate((peaks, peaks))
         _rate_into(f, f_diag, current, t, alpha, beta, coop, gap, row_coop)
         multiply(dt, f, out=coop)
         add(current, coop, out=upcoming)

@@ -61,7 +61,7 @@ from .patterns import (
     save_pattern_csv,
     write_table,
 )
-from .plasticity import STEP_FRACTION, EvolveReport, PlasticityParams, evolve_weights
+from .plasticity import EvolveReport, PlasticityParams, evolve_weights
 
 # Experiment scenario constants.
 NOISE_LEVEL = 0.2
@@ -71,7 +71,6 @@ FUSED_GAP_TARGET = 0.15
 
 BOUNDARIES = ("open", "periodic")
 SCHEDULES = ("onset", "converged")
-EXPERIMENT_NAMES = ("evolve1d", "recall2d", "denoise", "complete", "fused", "digits")
 
 # Seed-stream tags, so every random draw hangs off one master seed.
 _STREAM_WEIGHTS = 0
@@ -127,11 +126,12 @@ class TrainerConfig:
             raise ConfigError(f"boundary must be one of {BOUNDARIES}, got {self.boundary!r}")
         if self.learn_schedule not in SCHEDULES:
             raise ConfigError(f"learn_schedule must be one of {SCHEDULES}, got {self.learn_schedule!r}")
-        self.plasticity.check_stability(self.n, 0.0)
         if not 0.0 <= self.theta_act:
             raise ParameterError(f"theta_act must be >= 0, got {self.theta_act}")
         if self.pattern_count < 1:
             raise ParameterError(f"pattern_count must be >= 1, got {self.pattern_count}")
+        if self.master_seed < 0:
+            raise ParameterError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.epochs < 1:
             raise ParameterError(f"epochs must be >= 1, got {self.epochs}")
         if not 0.0 <= self.topology_mix <= 1.0:
@@ -436,15 +436,14 @@ class ConfigKey:
 
     The field's default decides how the key is parsed and echoed (bool,
     int, float or a plain string); a field without a default, or with
-    None, takes ``unset_kind``.  The grid sides rows and cols both set
-    ``grid``, in that order.  A field left at None is not echoed.
+    None, is an int.  The grid sides rows and cols both set ``grid``, in
+    that order.  A field left at None is not echoed.
     """
 
     key: str
     owner: type
     help: str
     attr: str = ""  # the owner's field, when its name is not the key
-    unset_kind: type = int
 
     @property
     def field(self) -> str:
@@ -453,7 +452,7 @@ class ConfigKey:
     @property
     def kind(self) -> type:
         default = getattr(self.owner, self.field, None)
-        return self.unset_kind if default is None else type(default)
+        return int if default is None else type(default)
 
     def parse(self, raw: str) -> bool | int | float | str:
         if self.kind is bool:
@@ -489,12 +488,6 @@ CONFIG_KEYS: tuple[ConfigKey, ...] = (
     ConfigKey("alpha", PlasticityParams, "uniform-decay rate of the weight rule"),
     ConfigKey("beta", PlasticityParams, "competition gain of the weight rule"),
     ConfigKey("v", PlasticityParams, "saturation ceiling on excitatory weights"),
-    ConfigKey(
-        "dt",
-        PlasticityParams,
-        f"fixed Euler step of weight evolution (unset: {STEP_FRACTION} of the tensor's stability bound)",
-        unset_kind=float,
-    ),
     ConfigKey("max_steps", PlasticityParams, "cap on Euler steps per presentation, which stops at quiescence"),
     ConfigKey("tol", PlasticityParams, "quiescence tolerance on weight change"),
     ConfigKey("swarm_b", SwarmParams, "attraction amplitude", "b"),
@@ -651,12 +644,16 @@ class ExperimentReport:
             write_table(out / "metrics.csv", header, rows)
 
 
-def _emit(report: ExperimentReport, out: Path | None, name: str, writer: Callable[[Path], None]) -> None:
-    if out is None:
-        return
-    out.mkdir(parents=True, exist_ok=True)
-    writer(out / name)
-    report.artifacts.append(name)
+# Where one seed's run writes its artifacts: emit(name, writer) calls
+# writer(out / name) for the first seed of a run with an output directory,
+# and does nothing otherwise.
+Emit = Callable[[str, Callable[[Path], None]], None]
+
+
+def _emit_pattern(emit: Emit, stem: str, pattern: Pattern) -> None:
+    """A pattern artifact as a .csv and .pgm pair."""
+    for suffix in (".csv", ".pgm"):
+        emit(stem + suffix, lambda path: save_image(pattern, path))
 
 
 def _converged_fraction(reports: Sequence[EvolveReport]) -> float:
@@ -684,34 +681,26 @@ def _random_bump(config: TrainerConfig, rng: np.random.Generator, label: str | N
 def _distinct_bumps(config: TrainerConfig, rng: np.random.Generator, count: int) -> list[Pattern]:
     """Gaussian templates on distinct cell centers, labeled t0..t{count-1}."""
     rows, cols = _scenario_grid(config)
-    interior = [
-        (r, c)
-        for r in range(1, rows - 1)
-        for c in range(1, cols - 1)
-    ] or [(r, c) for r in range(rows) for c in range(cols)]
+    interior = [(r, c) for r in range(1, rows - 1) for c in range(1, cols - 1)]
+    interior = interior or [(r, c) for r in range(rows) for c in range(cols)]
     if count > len(interior):
         raise ParameterError(f"cannot place {count} distinct templates on a {rows}x{cols} grid")
     picks = rng.choice(len(interior), size=count, replace=False)
     wrap = config.boundary == "periodic"
-    out = []
-    for k, pick in enumerate(picks):
-        r, c = interior[int(pick)]
-        out.append(
-            gaussian_2d(rows, cols, float(c), float(r), TEMPLATE_SIGMA, TEMPLATE_SIGMA, wrap=wrap, label=f"t{k}")
-        )
-    return out
+    return [
+        gaussian_2d(rows, cols, float(c), float(r), TEMPLATE_SIGMA, TEMPLATE_SIGMA, wrap=wrap, label=f"t{k}")
+        for k, (r, c) in enumerate(interior[int(pick)] for pick in picks)
+    ]
 
 
-def _experiment_evolve1d(
-    config: TrainerConfig, out: Path | None, seeds: Sequence[int]
-) -> ExperimentReport:
+# Each experiment below runs one seed: it appends its rows to the report,
+# writes its artifacts through emit and returns the evolution reports of
+# the models it trained.  run_experiment holds the seed loop.
+
+def _evolve1d(report: ExperimentReport, config: TrainerConfig, seed: int, emit: Emit) -> list[EvolveReport]:
     """Run the weight rule to quiescence on a hand-wired periodic ring."""
     scfg = replace(
-        config,
-        grid=None,
-        boundary="periodic",
-        use_firefly=False,
-        hand_wired_neighbors=config.hand_wired_neighbors or 3,
+        config, grid=None, boundary="periodic", use_firefly=False, hand_wired_neighbors=config.hand_wired_neighbors or 3
     )
     model = init_model(scfg)
     w_initial = model.weights.w
@@ -721,21 +710,16 @@ def _experiment_evolve1d(
 
     n = scfg.n
     idx = np.arange(n)
-    nearest = np.concatenate([w_final[idx, (idx + 1) % n], w_final[idx, (idx - 1) % n]])
-    third = np.concatenate([w_final[idx, (idx + 3) % n], w_final[idx, (idx - 3) % n]])
-    margin = float(
-        np.minimum(
-            w_final[idx, (idx + 1) % n] - w_final[idx, (idx + 3) % n],
-            w_final[idx, (idx - 1) % n] - w_final[idx, (idx - 3) % n],
-        ).min()
-    )
+    at = lambda offset: w_final[idx, (idx + offset) % n]  # w[i, i + offset] around the ring
+    nearest = np.concatenate([at(1), at(-1)])
+    third = np.concatenate([at(3), at(-3)])
+    margin = float(np.minimum(at(1) - at(3), at(-1) - at(-3)).min())
     non_neighbor = w_final.copy()
     non_neighbor[idx, (idx + 1) % n] = np.nan
     non_neighbor[idx, (idx - 1) % n] = np.nan
     np.fill_diagonal(non_neighbor, np.nan)
     row_sums = w_final.sum(axis=1)
 
-    report = ExperimentReport(name="evolve1d")
     report.metrics = {
         "steps": evo.steps,
         "converged": int(evo.converged),
@@ -745,188 +729,112 @@ def _experiment_evolve1d(
         "nearest_over_third_margin": margin,
         "row_sum_min": float(row_sums.min()),
         "row_sum_max": float(row_sums.max()),
-        "converged_fraction": _converged_fraction([evo]),
     }
-    report.rows = [
+    report.rows += [
         {
             "i": int(i),
             "nearest": float(w_final[i, (i + 1) % n]),
             "third": float(w_final[i, (i + 3) % n]),
             "row_sum": float(row_sums[i]),
-            "converged_fraction": report.metrics["converged_fraction"],
         }
         for i in range(n)
     ]
     mid = n // 2
-    _emit(report, out, "w_matrix_initial.csv", lambda p: save_matrix_csv(w_initial, p))
-    _emit(report, out, "w_matrix_final.csv", lambda p: save_matrix_csv(w_final, p))
-    _emit(report, out, "w_matrix_initial.pgm", lambda p: save_matrix_pgm(w_initial, p))
-    _emit(report, out, "w_matrix_final.pgm", lambda p: save_matrix_pgm(w_final, p))
-    _emit(
-        report,
-        out,
+    emit("w_matrix_initial.csv", lambda p: save_matrix_csv(w_initial, p))
+    emit("w_matrix_final.csv", lambda p: save_matrix_csv(w_final, p))
+    emit("w_matrix_initial.pgm", lambda p: save_matrix_pgm(w_initial, p))
+    emit("w_matrix_final.pgm", lambda p: save_matrix_pgm(w_final, p))
+    emit(
         f"weight_row_{mid}.csv",
         lambda p: write_table(
             p, ("j", "initial", "final"), [(j, float(w_initial[mid, j]), float(w_final[mid, j])) for j in range(n)]
         ),
     )
-    _emit(report, out, "trace.csv", lambda p: evo.save_trace_csv(p))
-    return report
+    emit("trace.csv", evo.save_trace_csv)
+    return [evo]
 
 
-def _experiment_recall2d(
-    config: TrainerConfig, out: Path | None, seeds: Sequence[int]
-) -> ExperimentReport:
-    """Store one random bump per seed, with and without the swarm, and
-    compare how faithfully the network echoes it back."""
-    report = ExperimentReport(name="recall2d")
-    diffs, cos_with, cos_without = [], [], []
-    history: list[EvolveReport] = []
-    for order, seed in enumerate(seeds):
-        rows, cols = _scenario_grid(config)
-        pattern = _random_bump(config, _rng(seed, _STREAM_PATTERN), label="stored")
-        outputs = {}
-        for flag in (True, False):
-            scfg = replace(config, grid=(rows, cols), use_firefly=flag, master_seed=seed)
-            model = train(init_model(scfg), [pattern])
-            output, metrics = recall(model, pattern)
-            outputs[flag] = (output, float(cosine(output, pattern)), model)
-        cw, cwo = outputs[True][1], outputs[False][1]
-        diffs.append(cw - cwo)
-        cos_with.append(cw)
-        cos_without.append(cwo)
-        seed_history = outputs[True][2].history + outputs[False][2].history
-        history += seed_history
+def _recall2d(report: ExperimentReport, config: TrainerConfig, seed: int, emit: Emit) -> list[EvolveReport]:
+    """Store one random bump, with and without the swarm, and compare how
+    faithfully the network echoes it back."""
+    grid = _scenario_grid(config)
+    pattern = _random_bump(config, _rng(seed, _STREAM_PATTERN), label="stored")
+    models = [
+        train(init_model(replace(config, grid=grid, use_firefly=flag, master_seed=seed)), [pattern])
+        for flag in (True, False)
+    ]
+    outputs = [recall(model, pattern)[0] for model in models]
+    cw, cwo = (float(cosine(output, pattern)) for output in outputs)
+    report.rows.append({"seed": int(seed), "cos_with": cw, "cos_without": cwo, "paired_diff": cw - cwo})
+    _emit_pattern(emit, "pattern_input", pattern)
+    _emit_pattern(emit, "pattern_output_with", outputs[0])
+    _emit_pattern(emit, "pattern_output_without", outputs[1])
+    emit("w_matrix_with.csv", lambda p: save_matrix_csv(models[0].weights.w, p))
+    emit("w_matrix_without.csv", lambda p: save_matrix_csv(models[1].weights.w, p))
+    emit("population.csv", lambda p: save_population_csv(models[0].population, p))
+    return models[0].history + models[1].history
+
+
+def _corruption(report: ExperimentReport, config: TrainerConfig, seed: int, emit: Emit) -> list[EvolveReport]:
+    """Denoise (noisy cue) or complete (masked cue) every stored bump, of
+    three when the config asks for fewer than two."""
+    count = config.pattern_count if config.pattern_count >= 2 else 3
+    scfg = replace(config, grid=_scenario_grid(config), master_seed=seed, pattern_count=count)
+    templates = _distinct_bumps(scfg, _rng(seed, _STREAM_PATTERN), scfg.pattern_count)
+    model = train(init_model(scfg), templates)
+    for k, template in enumerate(templates):
+        if report.name == "denoise":
+            cue = add_noise(template, NOISE_LEVEL, _int_seed(seed, _STREAM_NOISE, k))
+            output, metrics = recall(model, cue, template)
+        else:
+            rng = _rng(seed, _STREAM_MASK, k)
+            masked = rng.choice(scfg.n, size=int(round(MASK_FRACTION * scfg.n)), replace=False)
+            cue = mask(template, masked)
+            output, metrics = complete(model, template, masked)
+        baseline = cosine(cue, template)
         report.rows.append(
             {
                 "seed": int(seed),
-                "cos_with": cw,
-                "cos_without": cwo,
-                "paired_diff": cw - cwo,
-                "converged_fraction": _converged_fraction(seed_history),
+                "template": template.label,
+                "cue_cosine": float(baseline),
+                "output_cosine": float(metrics.cosine),
+                "improvement": float(metrics.cosine - baseline),
+                "best_match": metrics.best_match_label or "",
             }
         )
-        if order == 0:
-            _emit(report, out, "pattern_input.csv", lambda p: save_pattern_csv(pattern, p))
-            _emit(report, out, "pattern_input.pgm", lambda p: save_image(pattern, p))
-            _emit(report, out, "pattern_output_with.csv", lambda p: save_pattern_csv(outputs[True][0], p))
-            _emit(report, out, "pattern_output_with.pgm", lambda p: save_image(outputs[True][0], p))
-            _emit(report, out, "pattern_output_without.csv", lambda p: save_pattern_csv(outputs[False][0], p))
-            _emit(report, out, "pattern_output_without.pgm", lambda p: save_image(outputs[False][0], p))
-            _emit(report, out, "w_matrix_with.csv", lambda p: save_matrix_csv(outputs[True][2].weights.w, p))
-            _emit(report, out, "w_matrix_without.csv", lambda p: save_matrix_csv(outputs[False][2].weights.w, p))
-            pop = outputs[True][2].population
-            if pop is not None:
-                _emit(report, out, "population.csv", lambda p: save_population_csv(pop, p))
-    report.metrics = {
-        "median_paired_diff": float(np.median(diffs)),
-        "median_cos_with": float(np.median(cos_with)),
-        "median_cos_without": float(np.median(cos_without)),
-        "seeds": len(list(seeds)),
-        "converged_fraction": _converged_fraction(history),
-    }
-    return report
+        if k == 0:
+            _emit_pattern(emit, "pattern_clean", template)
+            _emit_pattern(emit, "pattern_cue", cue)
+            _emit_pattern(emit, "pattern_recovered", output)
+            emit("w_matrix_final.csv", lambda p: save_matrix_csv(model.weights.w, p))
+            if model.population is not None:
+                emit("population.csv", lambda p: save_population_csv(model.population, p))
+    return model.history
 
 
-def _corruption_experiment(
-    name: str, config: TrainerConfig, out: Path | None, seeds: Sequence[int]
-) -> ExperimentReport:
-    """Shared driver for denoise (noisy cue) and complete (masked cue)."""
-    report = ExperimentReport(name=name)
-    improvements = []
-    history: list[EvolveReport] = []
-    for order, seed in enumerate(seeds):
-        scfg = replace(config, grid=_scenario_grid(config), master_seed=seed)
-        templates = _distinct_bumps(scfg, _rng(seed, _STREAM_PATTERN), scfg.pattern_count)
-        model = train(init_model(scfg), templates)
-        history += model.history
-        for k, template in enumerate(templates):
-            if name == "denoise":
-                cue = add_noise(template, NOISE_LEVEL, _int_seed(seed, _STREAM_NOISE, k))
-                output, metrics = recall(model, cue, template)
-            else:
-                rng = _rng(seed, _STREAM_MASK, k)
-                n_masked = int(round(MASK_FRACTION * scfg.n))
-                masked = rng.choice(scfg.n, size=n_masked, replace=False)
-                cue = mask(template, masked)
-                output, metrics = complete(model, template, masked)
-            baseline = cosine(cue, template)
-            gain = metrics.cosine - baseline
-            improvements.append(gain)
-            report.rows.append(
-                {
-                    "seed": int(seed),
-                    "template": template.label,
-                    "cue_cosine": float(baseline),
-                    "output_cosine": float(metrics.cosine),
-                    "improvement": float(gain),
-                    "best_match": metrics.best_match_label or "",
-                    "converged_fraction": _converged_fraction(model.history),
-                }
-            )
-            if order == 0 and k == 0:
-                _emit(report, out, "pattern_clean.csv", lambda p: save_pattern_csv(template, p))
-                _emit(report, out, "pattern_clean.pgm", lambda p: save_image(template, p))
-                _emit(report, out, "pattern_cue.csv", lambda p: save_pattern_csv(cue, p))
-                _emit(report, out, "pattern_cue.pgm", lambda p: save_image(cue, p))
-                _emit(report, out, "pattern_recovered.csv", lambda p: save_pattern_csv(output, p))
-                _emit(report, out, "pattern_recovered.pgm", lambda p: save_image(output, p))
-                _emit(report, out, "w_matrix_final.csv", lambda p: save_matrix_csv(model.weights.w, p))
-                if model.population is not None:
-                    population = model.population
-                    _emit(report, out, "population.csv", lambda p: save_population_csv(population, p))
-    report.metrics = {
-        "median_improvement": float(np.median(improvements)),
-        "mean_improvement": float(np.mean(improvements)),
-        "fraction_improved": float(np.mean([g > 0.0 for g in improvements])),
-        "seeds": len(list(seeds)),
-        "converged_fraction": _converged_fraction(history),
-    }
-    return report
-
-
-def _experiment_fused(
-    config: TrainerConfig, out: Path | None, seeds: Sequence[int]
-) -> ExperimentReport:
+def _fused(report: ExperimentReport, config: TrainerConfig, seed: int, emit: Emit) -> list[EvolveReport]:
     """Cue with an equal-weight fusion of two stored bumps; a balanced
     network should answer roughly equidistant from both."""
-    report = ExperimentReport(name="fused")
-    gaps = []
-    history: list[EvolveReport] = []
-    for order, seed in enumerate(seeds):
-        scfg = replace(config, grid=_scenario_grid(config), master_seed=seed, pattern_count=2)
-        t1, t2 = _distinct_bumps(scfg, _rng(seed, _STREAM_PATTERN), 2)
-        model = train(init_model(scfg), [t1, t2])
-        history += model.history
-        cue = fuse(t1, t2, 1.0, 1.0)
-        output, _ = recall(model, cue)
-        c1, c2 = cosine(output, t1), cosine(output, t2)
-        skew_cue = fuse(t1, t2, 1.0, 0.5)
-        skew_out, _ = recall(model, skew_cue)
-        gaps.append(abs(c1 - c2))
-        report.rows.append(
-            {
-                "seed": int(seed),
-                "cos_t1": float(c1),
-                "cos_t2": float(c2),
-                "gap": float(abs(c1 - c2)),
-                "skew_cos_t1": float(cosine(skew_out, t1)),
-                "skew_cos_t2": float(cosine(skew_out, t2)),
-                "converged_fraction": _converged_fraction(model.history),
-            }
-        )
-        if order == 0:
-            _emit(report, out, "pattern_fused.csv", lambda p: save_pattern_csv(cue, p))
-            _emit(report, out, "pattern_fused.pgm", lambda p: save_image(cue, p))
-            _emit(report, out, "pattern_output.csv", lambda p: save_pattern_csv(output, p))
-            _emit(report, out, "pattern_output.pgm", lambda p: save_image(output, p))
-    report.metrics = {
-        "median_gap": float(np.median(gaps)),
-        "gap_target": FUSED_GAP_TARGET,
-        "seeds": len(list(seeds)),
-        "converged_fraction": _converged_fraction(history),
-    }
-    return report
+    scfg = replace(config, grid=_scenario_grid(config), master_seed=seed, pattern_count=2)
+    t1, t2 = _distinct_bumps(scfg, _rng(seed, _STREAM_PATTERN), 2)
+    model = train(init_model(scfg), [t1, t2])
+    cue = fuse(t1, t2, 1.0, 1.0)
+    output, _ = recall(model, cue)
+    c1, c2 = cosine(output, t1), cosine(output, t2)
+    skew_out, _ = recall(model, fuse(t1, t2, 1.0, 0.5))
+    report.rows.append(
+        {
+            "seed": int(seed),
+            "cos_t1": float(c1),
+            "cos_t2": float(c2),
+            "gap": float(abs(c1 - c2)),
+            "skew_cos_t1": float(cosine(skew_out, t1)),
+            "skew_cos_t2": float(cosine(skew_out, t2)),
+        }
+    )
+    _emit_pattern(emit, "pattern_fused", cue)
+    _emit_pattern(emit, "pattern_output", output)
+    return model.history
 
 
 _DIGIT_ROWS: dict[str, tuple[str, ...]] = {
@@ -972,55 +880,66 @@ def digit_template(label: str) -> Pattern:
     return Pattern(values, grid=(len(rows), len(rows[0])), label=label)
 
 
-def _experiment_digits(
-    config: TrainerConfig, out: Path | None, seeds: Sequence[int]
-) -> ExperimentReport:
+def _digits(report: ExperimentReport, config: TrainerConfig, seed: int, emit: Emit) -> list[EvolveReport]:
     """Store the built-in digit glyphs, cue with noisy copies, score label matching."""
-    templates = [digit_template("0"), digit_template("1")]
-
-    report = ExperimentReport(name="digits")
-    correct_cues = 0
-    total_cues = 0
-    perfect_seeds = 0
-    history: list[EvolveReport] = []
-    for order, seed in enumerate(seeds):
-        scfg = replace(
-            config, n=templates[0].n, grid=templates[0].grid, master_seed=seed, pattern_count=len(templates)
+    templates = [digit_template(label) for label in _DIGIT_ROWS]
+    scfg = replace(
+        config, n=templates[0].n, grid=templates[0].grid, master_seed=seed, pattern_count=len(templates)
+    )
+    model = train(init_model(scfg), templates)
+    for k, template in enumerate(templates):
+        cue = add_noise(template, NOISE_LEVEL, _int_seed(seed, _STREAM_NOISE, k))
+        output, metrics = recall(model, cue)
+        report.rows.append(
+            {
+                "seed": int(seed),
+                "digit": template.label,
+                "best_match": metrics.best_match_label or "",
+                "correct": int(metrics.best_match_label == template.label),
+                "output_cosine_true": float(cosine(output, template)),
+            }
         )
-        model = train(init_model(scfg), templates)
-        history += model.history
-        seed_ok = True
-        for k, template in enumerate(templates):
-            cue = add_noise(template, NOISE_LEVEL, _int_seed(seed, _STREAM_NOISE, k))
-            output, metrics = recall(model, cue)
-            hit = metrics.best_match_label == template.label
-            correct_cues += int(hit)
-            total_cues += 1
-            seed_ok = seed_ok and hit
-            report.rows.append(
-                {
-                    "seed": int(seed),
-                    "digit": template.label,
-                    "best_match": metrics.best_match_label or "",
-                    "correct": int(hit),
-                    "output_cosine_true": float(cosine(output, template)),
-                    "converged_fraction": _converged_fraction(model.history),
-                }
-            )
-            if order == 0:
-                stem = f"digit_{_file_label(template.label)}"
-                _emit(report, out, f"pattern_{stem}.pgm", lambda p, t=template: save_image(t, p))
-                _emit(report, out, f"pattern_{stem}_cue.pgm", lambda p, c=cue: save_image(c, p))
-                _emit(report, out, f"pattern_{stem}_out.pgm", lambda p, o=output: save_image(o, p))
-        perfect_seeds += int(seed_ok)
-    n_seeds = len(list(seeds))
-    report.metrics = {
-        "cue_accuracy": correct_cues / max(total_cues, 1),
-        "perfect_seeds": perfect_seeds,
-        "seeds": n_seeds,
-        "converged_fraction": _converged_fraction(history),
+        stem = f"pattern_digit_{_file_label(template.label)}"
+        emit(f"{stem}.pgm", lambda p: save_image(template, p))
+        emit(f"{stem}_cue.pgm", lambda p: save_image(cue, p))
+        emit(f"{stem}_out.pgm", lambda p: save_image(output, p))
+    return model.history
+
+
+def _digits_summary(rows: list[dict[str, object]]) -> dict[str, float]:
+    hits = [row["correct"] for row in rows]
+    per_seed = len(_DIGIT_ROWS)
+    return {
+        "cue_accuracy": sum(hits) / len(hits),
+        "perfect_seeds": sum(all(hits[k : k + per_seed]) for k in range(0, len(hits), per_seed)),
     }
-    return report
+
+
+def _corruption_summary(rows: list[dict[str, object]]) -> dict[str, float]:
+    gains = [row["improvement"] for row in rows]
+    return {
+        "median_improvement": float(np.median(gains)),
+        "mean_improvement": float(np.mean(gains)),
+        "fraction_improved": float(np.mean([g > 0.0 for g in gains])),
+    }
+
+
+def _medians(*keys: str) -> Callable[[list[dict[str, object]]], dict[str, float]]:
+    return lambda rows: {f"median_{key}": float(np.median([row[key] for row in rows])) for key in keys}
+
+
+# name -> (one seed's run, the summary read off every seed's rows).  An
+# experiment without a summary has no randomness and runs once, whatever
+# the seeds; its run sets the report's metrics itself.
+_EXPERIMENTS: dict[str, tuple[Callable, Callable | None]] = {
+    "evolve1d": (_evolve1d, None),
+    "recall2d": (_recall2d, _medians("paired_diff", "cos_with", "cos_without")),
+    "denoise": (_corruption, _corruption_summary),
+    "complete": (_corruption, _corruption_summary),
+    "fused": (_fused, lambda rows: {**_medians("gap")(rows), "gap_target": FUSED_GAP_TARGET}),
+    "digits": (_digits, _digits_summary),
+}
+EXPERIMENT_NAMES = tuple(_EXPERIMENTS)
 
 
 def run_experiment(
@@ -1029,30 +948,40 @@ def run_experiment(
     out_dir: str | Path | None = None,
     seeds: Sequence[int] | None = None,
 ) -> ExperimentReport:
-    """Dispatch one named experiment; writes artifacts when out_dir is set.
+    """Run one named experiment once per seed; writes artifacts when
+    out_dir is set.
 
     Every experiment derives its per-seed randomness from the given seed
     list (default: the config's master seed), so a fixed config and seed
-    list reproduce outputs byte for byte.
+    list reproduce outputs byte for byte.  Artifacts come from the first
+    seed's run.  Each row, and the report, gets the share of its
+    evolutions that converged.
     """
-    if experiment not in EXPERIMENT_NAMES:
+    if experiment not in _EXPERIMENTS:
         raise ConfigError(f"unknown experiment {experiment!r}; choose from {EXPERIMENT_NAMES}")
-    out = Path(out_dir) if out_dir is not None else None
     run_seeds = list(seeds) if seeds is not None else [config.master_seed]
     if not run_seeds:
         raise ParameterError("experiment requires at least one seed")
+    run_one, summary = _EXPERIMENTS[experiment]
+    report = ExperimentReport(name=experiment)
+    out = Path(out_dir) if out_dir is not None else None
 
-    if experiment == "evolve1d":
-        report = _experiment_evolve1d(config, out, run_seeds)
-    elif experiment == "recall2d":
-        report = _experiment_recall2d(config, out, run_seeds)
-    elif experiment in ("denoise", "complete"):
-        scfg = config if config.pattern_count >= 2 else replace(config, pattern_count=3)
-        report = _corruption_experiment(experiment, scfg, out, run_seeds)
-    elif experiment == "fused":
-        report = _experiment_fused(config, out, run_seeds)
-    else:
-        report = _experiment_digits(config, out, run_seeds)
+    def emit(name: str, writer: Callable[[Path], None]) -> None:
+        out.mkdir(parents=True, exist_ok=True)
+        writer(out / name)
+        report.artifacts.append(name)
+
+    history: list[EvolveReport] = []
+    for order, seed in enumerate(run_seeds if summary is not None else run_seeds[:1]):
+        start = len(report.rows)
+        first_emit = emit if out is not None and order == 0 else lambda name, writer: None
+        runs = run_one(report, config, seed, first_emit)
+        for row in report.rows[start:]:
+            row["converged_fraction"] = _converged_fraction(runs)
+        history += runs
+    if summary is not None:
+        report.metrics = {**summary(report.rows), "seeds": len(run_seeds)}
+    report.metrics["converged_fraction"] = _converged_fraction(history)
 
     if out is not None:
         report.save(out)

@@ -205,9 +205,8 @@ def evolve_reference(w, t, params) -> tuple[np.ndarray, list, int, bool, float]:
     """The plain clamped Euler loop, one fresh array per operation.
 
     Returns (weights, trace, steps, converged, final_max_rhs) with the
-    meanings of ``EvolveReport``.  dt is params.dt when set, else
-    STEP_FRACTION / (alpha * n + beta * max|T|), or 1 when that
-    denominator is 0.  Every step evaluates
+    meanings of ``EvolveReport``.  dt is STEP_FRACTION / (alpha * n +
+    beta * max|T|), or 1 when that denominator is 0.  Every step evaluates
       f = alpha * (1 - n * w) + (beta * w) * (T - rowsum(w * T)),
     zeroes f's diagonal, clamps w + dt * f into [0, v], zeroes the
     diagonal again and stops once the largest weight change falls below
@@ -217,10 +216,8 @@ def evolve_reference(w, t, params) -> tuple[np.ndarray, list, int, bool, float]:
     tt = np.asarray(t, dtype=float)
     current = np.array(w, dtype=float)
     n = current.shape[0]
-    dt = params.dt
-    if dt is None:
-        rate = params.alpha * n + params.beta * float(np.max(np.abs(tt)))
-        dt = STEP_FRACTION / rate if rate > 0.0 else 1.0
+    rate = params.alpha * n + params.beta * float(np.max(np.abs(tt)))
+    dt = STEP_FRACTION / rate if rate > 0.0 else 1.0
     trace = []
     steps, converged, final_max_rhs = 0, False, 0.0
     for step in range(1, params.max_steps + 1):

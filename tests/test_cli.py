@@ -292,13 +292,38 @@ def test_experiment_runs_are_byte_identical(tmp_path):
 def test_experiment_rejects_unknown_names_and_keys(tmp_path, capsys):
     assert main(["experiment", "teleport", "--set", "n=25", "--out", str(tmp_path / "x")]) == 2
     assert main(["experiment", "evolve1d", "--set", "warp=9", "--out", str(tmp_path / "y")]) == 2
-    unstable = ["--set", "n=100", "--set", "alpha=1", "--set", "dt=0.011"]  # dt * alpha * n >= 1
-    assert main(["experiment", "evolve1d", *unstable, "--out", str(tmp_path / "z")]) == 2
+    # the step is derived from each tensor; there is no fixed one to set
+    assert main(["experiment", "evolve1d", "--set", "n=25", "--set", "dt=0.011", "--out", str(tmp_path / "z")]) == 2
     err = capsys.readouterr().err
-    assert "unknown experiment" in err and "unknown config key" in err and "unstable step" in err
+    assert "unknown experiment" in err and "unknown config key 'warp'" in err and "unknown config key 'dt'" in err
 
 
-@pytest.mark.parametrize("key", ["dt", "v", "swarm_b"])
+DENOISE_5X5 = ["--set", "n=25", "--set", "rows=5", "--set", "cols=5"]
+
+
+@pytest.mark.parametrize(
+    "args, named",
+    [
+        (["experiment", "denoise", *DENOISE_5X5, "--set", "seeds=-1"], "seeds must be >= 0, got -1"),
+        (["experiment", "denoise", *DENOISE_5X5, "--set", "seeds=0,-2"], "seeds must be >= 0, got -2"),
+        (["experiment", "denoise", *DENOISE_5X5, "--seed", "-1"], "master_seed must be >= 0, got -1"),
+        (["experiment", "denoise", *DENOISE_5X5, "--set", "master_seed=-3"], "master_seed must be >= 0, got -3"),
+        (["train", *SMALL, "--patterns", "pats", "--set", "master_seed=-1"], "master_seed must be >= 0, got -1"),
+        (["sweep", "--set", "experiment=denoise", *DENOISE_5X5, "--set", "sweep.alpha=0.01", "--set", "seeds=-1"],
+         "seeds must be >= 0, got -1"),
+    ],
+    ids=["seeds", "seed-list", "seed-flag", "master_seed", "train", "sweep"],
+)
+def test_a_negative_seed_is_a_config_error(tmp_path, monkeypatch, capsys, args, named):
+    write_patterns(tmp_path / "pats")
+    monkeypatch.chdir(tmp_path)  # train reads its patterns from ./pats
+    assert main([*args, "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {named}" in err and "Traceback" not in err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("key", ["tol", "v", "swarm_b"])
 def test_non_finite_float_config_values_are_config_errors(tmp_path, capsys, key):
     for raw in ("nan", "inf"):
         args = ["experiment", "evolve1d", "--set", "n=12", "--set", f"{key}={raw}"]

@@ -81,8 +81,8 @@ def test_config_rejects_inconsistent_fields():
         TrainerConfig(n=9, boundary="twisted")
     with pytest.raises(ConfigError):
         TrainerConfig(n=9, learn_schedule="never")
-    with pytest.raises(ParameterError):  # dt * alpha * n >= 1
-        TrainerConfig(n=100, plasticity=PlasticityParams(alpha=1.0, dt=0.011))
+    with pytest.raises(ParameterError, match="master_seed must be >= 0, got -1"):
+        TrainerConfig(n=9, master_seed=-1)
     with pytest.raises(ParameterError):
         TrainerConfig(n=9, theta_act=-0.1)
     with pytest.raises(ParameterError):
@@ -452,7 +452,7 @@ def test_config_round_trips_through_text():
         boundary="periodic",
         use_firefly=True,
         learn_schedule="converged",
-        plasticity=PlasticityParams(alpha=0.02, beta=0.8, v=0.4, dt=0.005, max_steps=123, tol=1e-7),
+        plasticity=PlasticityParams(alpha=0.02, beta=0.8, v=0.4, max_steps=123, tol=1e-7),
         swarm=SwarmParams(
             b=1.5,
             gamma=2.0,
@@ -478,13 +478,14 @@ def test_config_round_trips_through_text():
     assert back == cfg
 
 
-def test_an_unset_dt_is_left_out_of_the_echo_and_a_set_one_parses_as_a_float():
+def test_dt_is_an_unknown_config_key():
+    # every evolution derives its step from its tensor, so a config that
+    # sets one, or a model saved when a fixed step existed, is rejected
     kv = config_to_dict(TrainerConfig(n=9))
     assert "dt" not in kv and kv["max_steps"] == "1000"
-    assert config_from_dict(kv).plasticity.dt is None
-    assert config_from_dict({"n": "9", "dt": "1"}).plasticity.dt == 1.0
-    assert config_from_dict({"n": "9", "dt": "0.01"}).plasticity == PlasticityParams(dt=0.01)
-    # an unset dt skips the stability check a set one has to pass
+    with pytest.raises(ConfigError, match="unknown config keys: dt"):
+        config_from_dict({"n": "9", "dt": "0.01"})
+    # and no stability check can fail on the config alone
     TrainerConfig(n=100, plasticity=PlasticityParams(alpha=1.0))
 
 
@@ -505,7 +506,7 @@ def config_dicts(draw):
         kv = {"n": str(rows * cols), "rows": str(rows), "cols": str(cols)}
     else:
         kv = {"n": str(draw(st.integers(2, 40)))}
-    # floats below 0.15 keep dt * alpha * n < 1 for n <= 40
+    # small positive floats, inside the domain of most float keys
     by_kind = {bool: st.booleans(), int: st.integers(1, 50), float: st.floats(1e-4, 0.15)}
     by_key = {
         "boundary": st.sampled_from(["open", "periodic"]),
@@ -551,8 +552,8 @@ def test_config_dict_rejects_malformed_input():
     with pytest.raises(ConfigError):
         config_from_dict({"n": "9", "v": "-1.0"})
     for raw in ("nan", "inf", "-inf", "1e999"):
-        with pytest.raises(ConfigError, match="dt: expected a finite number"):
-            config_from_dict({"n": "9", "dt": raw})
+        with pytest.raises(ConfigError, match="tol: expected a finite number"):
+            config_from_dict({"n": "9", "tol": raw})
 
 
 def test_every_help_key_is_accepted():
@@ -620,6 +621,14 @@ def test_denoise_fills_in_a_minimum_template_count():
     for key in ("median_improvement", "mean_improvement", "fraction_improved", "seeds"):
         assert key in report.metrics
     assert report.metrics["seeds"] == 1
+
+
+def test_evolve1d_runs_once_whatever_the_seeds():
+    # the hand-wired ring draws nothing at random, so extra seeds add nothing
+    once = run_experiment(TrainerConfig(n=25), "evolve1d", seeds=[0])
+    thrice = run_experiment(TrainerConfig(n=25), "evolve1d", seeds=[0, 1, 2])
+    assert thrice.metrics == once.metrics and "seeds" not in once.metrics
+    assert thrice.rows == once.rows and len(once.rows) == 25
 
 
 def test_evolve1d_artifacts_are_readable(tmp_path):
