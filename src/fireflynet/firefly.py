@@ -13,8 +13,8 @@ inhibitory minority contributes negative weight.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -28,12 +28,22 @@ from .patterns import FLOAT_FMT, Pattern, read_text, write_table
 # floating-point resolution near the middle of the unit square), and the
 # overshoot past d_min each split aims for.  Pushing exactly to d_min
 # approaches the constraint geometrically and never terminates; the 5%
-# margin makes each violation resolve in one shove.  The settle builds its
-# i<j pair list once per call and scatters pushes in pair order: the order
-# of accumulation decides the output bits the determinism checks compare.
+# margin makes each violation resolve in one shove.  The settle scatters
+# pushes in row-major i<j pair order: the order of accumulation decides the
+# output bits the determinism checks compare.
 MAX_SETTLE_SWEEPS = 100
 SETTLE_EPS = 1e-9
 SETTLE_OVERSHOOT = 1.05
+# Width, in units of d_min, of the margin past too_close within which the
+# settle's neighbour list keeps pairs (a Verlet list); any width gives the
+# same bits, the width only trades list rebuilds against listed pairs.
+SETTLE_SKIN = 2.0
+
+
+@lru_cache(maxsize=None)
+def _upper_pairs(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The i<j pairs of count agents in row-major order."""
+    return np.triu_indices(count, k=1)
 
 
 @dataclass(frozen=True)
@@ -199,39 +209,42 @@ def swarm_step(
     pop.brightness = activity.values[nearest].astype(float)
 
     bright = pop.brightness.tolist()
+    # brighter[b]: the agents strictly brighter than level b, ascending
+    members: dict[float, list[int]] = {}
+    for j, bj in enumerate(bright):
+        members.setdefault(bj, []).append(j)
+    brighter, above = {}, []
+    for level in sorted(members, reverse=True):
+        brighter[level] = above
+        above = sorted(above + members[level])
     # Move count is fixed by the brightness ranking, so the jitter for the
     # whole pass can be drawn as one block without changing the stream.
-    sorted_bright = sorted(bright)
-    n_moves = sum(count - bisect_right(sorted_bright, bi) for bi in bright)
-    noise = pop.rng.random(2 * n_moves).tolist() if n_moves else []
+    n_moves = sum(len(brighter[bi]) for bi in bright)
+    jitter = (pop.params.eta * (pop.rng.random(2 * n_moves) - 0.5)).tolist() if n_moves else []
 
     b_att = pop.params.b
-    gamma = pop.params.gamma
-    eta = pop.params.eta
-    pos = [(float(p[0]), float(p[1])) for p in pop.positions]
+    neg_gamma = -pop.params.gamma
+    x, y = pop.positions.T.tolist()
     k = 0
     for i in range(count):
-        xi, yi = pos[i]
-        bi = bright[i]
-        for j in range(count):
-            if bright[j] > bi:
-                xj, yj = pos[j]
-                dx = xj - xi
-                dy = yj - yi
-                attract = b_att * math.exp(-gamma * (dx * dx + dy * dy))
-                xi += attract * dx + eta * (noise[k] - 0.5)
-                yi += attract * dy + eta * (noise[k + 1] - 0.5)
-                k += 2
-                if xi < 0.0:
-                    xi = 0.0
-                elif xi > 1.0:
-                    xi = 1.0
-                if yi < 0.0:
-                    yi = 0.0
-                elif yi > 1.0:
-                    yi = 1.0
-        pos[i] = (xi, yi)
-    pop.positions = np.asarray(pos, dtype=float)
+        xi, yi = x[i], y[i]
+        for j in brighter[bright[i]]:
+            dx = x[j] - xi
+            dy = y[j] - yi
+            attract = b_att * math.exp(neg_gamma * (dx * dx + dy * dy))
+            xi += attract * dx + jitter[k]
+            yi += attract * dy + jitter[k + 1]
+            k += 2
+            if xi < 0.0:
+                xi = 0.0
+            elif xi > 1.0:
+                xi = 1.0
+            if yi < 0.0:
+                yi = 0.0
+            elif yi > 1.0:
+                yi = 1.0
+        x[i], y[i] = xi, yi
+    pop.positions = np.column_stack((x, y))
     return enforce_min_distance(pop)
 
 
@@ -249,11 +262,15 @@ def enforce_min_distance(pop: FireflyPopulation) -> FireflyPopulation:
     outcome lands in settle_converged and the best-effort positions are
     kept either way.
 
-    The row-major i<j pair list is built once per call, and positions
-    are held as one (2, F) array, x then y.  Each agent's displacement
-    sums its pushes as the lower-index end in pair order, then its
-    pushes as the higher-index end in pair order; that order fixes the
-    result bits that the byte-determinism checks compare.
+    Positions are held as one (2, F) array, x then y.  A sweep measures
+    only the pairs on a neighbour list, in row-major i<j order: the pairs
+    within SETTLE_SKIN * d_min of violating when the list was last built,
+    by a sweep over all pairs.  The list is rebuilt whenever an agent has
+    drifted half that skin, so a pair off the list cannot violate and
+    every sweep finds what an all-pairs sweep would.  Each agent's
+    displacement sums its pushes as the lower-index end in pair order,
+    then its pushes as the higher-index end in pair order; that order
+    fixes the result bits that the byte-determinism checks compare.
     """
     d_min = pop.params.d_min
     count = len(pop)
@@ -262,16 +279,31 @@ def enforce_min_distance(pop: FireflyPopulation) -> FireflyPopulation:
         return pop
 
     xy = pop.positions.T.copy()
-    ii, jj = np.triu_indices(count, k=1)
-    # each pair's x and y bins at its lower-index end, then at its higher
-    bins = np.stack([ii, ii + count, jj, jj + count])
+    ii, jj = _upper_pairs(count)
     too_close, reach = d_min - SETTLE_EPS, SETTLE_OVERSHOOT * d_min
+    skin = SETTLE_SKIN * d_min
+    # A pair left off the list was at least too_close + skin apart when the
+    # list was built and has closed by at most the drift of its two ends
+    # since, so rebuilding once an agent drifts skin / 2 (less a rounding
+    # margin) keeps every unlisted pair clear of too_close.
+    rebuild_sq = max(0.5 * skin - 1e-9, 0.0) ** 2
+    anchor = None  # positions when the list was built
     converged = False
     for _ in range(MAX_SETTLE_SWEEPS):
-        sep = xy.take(jj, axis=1) - xy.take(ii, axis=1)  # pair (i, j) points i -> j
+        stale = anchor is None or (
+            np.maximum.reduce(np.add.reduce(np.square(xy - anchor))) >= rebuild_sq
+        )
+        pi, pj = (ii, jj) if stale else (near_i, near_j)
+        sep = xy.take(pj, axis=1) - xy.take(pi, axis=1)  # pair (i, j) points i -> j
         dx, dy = sep
         dist = np.sqrt(dx * dx + dy * dy)
-        bad = np.flatnonzero(dist < too_close)
+        if stale:
+            anchor = xy
+            near = (dist < too_close + skin).nonzero()[0]
+            near_i, near_j, sep, dist = ii[near], jj[near], sep[:, near], dist[near]
+            # each pair's x and y bins at its lower-index end, then at its higher
+            bins = np.stack([near_i, near_i + count, near_j, near_j + count])
+        bad = (dist < too_close).nonzero()[0]
         if not bad.size:
             converged = True
             break
@@ -294,7 +326,9 @@ def enforce_min_distance(pop: FireflyPopulation) -> FireflyPopulation:
             weights=np.concatenate((-push, push)).ravel(),
             minlength=2 * count,
         ).reshape(2, count)
-        moved = np.clip(xy + shift, 0.0, 1.0)
+        moved = xy + shift
+        np.maximum(moved, 0.0, out=moved)
+        np.minimum(moved, 1.0, out=moved)
         if np.maximum.reduce(np.absolute(moved - xy), axis=None) < 1e-12:
             # clipping cancelled every push (wall deadlock); no progress
             # possible, keep the best-effort layout
@@ -389,10 +423,13 @@ def load_population_csv(path: str | Path, params: SwarmParams, rng: np.random.Ge
         if fields[2] not in ("E", "I"):
             raise FormatError(f"unknown polarity {fields[2]!r} in {path}")
         try:
-            positions.append((float(fields[0]), float(fields[1])))
-            bright.append(float(fields[3]))
+            x, y, br = float(fields[0]), float(fields[1]), float(fields[3])
         except ValueError as exc:
             raise FormatError(f"non-numeric value in {path}: {ln!r}") from exc
+        if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0 and math.isfinite(br)):
+            raise FormatError(f"agent off the unit square or not finite in {path}: {ln!r}")
+        positions.append((x, y))
+        bright.append(br)
         excitatory.append(fields[2] == "E")
     if not positions:
         raise FormatError(f"population file has no agents: {path}")

@@ -12,6 +12,7 @@ bit.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 
 import numpy as np
 
@@ -199,6 +200,46 @@ def settle_loops(
         if step < 1e-12:
             break
     return pos, False
+
+
+def swarm_moves_reference(points, bright, b_att, gamma, eta, rng) -> list[tuple[float, float]]:
+    """The move pass of one swarm step as it read with an all-pairs loop.
+
+    Every agent, in ascending index, scans all agents and moves toward
+    each strictly brighter one in turn, seeing the moves made earlier in
+    the pass; each move adds b * exp(-gamma * r^2) of the separation plus
+    eta * (u - 1/2) per coordinate and clips into the unit square.  The
+    jitter for the whole pass is drawn as one block of 2 * moves values,
+    x then y per move.
+    """
+    count = len(points)
+    sorted_bright = sorted(bright)
+    n_moves = sum(count - bisect_right(sorted_bright, bi) for bi in bright)
+    noise = rng.random(2 * n_moves).tolist() if n_moves else []
+    pos = [(float(p[0]), float(p[1])) for p in points]
+    k = 0
+    for i in range(count):
+        xi, yi = pos[i]
+        bi = bright[i]
+        for j in range(count):
+            if bright[j] > bi:
+                xj, yj = pos[j]
+                dx = xj - xi
+                dy = yj - yi
+                attract = b_att * math.exp(-gamma * (dx * dx + dy * dy))
+                xi += attract * dx + eta * (noise[k] - 0.5)
+                yi += attract * dy + eta * (noise[k + 1] - 0.5)
+                k += 2
+                if xi < 0.0:
+                    xi = 0.0
+                elif xi > 1.0:
+                    xi = 1.0
+                if yi < 0.0:
+                    yi = 0.0
+                elif yi > 1.0:
+                    yi = 1.0
+        pos[i] = (xi, yi)
+    return pos
 
 
 def evolve_reference(w, t, params) -> tuple[np.ndarray, list, int, bool, float]:

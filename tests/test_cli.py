@@ -250,6 +250,20 @@ def test_undecodable_input_files_are_data_errors(tmp_path, swarm_model, capsys):
         assert err.startswith("data error: ") and str(bad) in err
 
 
+def test_a_saved_agent_off_the_square_is_a_data_error(tmp_path, swarm_model, capsys):
+    # caught where the file is read, not one train later as non-finite weights
+    run = tmp_path / "run"
+    shutil.copytree(swarm_model, run)
+    population = run / "model" / "population.csv"
+    population.write_text(population.read_text() + "nan,7.5,E,inf\n")
+    args = ["recall", "--model", str(run / "model"), "--cue", str(run / "cue.csv")]
+    assert main([*args, "--out", str(run / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and str(population) in err and "nan,7.5,E,inf" in err
+    assert "Traceback" not in err
+    assert not (run / "out").exists()
+
+
 def test_recall_requires_model_and_cue(tmp_path, capsys):
     assert main(["recall", "--out", str(tmp_path / "r")]) == 2
     assert "recall requires" in capsys.readouterr().err

@@ -13,6 +13,7 @@ from fireflynet.firefly import (
     MAX_SETTLE_SWEEPS,
     SETTLE_EPS,
     SETTLE_OVERSHOOT,
+    SETTLE_SKIN,
     FireflyPopulation,
     GridLayout,
     SwarmParams,
@@ -25,7 +26,8 @@ from fireflynet.firefly import (
 from fireflynet.dynamics import WeightMatrix
 from fireflynet.patterns import Pattern
 
-from oracles import nearest_index, pair_distances, settle_loops
+from fireflynet.trainer import digit_template
+from oracles import nearest_index, pair_distances, settle_loops, swarm_moves_reference
 
 
 def still_params(**kw) -> SwarmParams:
@@ -285,6 +287,56 @@ def test_step_pulls_dim_agent_toward_bright_one():
     assert tuple(pop.positions[1]) == (0.9, 0.5)
 
 
+def check_moves_against_the_all_pairs_loop(points, activity, layout, params, seed):
+    pop = manual_population(points, [True] * len(points), params, seed=seed)
+    swarm_step(pop, activity, layout)
+    ref_rng = np.random.default_rng(seed)
+    bright = activity.values[layout.nearest_cell(points)].tolist()
+    expected = np.asarray(
+        swarm_moves_reference(points, bright, params.b, params.gamma, params.eta, ref_rng)
+    )
+    assert np.array_equal(pop.positions, expected)
+    assert np.array_equal(np.signbit(pop.positions), np.signbit(expected))
+    # the same jitter block left both generators in step
+    assert pop.rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.05])
+def test_moves_on_a_digit_match_the_all_pairs_loop_bit_for_bit(eta):
+    points = np.random.default_rng(31).random((121, 2))
+    points[:6, 0] = 0.0  # on the left wall
+    points[6:9] = (1.0, 1.0)  # in a corner
+    glyph = digit_template("0")
+    params = SwarmParams(eta=eta, d_min=0.0)
+    check_moves_against_the_all_pairs_loop(points, glyph, GridLayout(*glyph.grid), params, 4)
+
+
+@st.composite
+def move_inputs(draw):
+    """Agents over a small grid whose cells share a few activity levels, so
+    brightness ties within and across levels; some agents sit on a wall or
+    in a corner, and the jitter is off or on."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    count = draw(st.integers(1, 24))
+    coordinate = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+    points = draw(arrays(np.float64, (count, 2), elements=coordinate))
+    levels = st.sampled_from(draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4)))
+    activity = Pattern(draw(arrays(np.float64, rows * cols, elements=levels)), grid=(rows, cols))
+    params = SwarmParams(
+        b=draw(st.floats(0.1, 2.0)),
+        gamma=draw(st.floats(0.1, 10.0)),
+        eta=draw(st.one_of(st.just(0.0), st.floats(0.001, 0.5))),
+        d_min=0.0,
+    )
+    return points, activity, GridLayout(rows, cols), params, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(deadline=None, max_examples=80)
+@given(move_inputs())
+def test_moves_match_the_all_pairs_loop_for_generated_swarms(inputs):
+    check_moves_against_the_all_pairs_loop(*inputs)
+
+
 # ---------------------------------------------------------------------------
 # spacing
 # ---------------------------------------------------------------------------
@@ -350,6 +402,40 @@ def test_spacing_matches_the_pair_loop_oracle_bit_for_bit(points, d_min, converg
     assert pop.settle_converged == expected_converged == converges
     # the same number of direction draws left both generators in step
     assert pop.rng.random() == ref_rng.random()
+
+
+def settle_against_the_pair_loop_oracle(points, d_min):
+    pop = manual_population(points, [True] * len(points), SwarmParams(d_min=d_min), seed=8)
+    ref_rng = np.random.default_rng(8)
+    expected, expected_converged = settle_loops(
+        points, d_min, ref_rng, MAX_SETTLE_SWEEPS, SETTLE_EPS, SETTLE_OVERSHOOT
+    )
+    enforce_min_distance(pop)
+    assert np.array_equal(pop.positions, np.asarray(expected))
+    assert pop.settle_converged == expected_converged
+    assert pop.rng.random() == ref_rng.random()
+    return pop
+
+
+def test_spacing_of_a_collapsed_swarm_matches_the_oracle_across_list_rebuilds():
+    # 121 agents piled onto four points, one of them on the left wall
+    spots = np.array([[0.3, 0.3], [0.7, 0.35], [0.5, 0.8], [0.0, 0.6]])
+    points = spots[np.arange(121) % 4]
+    pop = settle_against_the_pair_loop_oracle(points, 0.05)
+    # an agent that drifted past the skin forced the neighbour list to be rebuilt
+    drift = np.sqrt(((pop.positions - points) ** 2).sum(axis=1))
+    assert drift.max() > SETTLE_SKIN * 0.05
+
+
+def test_spacing_of_an_overfull_swarm_matches_the_oracle_up_to_the_sweep_cap():
+    points = np.random.default_rng(11).random((121, 2))
+    pop = settle_against_the_pair_loop_oracle(points, 0.12)
+    assert not pop.settle_converged
+    # not a wall deadlock: one more settle still moves agents, so the call
+    # ran out of sweeps
+    before = pop.positions.copy()
+    enforce_min_distance(pop)
+    assert np.abs(pop.positions - before).max() > 1e-3
 
 
 @st.composite
@@ -471,8 +557,9 @@ def test_population_file_round_trip(tmp_path):
 def populations(draw):
     count = draw(st.integers(1, 20))
     finite = st.floats(allow_nan=False, allow_infinity=False)
+    unit = st.one_of(st.just(-0.0), st.floats(0.0, 1.0))
     return manual_population(
-        draw(arrays(np.float64, (count, 2), elements=finite)),
+        draw(arrays(np.float64, (count, 2), elements=unit)),
         draw(arrays(np.bool_, count)),
         SwarmParams(),
     ), draw(arrays(np.float64, count, elements=finite))
@@ -507,3 +594,22 @@ def test_population_file_rejects_damage(tmp_path):
         p.write_text(text)
         with pytest.raises(FormatError):
             load_population_csv(p, SwarmParams(), np.random.default_rng(0))
+
+
+@pytest.mark.parametrize(
+    "row",
+    ["nan,7.5,E,inf", "0.5,0.5,E,nan", "0.5,0.5,I,-inf", "inf,0.5,E,0", "1.5,0.5,E,0", "0.5,-0.1,I,0"],
+)
+def test_population_file_rejects_agents_off_the_square_or_not_finite(tmp_path, row):
+    path = tmp_path / "pop.csv"
+    path.write_text(f"x,y,polarity,brightness\n0.5,0.5,E,0\n{row}\n")
+    with pytest.raises(FormatError) as err:
+        load_population_csv(path, SwarmParams(), np.random.default_rng(0))
+    assert str(path) in str(err.value) and row in str(err.value)
+
+
+def test_population_file_accepts_agents_on_the_edge_of_the_square(tmp_path):
+    path = tmp_path / "pop.csv"
+    path.write_text("x,y,polarity,brightness\n0,1,E,-3.5\n1.0,-0.0,I,1e300\n")
+    pop = load_population_csv(path, SwarmParams(), np.random.default_rng(0))
+    assert pop.positions.tolist() == [[0.0, 1.0], [1.0, 0.0]]
