@@ -4,7 +4,6 @@ recurrent layer, with network topology laid out by a firefly swarm."""
 from .dynamics import (
     WeightMatrix,
     correlation_tensor,
-    equilibrium_response,
     truncated_resolvent,
 )
 from .errors import (

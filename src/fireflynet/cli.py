@@ -2,7 +2,8 @@
 
 Configuration is a flat ``key = value`` file (# comments allowed); every
 key can also be set or overridden on the command line with repeated
-``--set key=value`` flags.  Unknown keys are hard errors.  Exit codes:
+``--set key=value`` flags.  Unknown keys are hard errors, and so is a
+model key given to recall, whose saved model fixes them.  Exit codes:
 1 usage, 2 configuration, 3 data (missing or malformed files), 4
 internal invariant violation.
 """
@@ -12,7 +13,6 @@ from __future__ import annotations
 import argparse
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
 from itertools import product
 from pathlib import Path
 
@@ -256,6 +256,9 @@ def _cmd_recall(args: argparse.Namespace) -> int:
     model_kv, run_kv, sweep_kv = _split_run_keys(kv)
     if sweep_kv:
         raise ConfigError("sweep keys are only valid for the sweep command")
+    if model_kv:
+        keys = ", ".join(sorted(model_kv))
+        raise ConfigError(f"recall takes no model keys, the saved model fixes them: {keys}")
     for required in ("model_dir", "cue"):
         if required not in run_kv:
             raise ConfigError(f"recall requires {required}")
@@ -265,13 +268,6 @@ def _cmd_recall(args: argparse.Namespace) -> int:
     if not model_dir.is_dir():
         raise FormatError(f"model directory not found: {model_dir}")
     model = load_model(model_dir)
-    if model_kv:  # allow overriding recall-time knobs such as recall_iterations
-        merged = config_to_dict(model.config)
-        merged.update(model_kv)
-        config = config_from_dict(merged)
-        if config.n != model.config.n:
-            raise ConfigError(f"n: the saved weights are for {model.config.n} cells, not {config.n}")
-        model = replace(model, config=config)
     cue = load_image(run_kv["cue"])
 
     output, metrics = recall(model, cue)

@@ -17,8 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParameterError, ShapeMismatchError
-from .patterns import Pattern, read_grid_csv, write_grid_csv, write_p5
+from .errors import ParameterError
+from .patterns import read_grid_csv, write_grid_csv, write_p5
 
 
 @dataclass(frozen=True)
@@ -73,20 +73,6 @@ def truncated_resolvent(w: WeightMatrix) -> np.ndarray:
     a = w.w
     a2 = a @ a
     return np.eye(w.n) + a + a2 + a2 @ a
-
-
-def equilibrium_response(d: np.ndarray, s: Pattern) -> tuple[Pattern, np.ndarray]:
-    """Linear response of the network with resolvent D to a source pattern.
-
-    Returns the response clamped at zero (reported as activity, no
-    normalization applied) plus the raw signed vector for diagnostics.
-    """
-    n = d.shape[0]
-    if s.n != n:
-        raise ShapeMismatchError(f"source length {s.n} does not match network size {n}")
-    raw = d @ s.values
-    activity = np.clip(raw, 0.0, None)
-    return Pattern(activity, grid=s.grid, label=s.label), raw
 
 
 def correlation_tensor(d: np.ndarray, sources: np.ndarray) -> np.ndarray:

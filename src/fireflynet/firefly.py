@@ -50,8 +50,6 @@ def _upper_pairs(count: int) -> tuple[np.ndarray, np.ndarray]:
 class SwarmParams:
     """Swarm movement and sizing knobs.
 
-    ``reset_per_pattern`` redraws positions before each presentation
-    instead of letting the swarm carry over and redistribute.
     ``kernel_pitches``, ``inhib_pitches`` and ``inhibition_gain`` shape
     the coupling matrix that ``synthesize_weights`` reads off the swarm.
     """
@@ -63,7 +61,6 @@ class SwarmParams:
     steps: int = 10
     excit_fraction: float = 0.7
     population_factor: float = 1.0
-    reset_per_pattern: bool = False
     kernel_pitches: float = 1.5
     inhib_pitches: float = 3.0
     inhibition_gain: float = 1.0
@@ -178,11 +175,6 @@ class FireflyPopulation:
     @property
     def n_excitatory(self) -> int:
         return int(self.excitatory.sum())
-
-    def redraw_positions(self) -> None:
-        """Fresh uniform positions; polarities and generator carry over."""
-        self.positions = self.rng.random((len(self), 2))
-        self.brightness = np.zeros(len(self))
 
 
 def swarm_step(

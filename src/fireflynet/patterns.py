@@ -326,12 +326,12 @@ def load_pattern_csv(path: str | Path) -> Pattern:
 
 
 def save_pgm(p: Pattern, path: str | Path) -> None:
-    """Write an 8-bit binary PGM; values are scaled so the peak maps to 255."""
+    """Write an 8-bit binary PGM; values are scaled so the peak maps to 255
+    (all-zero pattern -> black, as a recall wiped out by inhibition gives)."""
     grid = p.as_grid()
     peak = float(grid.max())
-    if peak <= 0.0:
-        raise PatternAnnihilatedError("pattern annihilated: cannot render all-zero image")
-    write_p5(np.rint(grid / peak * 255.0).astype(np.uint8), path)
+    scaled = np.zeros_like(grid) if peak <= 0.0 else grid / peak
+    write_p5(np.rint(scaled * 255.0).astype(np.uint8), path)
 
 
 def write_p5(pixels: np.ndarray, path: str | Path) -> None:

@@ -23,7 +23,6 @@ import numpy as np
 from .dynamics import (
     WeightMatrix,
     correlation_tensor,
-    equilibrium_response,
     load_matrix_csv,
     save_matrix_csv,
     save_matrix_pgm,
@@ -70,7 +69,6 @@ TEMPLATE_SIGMA = 1.0
 FUSED_GAP_TARGET = 0.15
 
 BOUNDARIES = ("open", "periodic")
-SCHEDULES = ("onset", "converged")
 
 # Seed-stream tags, so every random draw hangs off one master seed.
 _STREAM_WEIGHTS = 0
@@ -105,7 +103,6 @@ class TrainerConfig:
     grid: tuple[int, int] | None = None
     boundary: str = "open"
     use_firefly: bool = False
-    learn_schedule: str = "onset"
     plasticity: PlasticityParams = field(default_factory=PlasticityParams)
     swarm: SwarmParams = field(default_factory=SwarmParams)
     theta_act: float = 0.1
@@ -113,7 +110,6 @@ class TrainerConfig:
     master_seed: int = 0
     epochs: int = 5
     topology_mix: float = 0.3
-    recall_iterations: int = 1
     hand_wired_neighbors: int | None = None
     init_sigma_cells: float = 1.5
 
@@ -124,8 +120,6 @@ class TrainerConfig:
             raise ShapeMismatchError(f"grid {self.grid} does not match n={self.n}")
         if self.boundary not in BOUNDARIES:
             raise ConfigError(f"boundary must be one of {BOUNDARIES}, got {self.boundary!r}")
-        if self.learn_schedule not in SCHEDULES:
-            raise ConfigError(f"learn_schedule must be one of {SCHEDULES}, got {self.learn_schedule!r}")
         if not 0.0 <= self.theta_act:
             raise ParameterError(f"theta_act must be >= 0, got {self.theta_act}")
         if self.pattern_count < 1:
@@ -136,8 +130,6 @@ class TrainerConfig:
             raise ParameterError(f"epochs must be >= 1, got {self.epochs}")
         if not 0.0 <= self.topology_mix <= 1.0:
             raise ParameterError(f"topology_mix must lie in [0,1], got {self.topology_mix}")
-        if self.recall_iterations < 1:
-            raise ParameterError(f"recall_iterations must be >= 1, got {self.recall_iterations}")
         if self.hand_wired_neighbors == 0:
             object.__setattr__(self, "hand_wired_neighbors", None)
         if self.hand_wired_neighbors is not None:
@@ -248,16 +240,6 @@ def init_model(config: TrainerConfig) -> Model:
 # presentation and recall
 # ---------------------------------------------------------------------------
 
-def _active_source(model: Model, p: Pattern, d: np.ndarray) -> np.ndarray:
-    """Active set per the learning schedule: the raw input at onset, or
-    the network's settled response when learning after convergence."""
-    if model.config.learn_schedule == "onset":
-        source = p
-    else:
-        source, _ = equilibrium_response(d, p)
-    return active_set(source, relative_threshold(source, model.config.theta_act))
-
-
 def present_pattern(model: Model, p: Pattern) -> Model:
     """One presentation: optional swarm pass, then gated weight evolution.
 
@@ -275,8 +257,6 @@ def present_pattern(model: Model, p: Pattern) -> Model:
     if cfg.use_firefly:
         if model.population is None:
             raise InvariantError("configured for firefly but the model has no population")
-        if cfg.swarm.reset_per_pattern:
-            model.population.redraw_positions()
         for _ in range(cfg.swarm.steps):
             swarm_step(model.population, p, layout)
         prior = synthesize_weights(model.population, layout, cfg.plasticity.v)
@@ -292,8 +272,7 @@ def present_pattern(model: Model, p: Pattern) -> Model:
         model.templates.append(p)
 
     d = WeightMatrix(excitatory + inhibitory).resolvent
-    source_set = _active_source(model, p, d)
-    tensor = correlation_tensor(d, source_set)
+    tensor = correlation_tensor(d, active_set(p, relative_threshold(p, cfg.theta_act)))
 
     evolved, report = evolve_weights(WeightMatrix(excitatory), tensor, cfg.plasticity)
     model.weights = WeightMatrix(evolved.w + inhibitory)
@@ -335,33 +314,22 @@ def _similarity(output: Pattern, reference: Pattern, templates: Sequence[Pattern
 def recall(
     model: Model, cue: Pattern, reference: Pattern | None = None
 ) -> tuple[Pattern, RecallMetrics]:
-    """Equilibrium response to a cue: clamp at zero, renormalize.
+    """Linear response to a cue: D @ cue, clamped at zero, renormalized.
 
     The response is read through the weights' memoised resolvent, so D
     is built once per weight state, not once per cue.  The metrics score
     the output against ``reference``, or against the cue itself when it
-    is None.
-
-    recall_iterations > 1 feeds the normalized response back through the
-    network; the default single pass matches the linear readout.  A
-    response wiped out by inhibition comes back as the zero pattern with
-    cosine 0 rather than an error.
+    is None.  A response wiped out by inhibition comes back as the zero
+    pattern with cosine 0 rather than an error.
     """
     cfg = model.config
     if cue.n != cfg.n:
         raise ShapeMismatchError(f"cue length {cue.n} does not match network size {cfg.n}")
     if float(cue.values.max()) <= 0.0:
         raise ParameterError("zero cue: nothing to recall")
-    d = model.weights.resolvent
-    out = cue.values
-    for _ in range(cfg.recall_iterations):
-        raw = d @ out
-        out = np.maximum(raw, 0.0)
-        norm = math.sqrt(float(np.dot(out, out)))
-        if norm <= 1e-12:
-            out = np.zeros_like(out)
-            break
-        out = out / norm
+    out = np.maximum(model.weights.resolvent @ cue.values, 0.0)
+    norm = math.sqrt(float(np.dot(out, out)))
+    out = np.zeros_like(out) if norm <= 1e-12 else out / norm
     output = Pattern(out, grid=cue.grid)
     return output, _similarity(output, cue if reference is None else reference, model.templates)
 
@@ -476,13 +444,11 @@ CONFIG_KEYS: tuple[ConfigKey, ...] = (
     ConfigKey("cols", TrainerConfig, "grid columns", "grid"),
     ConfigKey("boundary", TrainerConfig, "open | periodic"),
     ConfigKey("use_firefly", TrainerConfig, "synthesize topology with the swarm before each presentation"),
-    ConfigKey("learn_schedule", TrainerConfig, "onset | converged (where the active set is read)"),
     ConfigKey("theta_act", TrainerConfig, "active threshold as a fraction of the pattern peak"),
     ConfigKey("pattern_count", TrainerConfig, "number of stored templates the scenario generates"),
     ConfigKey("master_seed", TrainerConfig, "root of the run's seed hierarchy"),
     ConfigKey("epochs", TrainerConfig, "training passes over the pattern list"),
     ConfigKey("topology_mix", TrainerConfig, "pull of the swarm prior on excitatory weights, in [0,1]"),
-    ConfigKey("recall_iterations", TrainerConfig, "response passes during recall (1 = linear readout)"),
     ConfigKey("hand_wired_neighbors", TrainerConfig, "ring init with k neighbors per side (1D only)"),
     ConfigKey("init_sigma_cells", TrainerConfig, "width of the random-init distance kernel, in cells"),
     ConfigKey("alpha", PlasticityParams, "uniform-decay rate of the weight rule"),
@@ -497,7 +463,6 @@ CONFIG_KEYS: tuple[ConfigKey, ...] = (
     ConfigKey("swarm_steps", SwarmParams, "swarm updates per presentation", "steps"),
     ConfigKey("excit_fraction", SwarmParams, "fraction of excitatory agents"),
     ConfigKey("population_factor", SwarmParams, "agents per cell (population = factor * n)"),
-    ConfigKey("reset_per_pattern", SwarmParams, "respawn agent positions before each presentation"),
     ConfigKey("kernel_pitches", SwarmParams, "excitatory deposit kernel width in grid pitches"),
     ConfigKey("inhib_pitches", SwarmParams, "inhibitory deposit kernel width in grid pitches"),
     ConfigKey("inhibition_gain", SwarmParams, "inhibitory deposit strength relative to excitatory"),
@@ -579,15 +544,26 @@ def save_model(model: Model, out_dir: str | Path) -> None:
             save_pattern_csv(t, tdir / name)
 
 
+# Removed keys that every config.cfg saved while they existed echoes, with
+# the one value such a model can still be loaded at.
+_RETIRED_KEYS = {"learn_schedule": "onset", "recall_iterations": "1", "reset_per_pattern": "false"}
+
+
 def load_model(model_dir: str | Path) -> Model:
     """Rebuild a saved model.
 
     Generator state is not restored: the population continues from a
     seed derived from the config, which is enough for recall and for
     continuing to train deterministically from the checkpoint files.
+    A retired key's line is dropped when it holds the behaviour that
+    stayed, and is a ConfigError otherwise.
     """
     root = Path(model_dir)
-    config = config_from_dict(parse_kv_text(read_text(root / "config.cfg")))
+    kv = parse_kv_text(read_text(root / "config.cfg"))
+    for key, kept in _RETIRED_KEYS.items():
+        if key in kv and kv.pop(key) != kept:
+            raise ConfigError(f"{key} was removed; a saved model can only hold {key} = {kept}")
+    config = config_from_dict(kv)
     w = load_matrix_csv(root / "w_matrix.csv")
     if w.shape[0] != config.n:
         raise ShapeMismatchError(

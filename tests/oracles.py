@@ -313,14 +313,12 @@ def recall_reference(model, cue):
     if float(cue.values.max()) <= 0.0:
         raise ParameterError("zero cue: nothing to recall")
     d = truncated_resolvent(model.weights)
-    out = cue.values
-    for _ in range(cfg.recall_iterations):
-        raw = d @ out
-        out = np.clip(raw, 0.0, None)
-        norm = math.sqrt(float(np.dot(out, out)))
-        if norm <= 1e-12:
-            out = np.zeros_like(out)
-            break
+    raw = d @ cue.values
+    out = np.clip(raw, 0.0, None)
+    norm = math.sqrt(float(np.dot(out, out)))
+    if norm <= 1e-12:
+        out = np.zeros_like(out)
+    else:
         out = out / norm
     output = Pattern(out, grid=cue.grid)
     return output, similarity_reference(output, cue, model.templates)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fireflynet.cli import RUN_KEY_HELP, SWEEPABLE, main
+from fireflynet.dynamics import save_matrix_csv
 from fireflynet.patterns import Pattern, gaussian_2d, save_image, save_pattern_csv
 from fireflynet.trainer import CONFIG_KEY_HELP
 
@@ -122,24 +123,14 @@ def test_recall_round_trip(tmp_path, capsys):
 
 
 def test_recall_accepts_config_overrides(tmp_path):
+    # the run keys recall reads can come from --set as well as from flags
     model_dir = train_small_model(tmp_path)
     cue = tmp_path / "cue.csv"
     save_pattern_csv(gaussian_2d(3, 3, 1.0, 1.0, 1.0, 1.0), cue)
     out = tmp_path / "recall2"
-    code = main(
-        [
-            "recall",
-            "--model",
-            str(model_dir),
-            "--cue",
-            str(cue),
-            "--out",
-            str(out),
-            "--set",
-            "recall_iterations=2",
-        ]
-    )
+    code = main(["recall", "--set", f"model_dir={model_dir}", "--set", f"cue={cue}", "--set", f"out={out}"])
     assert code == 0
+    assert (out / "report.txt").exists()
 
 
 def test_recall_rejects_an_override_that_changes_the_network_size(tmp_path, capsys):
@@ -150,7 +141,23 @@ def test_recall_rejects_an_override_that_changes_the_network_size(tmp_path, caps
     resize = ["--set", "n=4", "--set", "rows=2", "--set", "cols=2"]
     code = main(["recall", "--model", str(model_dir), "--cue", str(cue), "--out", str(out), *resize])
     assert code == 2
-    assert capsys.readouterr().err.startswith("config error: n: ")
+    assert capsys.readouterr().err == (
+        "config error: recall takes no model keys, the saved model fixes them: cols, n, rows\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("override", [["--set", "theta_act=0.1"], ["--seed", "1"]], ids=["set", "seed-flag"])
+def test_recall_rejects_model_keys_and_writes_nothing(tmp_path, capsys, override):
+    # no model key changes what recall computes, so none is taken
+    model_dir = train_small_model(tmp_path)
+    cue = tmp_path / "cue.csv"
+    save_pattern_csv(gaussian_2d(3, 3, 1.0, 1.0, 1.0, 1.0), cue)
+    out = tmp_path / "r"
+    assert main(["recall", "--model", str(model_dir), "--cue", str(cue), "--out", str(out), *override]) == 2
+    named = "theta_act" if override[0] == "--set" else "master_seed"
+    err = capsys.readouterr().err
+    assert err == f"config error: recall takes no model keys, the saved model fixes them: {named}\n"
     assert not out.exists()
 
 
@@ -186,7 +193,7 @@ def swarm_model(tmp_path_factory):
     args = ["train", "--patterns", str(root / "pats"), "--out", str(root / "model")]
     assert main([*args, *SMALL, "--set", "use_firefly=true"]) == 0
     save_pattern_csv(gaussian_2d(3, 3, 1.0, 1.0, 1.0, 1.0), root / "cue.csv")
-    (root / "run.cfg").write_text("recall_iterations = 2\ntheta_act = 0.1\n")
+    (root / "run.cfg").write_text("jobs = 1\n")
     return root
 
 
@@ -199,7 +206,8 @@ RECALL_INPUTS = ["cue.csv", "run.cfg"] + [
 @st.composite
 def damaged_bytes(draw, original: bytes) -> bytes:
     """Arbitrary bytes, or the original with a few short splices; splices
-    stay short so that a count such as recall_iterations stays small."""
+    stay short so that most of a file still parses and the damage reaches
+    the checks past its first line."""
     if draw(st.booleans()):
         return draw(st.binary(max_size=64))
     data = bytearray(original)
@@ -264,6 +272,64 @@ def test_a_saved_agent_off_the_square_is_a_data_error(tmp_path, swarm_model, cap
     assert not (run / "out").exists()
 
 
+def with_retired_lines(config_text: str, recall_iterations: str = "1") -> str:
+    """A config.cfg as saved while learn_schedule, recall_iterations and
+    reset_per_pattern were keys: each echoed after the key before it."""
+    after = {
+        "use_firefly": "learn_schedule = onset",
+        "topology_mix": f"recall_iterations = {recall_iterations}",
+        "population_factor": "reset_per_pattern = false",
+    }
+    lines = []
+    for line in config_text.splitlines():
+        lines.append(line)
+        key = line.split(" = ", 1)[0]
+        if key in after:
+            lines.append(after[key])
+    return "\n".join(lines) + "\n"
+
+
+def test_a_model_saved_with_the_retired_keys_recalls_to_the_same_bytes(tmp_path, swarm_model, capsys):
+    old = tmp_path / "old"
+    shutil.copytree(swarm_model / "model", old)
+    saved = (old / "config.cfg").read_text()
+    (old / "config.cfg").write_text(with_retired_lines(saved))
+    cue = ["--cue", str(swarm_model / "cue.csv")]
+    outs = [tmp_path / "new_out", tmp_path / "old_out"]
+    for model, out in zip((swarm_model / "model", old), outs):
+        assert main(["recall", "--model", str(model), *cue, "--out", str(out)]) == 0
+    for name in ("pattern_output.csv", "pattern_output.pgm", "report.txt"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    # any other value asked for a behaviour that no longer exists
+    (old / "config.cfg").write_text(with_retired_lines(saved, recall_iterations="2"))
+    capsys.readouterr()
+    out = tmp_path / "r"
+    assert main(["recall", "--model", str(old), *cue, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: recall_iterations was removed; a saved model can only hold recall_iterations = 1\n"
+    )
+    assert not out.exists()
+
+
+def test_recall_of_a_wiped_out_response_writes_a_black_raster(tmp_path, capsys):
+    # cell 1 excites cell 0 and cell 0 inhibits cell 1: the series
+    # D = I + W + W^2 + W^3 cancels to zero on both, so the response to a
+    # cue there is the zero pattern, which recall returns with cosine 0
+    model_dir = tmp_path / "model"
+    model_dir.mkdir()
+    (model_dir / "config.cfg").write_text("n = 4\n")
+    w = np.zeros((4, 4))
+    w[0, 1], w[1, 0] = 1.0, -1.0
+    save_matrix_csv(w, model_dir / "w_matrix.csv")
+    cue = tmp_path / "cue.csv"
+    cue.write_text("1,4\n1,0.5,0,0\n")
+    out = tmp_path / "r"
+    assert main(["recall", "--model", str(model_dir), "--cue", str(cue), "--out", str(out)]) == 0
+    assert "cosine = 0.0\n" in (out / "report.txt").read_text()
+    assert (out / "pattern_output.pgm").read_bytes() == b"P5\n4 1\n255\n" + bytes(4)
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_recall_requires_model_and_cue(tmp_path, capsys):
     assert main(["recall", "--out", str(tmp_path / "r")]) == 2
     assert "recall requires" in capsys.readouterr().err
@@ -310,6 +376,19 @@ def test_experiment_rejects_unknown_names_and_keys(tmp_path, capsys):
     assert main(["experiment", "evolve1d", "--set", "n=25", "--set", "dt=0.011", "--out", str(tmp_path / "z")]) == 2
     err = capsys.readouterr().err
     assert "unknown experiment" in err and "unknown config key 'warp'" in err and "unknown config key 'dt'" in err
+
+
+@pytest.mark.parametrize(
+    "key, value", [("learn_schedule", "onset"), ("recall_iterations", "1"), ("reset_per_pattern", "false")]
+)
+def test_retired_keys_are_unknown_to_set_and_config(tmp_path, capsys, key, value):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{key} = {value}\n")
+    for given in (["--set", f"{key}={value}"], ["--config", str(config)]):
+        out = tmp_path / "x"
+        assert main(["experiment", "evolve1d", "--set", "n=12", *given, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: unknown config key {key!r}\n"
+        assert not out.exists()
 
 
 DENOISE_5X5 = ["--set", "n=25", "--set", "rows=5", "--set", "cols=5"]

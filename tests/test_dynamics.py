@@ -1,4 +1,4 @@
-"""Linear response machinery: resolvent, responses, correlation tensor."""
+"""Linear response machinery: resolvent and correlation tensor."""
 
 import numpy as np
 import pytest
@@ -9,14 +9,13 @@ from hypothesis.extra.numpy import arrays
 from fireflynet.dynamics import (
     WeightMatrix,
     correlation_tensor,
-    equilibrium_response,
     load_matrix_csv,
     save_matrix_csv,
     save_matrix_pgm,
     truncated_resolvent,
 )
 from fireflynet.errors import FormatError, ParameterError, ShapeMismatchError
-from fireflynet.patterns import Pattern, load_image
+from fireflynet.patterns import load_image
 
 from oracles import inf_norm_diff, inverse_of_i_minus, matmul_loops
 
@@ -82,53 +81,6 @@ def test_resolvent_tracks_exact_inverse_within_series_tail():
         d = truncated_resolvent(wm)
         exact = inverse_of_i_minus(wm.w.tolist())
         assert inf_norm_diff(d, exact) <= bound
-
-
-# ---------------------------------------------------------------------------
-# equilibrium response
-# ---------------------------------------------------------------------------
-
-def test_response_through_zero_weights_echoes_the_source():
-    s = Pattern(np.array([0.1, 0.0, 0.7, 0.2]))
-    out, raw = equilibrium_response(truncated_resolvent(WeightMatrix(np.zeros((4, 4)))), s)
-    assert np.array_equal(out.values, s.values)
-    assert np.array_equal(raw, s.values)
-
-
-def test_response_is_linear_on_raw_vectors():
-    d = truncated_resolvent(random_weights(3))
-    rng = np.random.default_rng(5)
-    s1 = Pattern(rng.random(6))
-    s2 = Pattern(rng.random(6))
-    a, b = 0.7, 1.9
-    _, raw1 = equilibrium_response(d, s1)
-    _, raw2 = equilibrium_response(d, s2)
-    _, raw = equilibrium_response(d, Pattern(a * s1.values + b * s2.values))
-    assert np.abs(raw - (a * raw1 + b * raw2)).max() <= 1e-12
-
-
-def test_response_error_is_within_series_tail_of_exact_solve():
-    bound = 0.4**4 / 0.6 + 1e-12
-    for seed in range(5):
-        wm = random_weights(seed)
-        d = truncated_resolvent(wm)
-        s = Pattern(np.random.default_rng(seed + 100).random(6))
-        _, raw = equilibrium_response(d, s)
-        exact = np.asarray(inverse_of_i_minus(wm.w.tolist())) @ s.values
-        assert np.abs(raw - exact).max() <= bound * float(s.values.max())
-
-
-def test_response_rejects_mismatched_source():
-    d = truncated_resolvent(WeightMatrix(np.zeros((4, 4))))
-    with pytest.raises(ShapeMismatchError):
-        equilibrium_response(d, Pattern(np.ones(5)))
-
-
-def test_response_clamps_negative_entries_for_activity():
-    d = np.array([[1.0, -2.0], [0.0, 1.0]])
-    out, raw = equilibrium_response(d, Pattern(np.array([0.1, 0.5])))
-    assert raw[0] < 0.0
-    assert out.values[0] == 0.0
 
 
 # ---------------------------------------------------------------------------

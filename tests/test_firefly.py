@@ -171,16 +171,6 @@ def test_spawn_rejects_empty_population():
         FireflyPopulation.spawn(0, SwarmParams(), rng=np.random.default_rng(0))
 
 
-def test_redraw_moves_agents_but_keeps_polarity():
-    pop = FireflyPopulation.spawn(12, SwarmParams(), rng=np.random.default_rng(4))
-    before = pop.positions.copy()
-    polarity = pop.excitatory.copy()
-    pop.redraw_positions()
-    assert not np.array_equal(pop.positions, before)
-    assert np.array_equal(pop.excitatory, polarity)
-    assert np.array_equal(pop.brightness, np.zeros(12))
-
-
 def test_swarm_params_reject_bad_values():
     for bad in (
         dict(b=0.0),

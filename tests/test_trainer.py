@@ -79,8 +79,6 @@ def test_config_rejects_inconsistent_fields():
         TrainerConfig(n=9, grid=(-3, -3))
     with pytest.raises(ConfigError):
         TrainerConfig(n=9, boundary="twisted")
-    with pytest.raises(ConfigError):
-        TrainerConfig(n=9, learn_schedule="never")
     with pytest.raises(ParameterError, match="master_seed must be >= 0, got -1"):
         TrainerConfig(n=9, master_seed=-1)
     with pytest.raises(ParameterError):
@@ -89,8 +87,6 @@ def test_config_rejects_inconsistent_fields():
         TrainerConfig(n=9, epochs=0)
     with pytest.raises(ParameterError):
         TrainerConfig(n=9, topology_mix=1.5)
-    with pytest.raises(ParameterError):
-        TrainerConfig(n=9, recall_iterations=0)
     with pytest.raises(ParameterError):
         TrainerConfig(n=9, grid=(3, 3), hand_wired_neighbors=2)
     with pytest.raises(ParameterError):
@@ -275,13 +271,6 @@ def test_recall_rejects_hopeless_cues():
         recall(model, Pattern(np.ones(4)))
 
 
-def test_recall_iterations_keep_output_normalized():
-    cfg = small_config(recall_iterations=3, master_seed=4)
-    model = init_model(cfg)
-    out, _ = recall(model, center_bump())
-    assert abs(float(np.linalg.norm(out.values)) - 1.0) <= 1e-12
-
-
 def test_completion_with_empty_mask_is_plain_recall():
     model = zero_model(25, grid=(5, 5))
     p = center_bump()
@@ -311,10 +300,10 @@ def test_best_match_label_points_at_the_stored_template():
             assert met.best_match_label == template.label
 
 
-def trained_model(**kw) -> Model:
+def trained_model() -> Model:
     a = gaussian_2d(5, 5, 1.0, 1.0, 1.0, 1.0, label="a")
     b = gaussian_2d(5, 5, 3.0, 3.0, 1.0, 1.0, label="b")
-    return train(init_model(small_config(use_firefly=True, master_seed=2, **kw)), [a, b])
+    return train(init_model(small_config(use_firefly=True, master_seed=2)), [a, b])
 
 
 def assert_same_read(got, want):
@@ -338,9 +327,8 @@ def read_path_cases(model):
         assert_same_read(got, complete_reference(model, a, masked))
 
 
-@pytest.mark.parametrize("iterations", [1, 3])
-def test_read_path_matches_the_reference_bit_for_bit(iterations, tmp_path):
-    model = trained_model(recall_iterations=iterations)
+def test_read_path_matches_the_reference_bit_for_bit(tmp_path):
+    model = trained_model()
     assert float(model.weights.w.min()) < 0.0  # the swarm's inhibition is in play
     read_path_cases(model)
     save_model(model, tmp_path)
@@ -353,7 +341,7 @@ def test_a_wiped_out_response_matches_the_reference():
     # wiped out
     w = np.zeros((4, 4))
     w[0, 1], w[1, 0] = 1.0, -1.0
-    model = Model(WeightMatrix(w), None, TrainerConfig(n=4, recall_iterations=3))
+    model = Model(WeightMatrix(w), None, TrainerConfig(n=4))
     model.templates += [Pattern(np.array([1.0, 0, 0, 0]), label="x"), Pattern(np.ones(4), label="y")]
     cue = Pattern(np.array([1.0, 0.5, 0, 0]))
     got = recall(model, cue)
@@ -451,7 +439,6 @@ def test_config_round_trips_through_text():
         grid=(3, 4),
         boundary="periodic",
         use_firefly=True,
-        learn_schedule="converged",
         plasticity=PlasticityParams(alpha=0.02, beta=0.8, v=0.4, max_steps=123, tol=1e-7),
         swarm=SwarmParams(
             b=1.5,
@@ -461,7 +448,6 @@ def test_config_round_trips_through_text():
             steps=7,
             excit_fraction=0.6,
             population_factor=2.0,
-            reset_per_pattern=True,
             kernel_pitches=1.2,
             inhib_pitches=2.5,
             inhibition_gain=0.9,
@@ -471,7 +457,6 @@ def test_config_round_trips_through_text():
         master_seed=9,
         epochs=3,
         topology_mix=0.5,
-        recall_iterations=2,
         init_sigma_cells=2.0,
     )
     back = config_from_dict(parse_kv_text(format_kv(config_to_dict(cfg))))
@@ -510,7 +495,6 @@ def config_dicts(draw):
     by_kind = {bool: st.booleans(), int: st.integers(1, 50), float: st.floats(1e-4, 0.15)}
     by_key = {
         "boundary": st.sampled_from(["open", "periodic"]),
-        "learn_schedule": st.sampled_from(["onset", "converged"]),
         "hand_wired_neighbors": st.integers(0, 0 if "rows" in kv else 3),
     }
     for spec in CONFIG_KEYS:
@@ -600,6 +584,24 @@ def test_loading_rejects_a_size_mismatch(tmp_path):
     text = text.replace("rows = 3", "rows = 4").replace("cols = 3", "cols = 4")
     cfg_file.write_text(text)
     with pytest.raises(ShapeMismatchError):
+        load_model(tmp_path)
+
+
+
+@pytest.mark.parametrize(
+    "key, kept, other",
+    [("learn_schedule", "onset", "converged"), ("recall_iterations", "1", "2"), ("reset_per_pattern", "false", "true")],
+)
+def test_a_retired_key_loads_only_at_the_value_that_stayed(tmp_path, key, kept, other):
+    # every model saved while the key existed echoes it, at its default
+    model = zero_model(9, grid=(3, 3))
+    save_model(model, tmp_path)
+    cfg_file = tmp_path / "config.cfg"
+    saved = cfg_file.read_text()
+    cfg_file.write_text(f"{saved}{key} = {kept}\n")
+    assert load_model(tmp_path).config == model.config
+    cfg_file.write_text(f"{saved}{key} = {other}\n")
+    with pytest.raises(ConfigError, match=f"^{key} was removed; a saved model can only hold {key} = {kept}$"):
         load_model(tmp_path)
 
 
