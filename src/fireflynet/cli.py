@@ -2,8 +2,9 @@
 
 Configuration is a flat ``key = value`` file (# comments allowed); every
 key can also be set or overridden on the command line with repeated
-``--set key=value`` flags.  Unknown keys are hard errors, and so is a
-model key given to recall, whose saved model fixes them.  Exit codes:
+``--set key=value`` flags.  Unknown keys are hard errors, and so are a
+model key given to recall, whose saved model fixes them, and a run key
+that the command does not read.  Exit codes:
 1 usage, 2 configuration, 3 data (missing or malformed files), 4
 internal invariant violation.
 """
@@ -15,6 +16,8 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from itertools import product
 from pathlib import Path
+
+import numpy as np
 
 from .errors import (
     ConfigError,
@@ -153,7 +156,16 @@ def _check_keys(kv: dict[str, str]) -> None:
         raise ConfigError(f"unknown config key {key!r}")
 
 
-def _split_run_keys(kv: dict[str, str]) -> tuple[dict[str, str], dict[str, str], dict[str, list[str]]]:
+# The run keys each command reads; any other run key could change nothing.
+_RUN_KEYS_READ = {
+    "train": {"out", "patterns_dir"},
+    "recall": {"out", "model_dir", "cue"},
+    "experiment": {"out", "experiment", "seeds", "seed_count"},
+    "sweep": {"out", "experiment", "seeds", "seed_count", "jobs"},
+}
+
+
+def _split_run_keys(kv: dict[str, str], command: str) -> tuple[dict[str, str], dict[str, str], dict[str, list[str]]]:
     model_kv, run_kv, sweep_kv = {}, {}, {}
     for key, value in kv.items():
         if key.startswith("sweep."):
@@ -162,6 +174,11 @@ def _split_run_keys(kv: dict[str, str]) -> tuple[dict[str, str], dict[str, str],
             run_kv[key] = value
         else:
             model_kv[key] = value
+    if sweep_kv and command != "sweep":
+        raise ConfigError("sweep keys are only valid for the sweep command")
+    unread = sorted(run_kv.keys() - _RUN_KEYS_READ[command])
+    if unread:
+        raise ConfigError(f"{command} does not read the run keys: {', '.join(unread)}")
     return model_kv, run_kv, sweep_kv
 
 
@@ -197,9 +214,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     kv = _load_run_config(args)
     if args.patterns:
         kv["patterns_dir"] = args.patterns
-    model_kv, run_kv, sweep_kv = _split_run_keys(kv)
-    if sweep_kv:
-        raise ConfigError("sweep keys are only valid for the sweep command")
+    model_kv, run_kv, _ = _split_run_keys(kv, "train")
     if "patterns_dir" not in run_kv:
         raise ConfigError("train requires a pattern directory (--patterns or patterns_dir)")
     out = _require_out(run_kv)
@@ -231,20 +246,20 @@ def _cmd_train(args: argparse.Namespace) -> int:
         rows = [(k, rep.steps, int(rep.converged), rep.final_max_rhs) for k, rep in enumerate(model.history)]
         write_table(out / "training_summary.csv", ("presentation", "steps", "converged", "final_max_rhs"), rows)
         model.history[-1].save_trace_csv(out / "trace_final.csv")
-    _row_sum_warning(model)
+    _regime_warning(model)
     n_converged = sum(r.converged for r in model.history)
     print(f"trained on {len(patterns)} patterns; {n_converged}/{len(model.history)} presentations converged")
     print(f"model saved to {out}")
     return 0
 
 
-def _row_sum_warning(model) -> None:
-    q = model.weights.max_abs_row_sum
-    if q >= 1.0:
-        print(
-            f"warning: max absolute row sum {q:.3f} >= 1; truncated response may be inaccurate",
-            file=sys.stderr,
-        )
+def _regime_warning(model) -> None:
+    """Warn when W's spectral radius is at least 1: the series I + W + W^2 + ...
+    then diverges, and its three-hop truncation approximates no equilibrium."""
+    rho = float(np.abs(np.linalg.eigvals(model.weights.w)).max())
+    if rho >= 1.0:
+        print(f"warning: spectral radius of W is {rho:.3f} >= 1; the three-hop response approximates no equilibrium",
+              file=sys.stderr)
 
 
 def _cmd_recall(args: argparse.Namespace) -> int:
@@ -253,9 +268,7 @@ def _cmd_recall(args: argparse.Namespace) -> int:
         kv["model_dir"] = args.model
     if args.cue:
         kv["cue"] = args.cue
-    model_kv, run_kv, sweep_kv = _split_run_keys(kv)
-    if sweep_kv:
-        raise ConfigError("sweep keys are only valid for the sweep command")
+    model_kv, run_kv, _ = _split_run_keys(kv, "recall")
     if model_kv:
         keys = ", ".join(sorted(model_kv))
         raise ConfigError(f"recall takes no model keys, the saved model fixes them: {keys}")
@@ -277,7 +290,7 @@ def _cmd_recall(args: argparse.Namespace) -> int:
     report = format_kv({"cosine": metrics.cosine, "mse": metrics.mse, "pearson": metrics.pearson,
                         "best_match_label": metrics.best_match_label or ""})
     (out / "report.txt").write_text(report)
-    _row_sum_warning(model)
+    _regime_warning(model)
     print(report, end="")
     return 0
 
@@ -286,9 +299,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     kv = _load_run_config(args)
     if getattr(args, "name", None):
         kv["experiment"] = args.name
-    model_kv, run_kv, sweep_kv = _split_run_keys(kv)
-    if sweep_kv:
-        raise ConfigError("sweep keys are only valid for the sweep command")
+    model_kv, run_kv, _ = _split_run_keys(kv, "experiment")
     if "experiment" not in run_kv:
         raise ConfigError("experiment requires a name (positional or the experiment key)")
     out = _require_out(run_kv)
@@ -310,7 +321,7 @@ def _sweep_worker(task: tuple[int, dict[str, str], str, str, int]) -> tuple[int,
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     kv = _load_run_config(args)
-    model_kv, run_kv, sweep_kv = _split_run_keys(kv)
+    model_kv, run_kv, sweep_kv = _split_run_keys(kv, "sweep")
     if "experiment" not in run_kv:
         raise ConfigError("sweep requires the experiment key")
     out = _require_out(run_kv)

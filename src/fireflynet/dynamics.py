@@ -6,7 +6,9 @@ three-hop response operator D = I + W + W^2 + W^3 (paths of up to three
 synapses); every model trains and recalls with D as it is.  When q, the
 max absolute row sum, is below 1, D is also the third-order truncation
 of (I - W)^-1 with error at most q^4/(1-q) in the infinity norm; trained
-swarm models have q >= 1, where that bound does not apply.
+swarm models have q >= 1, where that bound does not apply.  Once W's
+spectral radius reaches 1 the full series diverges, and D approximates
+no equilibrium at all.
 """
 
 from __future__ import annotations
@@ -55,11 +57,6 @@ class WeightMatrix:
     @property
     def n(self) -> int:
         return int(self.w.shape[0])
-
-    @property
-    def max_abs_row_sum(self) -> float:
-        """Infinity norm; controls resolvent truncation quality."""
-        return float(np.abs(self.w).sum(axis=1).max())
 
     def positive_part(self) -> np.ndarray:
         return np.clip(self.w, 0.0, None)

@@ -13,7 +13,10 @@ range is invariant under evolution and a weight driven past v is held
 at v.  The step is STEP_FRACTION of the stability bound that the
 presentation's tensor allows, and evolution runs until the weights stop
 moving: the learned state is the rule's fixed point, not a transient cut
-off by the step budget.
+off by the step budget.  A row can have several fixed points, the
+saturated corner (every weight at v) among them, and which one Euler
+reaches depends on where it starts.  A presentation solves for its rows'
+fixed points first (``row_fixed_points``), and Euler only polishes that.
 """
 
 from __future__ import annotations
@@ -228,3 +231,57 @@ def evolve_weights(
     sums = row_sums[:steps]
     table = np.column_stack((peaks[:steps, 0], sums.min(axis=1), sums.sum(axis=1) / n, sums.max(axis=1)))
     return WeightMatrix(current), EvolveReport(steps, converged, float(table[-1, 0]), table)
+
+
+def row_fixed_points(w: WeightMatrix, t: np.ndarray, params: PlasticityParams) -> WeightMatrix:
+    """Each row's fixed point of the clamped rule, searched for from w.
+
+    With lambda_i = sum_{j != i} w_ij T_ij and c_ij = n alpha + beta (lambda_i - T_ij),
+    a row is at rest when w_ij = min(v, alpha / c_ij), or v where c_ij <= 0, and
+    lambda_i is a root of g_i(lam) = sum_{j != i} w_ij(lam) T_ij - lam.  A row can
+    have several roots, the saturated corner among them, and which one Euler
+    reaches depends on its start.  So each row starts at w's own lambda and
+    steps toward the sign of g, from |g| / 8 and doubling, within
+    v * sum T- <= lam <= v * sum T+, until g changes sign; Illinois regula falsi
+    then closes the bracket, all rows at once.  A weight's rate is at most
+    beta * v * |g_i|, so the search stops at |g_i| <= tol / (2 beta v), where
+    ``evolve_weights`` from the result is quiescent at its first step.  With
+    alpha = 0 no point is fixed (Euler holds a zero weight at zero): w is returned.
+    """
+    _check_sizes(w, t)
+    alpha, beta, v = params.alpha, params.beta, params.v
+    if alpha == 0.0:
+        return w
+    n = w.n
+    tz = t.copy()
+    tz.reshape(-1)[:: n + 1] = 0.0
+    bt, c, prod = beta * tz, np.empty((n, n)), np.empty((n, n))
+    tol = 0.5 * params.tol / (beta * v) if beta * v > 0.0 else math.inf
+
+    def g(lam: np.ndarray) -> np.ndarray:  # leaves w(lam) in c
+        np.subtract((n * alpha + beta * lam)[:, None], bt, out=c)
+        np.divide(alpha, np.maximum(c, alpha / v, out=c), out=c)
+        c.reshape(-1)[:: n + 1] = 0.0
+        return np.add.reduce(np.multiply(c, tz, out=prod), axis=1) - lam
+
+    lo, hi = v * np.minimum(tz, 0.0).sum(axis=1), v * np.maximum(tz, 0.0).sum(axis=1)
+    x = np.clip(np.add.reduce(w.w * tz, axis=1), lo, hi)
+    a, ga = x, g(x)  # a: the last point on the start's side of the root
+    gx, side, step, edge = ga, np.sign(ga), np.abs(ga) / 8.0, np.where(ga > 0.0, hi, lo)
+    search = np.abs(ga) > tol
+    while search.any():
+        a, ga = np.where(search, x, a), np.where(search, gx, ga)
+        x = np.where(search, np.clip(x + side * step, lo, hi), x)
+        gx, step = g(x), 2.0 * step
+        search &= (side * gx > tol) & (x != edge)
+    live = side * gx < -tol
+    for _ in range(100):
+        if not live.any():
+            break
+        nx = np.where(live, x - gx * (x - a) / np.where(live, gx - ga, 1.0), x)
+        ng = g(nx)
+        flip = live & (ng * gx < 0.0)
+        a, ga = np.where(flip, x, a), np.where(flip, gx, np.where(live, 0.5 * ga, ga))
+        live &= (np.abs(ng) > tol) & (nx != x)
+        x, gx = nx, ng
+    return WeightMatrix(np.minimum(c, v, out=c))

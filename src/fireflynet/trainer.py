@@ -60,7 +60,7 @@ from .patterns import (
     save_pattern_csv,
     write_table,
 )
-from .plasticity import EvolveReport, PlasticityParams, evolve_weights
+from .plasticity import EvolveReport, PlasticityParams, evolve_weights, row_fixed_points
 
 # Experiment scenario constants.
 NOISE_LEVEL = 0.2
@@ -241,7 +241,8 @@ def init_model(config: TrainerConfig) -> Model:
 # ---------------------------------------------------------------------------
 
 def present_pattern(model: Model, p: Pattern) -> Model:
-    """One presentation: optional swarm pass, then gated weight evolution.
+    """One presentation: optional swarm pass, then each weight row's fixed
+    point, solved for (``row_fixed_points``) and polished by Euler to quiescence.
 
     Mutates and returns the model.  Labeled patterns are remembered once
     as stored templates for later best-match scoring.
@@ -274,7 +275,8 @@ def present_pattern(model: Model, p: Pattern) -> Model:
     d = WeightMatrix(excitatory + inhibitory).resolvent
     tensor = correlation_tensor(d, active_set(p, relative_threshold(p, cfg.theta_act)))
 
-    evolved, report = evolve_weights(WeightMatrix(excitatory), tensor, cfg.plasticity)
+    start = row_fixed_points(WeightMatrix(excitatory), tensor, cfg.plasticity)
+    evolved, report = evolve_weights(start, tensor, cfg.plasticity)
     model.weights = WeightMatrix(evolved.w + inhibitory)
     model.history.append(report)
     return model

@@ -161,6 +161,62 @@ def test_recall_rejects_model_keys_and_writes_nothing(tmp_path, capsys, override
     assert not out.exists()
 
 
+def write_model(model_dir, w):
+    """A saved model that holds only its size and its weights."""
+    model_dir.mkdir()
+    (model_dir / "config.cfg").write_text(f"n = {len(w)}\n")
+    save_matrix_csv(w, model_dir / "w_matrix.csv")
+
+
+@pytest.mark.parametrize(
+    "w, warned",
+    [
+        # max absolute row sum 2 (the old, row-sum warning fired), but nilpotent: rho = 0
+        (np.array([[0.0, 2.0, 0.0, 0.0], *np.zeros((3, 4))]), False),
+        (0.6 * (np.ones((4, 4)) - np.eye(4)), True),  # rho = 3 * 0.6
+    ],
+    ids=["rho-0", "rho-1.8"],
+)
+def test_recall_warns_when_the_spectral_radius_reaches_one(tmp_path, capsys, w, warned):
+    write_model(tmp_path / "model", w)
+    cue = tmp_path / "cue.csv"
+    cue.write_text("1,4\n1,0.5,0,0\n")
+    assert main(["recall", "--model", str(tmp_path / "model"), "--cue", str(cue), "--out", str(tmp_path / "r")]) == 0
+    err = capsys.readouterr().err
+    expected = "warning: spectral radius of W is 1.800 >= 1; the three-hop response approximates no equilibrium\n"
+    assert err == (expected if warned else "")
+
+
+def test_train_warns_only_when_the_trained_spectral_radius_reaches_one(tmp_path, capsys):
+    model_dir = train_small_model(tmp_path)
+    w = np.loadtxt(model_dir / "w_matrix.csv", delimiter=",", skiprows=1)
+    assert np.abs(np.linalg.eigvals(w)).max() < 1.0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "command, args, unread",
+    [
+        ("train", ["--patterns", "pats", *SMALL, "--set", "seeds=1", "--set", "cue=c.csv"], "cue, seeds"),
+        ("recall", ["--model", "m", "--cue", "c.csv", "--set", "seeds=5", "--set", "experiment=digits", "--jobs", "4"],
+         "experiment, jobs, seeds"),
+        ("experiment", ["evolve1d", "--set", "n=12", "--jobs", "2", "--set", "patterns_dir=pats"], "jobs, patterns_dir"),
+        ("sweep", ["--set", "experiment=evolve1d", "--set", "n=12", "--set", "sweep.alpha=0.01", "--set", "model_dir=m"],
+         "model_dir"),
+    ],
+    ids=["train", "recall", "experiment", "sweep"],
+)
+def test_a_run_key_the_command_does_not_read_is_a_config_error(tmp_path, monkeypatch, capsys, command, args, unread):
+    # such a key could change nothing, so it is refused rather than ignored
+    write_patterns(tmp_path / "pats")
+    write_model(tmp_path / "m", np.zeros((9, 9)))
+    save_pattern_csv(gaussian_2d(3, 3, 1.0, 1.0, 1.0, 1.0), tmp_path / "c.csv")
+    monkeypatch.chdir(tmp_path)
+    assert main([command, *args, "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == f"config error: {command} does not read the run keys: {unread}\n"
+    assert not (tmp_path / "x").exists()
+
+
 def test_recall_reports_broken_cue_files(tmp_path, capsys):
     model_dir = train_small_model(tmp_path)
     cue = tmp_path / "cue.csv"
@@ -193,7 +249,7 @@ def swarm_model(tmp_path_factory):
     args = ["train", "--patterns", str(root / "pats"), "--out", str(root / "model")]
     assert main([*args, *SMALL, "--set", "use_firefly=true"]) == 0
     save_pattern_csv(gaussian_2d(3, 3, 1.0, 1.0, 1.0, 1.0), root / "cue.csv")
-    (root / "run.cfg").write_text("jobs = 1\n")
+    (root / "run.cfg").write_text("cue = cue.csv\n")  # a run key recall reads; --cue overrides it
     return root
 
 

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -18,6 +18,7 @@ from fireflynet.plasticity import (
     PlasticityParams,
     evolve_weights,
     haeussler_rhs,
+    row_fixed_points,
 )
 
 from oracles import evolve_reference, growth_rate_loops
@@ -343,6 +344,81 @@ def test_evolution_keeps_weights_in_range_for_generated_inputs(inputs):
     assert np.array_equal(np.diagonal(wf.w), np.zeros(len(w0)))
     assert len(report.trace) == report.steps
     assert 1 <= report.steps <= params.max_steps
+
+
+# ---------------------------------------------------------------------------
+# fixed points of the rule
+# ---------------------------------------------------------------------------
+
+def row_equation(w: np.ndarray, t: np.ndarray, params: PlasticityParams) -> np.ndarray:
+    """min(v, alpha / c_ij) at w's own lambda_i, v where c_ij <= 0, zero diagonal."""
+    n = len(w)
+    t_off = t * (1.0 - np.eye(n))
+    lam = (w * t_off).sum(axis=1, keepdims=True)
+    c = n * params.alpha + params.beta * (lam - t_off)
+    rest = np.where(c > 0.0, np.minimum(params.v, params.alpha / np.where(c > 0.0, c, 1.0)), params.v)
+    np.fill_diagonal(rest, 0.0)
+    return rest
+
+
+@st.composite
+def rule_inputs(draw):
+    """Start weights in [0, v], any Gram tensor, and alpha > 0."""
+    n = draw(st.integers(1, 12))
+    v = draw(st.floats(0.05, 1.0))
+    params = PlasticityParams(
+        alpha=draw(st.floats(0.01, 1.0)), beta=draw(st.floats(0.0, 5.0)), v=v, max_steps=20000
+    )
+    w = draw(arrays(np.float64, (n, n), elements=st.floats(0.0, v)))
+    np.fill_diagonal(w, 0.0)
+    x = draw(arrays(np.float64, (n, draw(st.integers(1, n))), elements=st.floats(-1.0, 1.0)))
+    return w, x @ x.T, params
+
+
+@settings(deadline=None)
+@given(rule_inputs())
+def test_euler_comes_to_rest_on_the_row_equation(inputs):
+    # Euler stops once every rate |f_ij| = |alpha - w_ij c_ij| is below tol, so
+    # an unsaturated weight sits within tol / c_ij <= tol * v / (alpha - tol)
+    # of alpha / c_ij, and a saturated one within the same of v
+    w0, tensor, params = inputs
+    wf, report = evolve_weights(WeightMatrix(w0), tensor, params)
+    assume(report.converged)
+    bound = 2.0 * params.tol * params.v / params.alpha
+    assert np.abs(wf.w - row_equation(wf.w, tensor, params)).max() <= bound
+
+
+@settings(deadline=None)
+@given(rule_inputs())
+def test_the_solved_fixed_point_is_in_range_and_already_quiescent(inputs):
+    # which fixed point it is may differ from Euler's for an arbitrary
+    # start: a row can have several, the saturated corner among them
+    w0, tensor, params = inputs
+    solved = row_fixed_points(WeightMatrix(w0), tensor, params)
+    assert np.all(solved.w >= 0.0) and np.all(solved.w <= params.v)
+    assert np.array_equal(np.diagonal(solved.w), np.zeros(len(w0)))
+    polished, report = evolve_weights(solved, tensor, params)
+    assert report.converged and report.steps <= 2
+    assert np.abs(polished.w - solved.w).max() <= params.tol * params.step(len(w0), tensor) * report.steps
+
+
+def test_without_decay_the_solve_leaves_the_start_to_euler():
+    # with alpha = 0 the row equation fixes no point, so Euler alone decides
+    w0, tensor, params, _ = EVOLUTION_CASES["n25-derived-clamps"]
+    start = WeightMatrix(w0)
+    assert row_fixed_points(start, tensor, params) is start
+
+
+def test_the_solve_finds_the_uniform_level_without_cooperation():
+    n = 6
+    params = PlasticityParams(alpha=0.1, beta=1.0)
+    rng = np.random.default_rng(12)
+    w0 = rng.random((n, n)) * 0.5
+    np.fill_diagonal(w0, 0.0)
+    solved = row_fixed_points(WeightMatrix(w0), zero_tensor(n), params)
+    expected = np.full((n, n), 1.0 / n)
+    np.fill_diagonal(expected, 0.0)
+    assert np.abs(solved.w - expected).max() <= 1e-15
 
 
 def test_evolution_rejects_out_of_range_start():
