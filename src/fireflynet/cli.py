@@ -356,7 +356,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             index, metrics = _sweep_worker(task)
             results[index] = metrics
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # the pool forks all its workers at the first submit, so never ask
+        # for more than there are tasks
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             for index, metrics in pool.map(_sweep_worker, tasks):
                 results[index] = metrics
 

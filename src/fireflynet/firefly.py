@@ -38,12 +38,20 @@ SETTLE_OVERSHOOT = 1.05
 # settle's neighbour list keeps pairs (a Verlet list); any width gives the
 # same bits, the width only trades list rebuilds against listed pairs.
 SETTLE_SKIN = 2.0
+# A pair's push enters the scatter negated at its lower-index end and as
+# is at its higher (negation is exact); no agent moves further in a sweep
+# than sqrt(2) times the sweep's largest coordinate move.
+_PUSH_SIGNS = np.array([-1.0, 1.0]).reshape(2, 1, 1)
+_SQRT2 = math.sqrt(2.0)
 
 
 @lru_cache(maxsize=None)
-def _upper_pairs(count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The i<j pairs of count agents in row-major order."""
-    return np.triu_indices(count, k=1)
+def _pair_bins(count: int) -> np.ndarray:
+    """(4, P) rows [i, i+F, j, j+F] of the i<j pairs of F = count agents in
+    row-major order: each pair's x and y bins at its lower-index end, then
+    at its higher, in positions held flat as x then y."""
+    ii, jj = np.triu_indices(count, k=1)
+    return np.stack([ii, ii + count, jj, jj + count])
 
 
 @dataclass(frozen=True)
@@ -130,8 +138,9 @@ class GridLayout:
     def nearest_cell(self, points: np.ndarray) -> np.ndarray:
         """Row-major index of the cell whose center is closest to each point."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        col = np.clip(np.floor(pts[:, 0] * self.cols).astype(int), 0, self.cols - 1)
-        row = np.clip(np.floor(pts[:, 1] * self.rows).astype(int), 0, self.rows - 1)
+        # np.minimum/np.maximum: np.clip's integers with less call overhead
+        col = np.minimum(np.maximum(np.floor(pts[:, 0] * self.cols).astype(int), 0), self.cols - 1)
+        row = np.minimum(np.maximum(np.floor(pts[:, 1] * self.rows).astype(int), 0), self.rows - 1)
         return row * self.cols + col
 
 
@@ -198,7 +207,7 @@ def swarm_step(
         )
     count = len(pop)
     nearest = layout.nearest_cell(pop.positions)
-    pop.brightness = activity.values[nearest].astype(float)
+    pop.brightness = activity.values[nearest]  # a float copy: Pattern values are float
 
     bright = pop.brightness.tolist()
     # brighter[b]: the agents strictly brighter than level b, ascending
@@ -216,6 +225,7 @@ def swarm_step(
 
     b_att = pop.params.b
     neg_gamma = -pop.params.gamma
+    exp = math.exp
     x, y = pop.positions.T.tolist()
     k = 0
     for i in range(count):
@@ -223,7 +233,7 @@ def swarm_step(
         for j in brighter[bright[i]]:
             dx = x[j] - xi
             dy = y[j] - yi
-            attract = b_att * math.exp(neg_gamma * (dx * dx + dy * dy))
+            attract = b_att * exp(neg_gamma * (dx * dx + dy * dy))
             xi += attract * dx + jitter[k]
             yi += attract * dy + jitter[k + 1]
             k += 2
@@ -236,7 +246,7 @@ def swarm_step(
             elif yi > 1.0:
                 yi = 1.0
         x[i], y[i] = xi, yi
-    pop.positions = np.column_stack((x, y))
+    pop.positions = np.array((x, y)).T.copy()
     return enforce_min_distance(pop)
 
 
@@ -254,15 +264,19 @@ def enforce_min_distance(pop: FireflyPopulation) -> FireflyPopulation:
     outcome lands in settle_converged and the best-effort positions are
     kept either way.
 
-    Positions are held as one (2, F) array, x then y.  A sweep measures
-    only the pairs on a neighbour list, in row-major i<j order: the pairs
-    within SETTLE_SKIN * d_min of violating when the list was last built,
-    by a sweep over all pairs.  The list is rebuilt whenever an agent has
+    Positions are held flat, x then y.  A sweep measures only the pairs
+    on a neighbour list, in row-major i<j order: the pairs within
+    SETTLE_SKIN * d_min of violating when the list was last built, by a
+    sweep over all pairs.  The list is rebuilt whenever an agent has
     drifted half that skin, so a pair off the list cannot violate and
-    every sweep finds what an all-pairs sweep would.  Each agent's
-    displacement sums its pushes as the lower-index end in pair order,
-    then its pushes as the higher-index end in pair order; that order
-    fixes the result bits that the byte-determinism checks compare.
+    every sweep finds what an all-pairs sweep would.  The drift is
+    measured exactly only once a bound on it reaches that threshold: the
+    last measured drift plus sqrt(2) times the sum of each sweep's largest
+    coordinate move since, which the wall-deadlock test computes anyway.
+    Each agent's displacement sums its pushes as the lower-index end in
+    pair order, then its pushes as the higher-index end in pair order;
+    that order fixes the result bits that the byte-determinism checks
+    compare.
     """
     d_min = pop.params.d_min
     count = len(pop)
@@ -270,37 +284,41 @@ def enforce_min_distance(pop: FireflyPopulation) -> FireflyPopulation:
         pop.settle_converged = True
         return pop
 
-    xy = pop.positions.T.copy()
-    ii, jj = _upper_pairs(count)
+    flat = pop.positions.T.ravel()
+    all_bins = _pair_bins(count)
     too_close, reach = d_min - SETTLE_EPS, SETTLE_OVERSHOOT * d_min
     skin = SETTLE_SKIN * d_min
     # A pair left off the list was at least too_close + skin apart when the
     # list was built and has closed by at most the drift of its two ends
     # since, so rebuilding once an agent drifts skin / 2 (less a rounding
-    # margin) keeps every unlisted pair clear of too_close.
-    rebuild_sq = max(0.5 * skin - 1e-9, 0.0) ** 2
+    # margin) keeps every unlisted pair clear of too_close.  The drift
+    # bound is inflated by 1e-12 to cover its own rounding.
+    rebuild = max(0.5 * skin - 1e-9, 0.0)
+    rebuild_sq = rebuild**2
     anchor = None  # positions when the list was built
+    drift = 0.0  # bound on any agent's distance from anchor
     converged = False
     for _ in range(MAX_SETTLE_SWEEPS):
-        stale = anchor is None or (
-            np.maximum.reduce(np.add.reduce(np.square(xy - anchor))) >= rebuild_sq
-        )
-        pi, pj = (ii, jj) if stale else (near_i, near_j)
-        sep = xy.take(pj, axis=1) - xy.take(pi, axis=1)  # pair (i, j) points i -> j
-        dx, dy = sep
-        dist = np.sqrt(dx * dx + dy * dy)
+        stale = anchor is None
+        if not stale and drift * (1.0 + 1e-12) >= rebuild:
+            squares = np.square(flat - anchor)
+            drift_sq = np.maximum.reduce(squares[:count] + squares[count:])
+            stale, drift = drift_sq >= rebuild_sq, math.sqrt(drift_sq)
+        # the pair ends x_i, y_i, x_j, y_j; pair (i, j) points i -> j
+        ends = flat.take(all_bins if stale else bins)
+        sep = ends[2:] - ends[:2]
+        sq = sep * sep
+        dist = np.sqrt(sq[0] + sq[1])
         if stale:
-            anchor = xy
+            anchor, drift = flat, 0.0
             near = (dist < too_close + skin).nonzero()[0]
-            near_i, near_j, sep, dist = ii[near], jj[near], sep[:, near], dist[near]
-            # each pair's x and y bins at its lower-index end, then at its higher
-            bins = np.stack([near_i, near_i + count, near_j, near_j + count])
+            bins, sep, dist = all_bins.take(near, axis=1), sep.take(near, axis=1), dist[near]
         bad = (dist < too_close).nonzero()[0]
         if not bad.size:
             converged = True
             break
         gaps = dist[bad]
-        unit = sep[:, bad]
+        unit = sep.take(bad, axis=1)
         if np.minimum.reduce(gaps) < 1e-15:
             touching = gaps < 1e-15
             angles = 2.0 * math.pi * pop.rng.random(int(touching.sum()))
@@ -309,25 +327,28 @@ def enforce_min_distance(pop: FireflyPopulation) -> FireflyPopulation:
             unit[:, apart] /= gaps[apart]
         else:
             unit /= gaps
-        push = 0.5 * (reach - gaps) * unit
+        half = reach - gaps
+        half *= 0.5
+        unit *= half  # the push
         # bincount sums its weights in input order, so each agent's shift
         # is its pushes as the lower-index end in pair order, then its
         # pushes as the higher-index end; x bins are 0..F-1, y bins F..2F-1.
-        shift = np.bincount(
-            bins[:, bad].ravel(),
-            weights=np.concatenate((-push, push)).ravel(),
+        moved = np.bincount(
+            bins.take(bad, axis=1).ravel(),
+            weights=(_PUSH_SIGNS * unit).ravel(),
             minlength=2 * count,
-        ).reshape(2, count)
-        moved = xy + shift
+        )
+        moved += flat
         np.maximum(moved, 0.0, out=moved)
         np.minimum(moved, 1.0, out=moved)
-        if np.maximum.reduce(np.absolute(moved - xy), axis=None) < 1e-12:
+        step = np.maximum.reduce(np.absolute(moved - flat))
+        flat = moved
+        if step < 1e-12:
             # clipping cancelled every push (wall deadlock); no progress
             # possible, keep the best-effort layout
-            xy = moved
             break
-        xy = moved
-    pop.positions = np.ascontiguousarray(xy.T)
+        drift += _SQRT2 * step
+    pop.positions = np.ascontiguousarray(flat.reshape(2, count).T)
     pop.settle_converged = converged
     return pop
 

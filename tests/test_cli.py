@@ -580,6 +580,36 @@ def test_sweep_rejects_a_non_integer_jobs_key(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_sweep_starts_no_more_workers_than_tasks(tmp_path, monkeypatch):
+    started = []
+
+    class SerialPool:
+        """Records the worker count it is asked for and maps in process."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    def two_runs(out, jobs):
+        return ["sweep", "--set", "experiment=evolve1d", "--set", "n=25", "--set",
+                "sweep.alpha=0.005,0.01", "--set", "seeds=0", "--jobs", str(jobs), "--out", str(out)]
+
+    monkeypatch.setattr("fireflynet.cli.ProcessPoolExecutor", SerialPool)
+    assert main(two_runs(tmp_path / "many", 1000)) == 0
+    assert started == [2]
+    assert main(two_runs(tmp_path / "one", 1)) == 0
+    assert started == [2]
+    assert (tmp_path / "many" / "sweep.csv").read_bytes() == (tmp_path / "one" / "sweep.csv").read_bytes()
+
+
 def test_sweep_requires_an_experiment(tmp_path, capsys):
     assert main(["sweep", "--set", "n=25", "--out", str(tmp_path / "s")]) == 2
     assert "requires the experiment key" in capsys.readouterr().err

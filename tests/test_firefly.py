@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from fireflynet import firefly
 from fireflynet.errors import FormatError, ParameterError, ShapeMismatchError
 from fireflynet.firefly import (
     MAX_SETTLE_SWEEPS,
@@ -453,6 +454,22 @@ def test_spacing_matches_the_pair_loop_oracle_for_generated_populations(inputs):
     assert np.array_equal(pop.positions, np.asarray(expected))
     assert pop.settle_converged == expected_converged
     assert pop.rng.random() == ref_rng.random()
+
+
+@settings(deadline=None, max_examples=60)
+@given(settle_inputs())
+def test_spacing_bits_do_not_depend_on_the_neighbour_list_width(inputs):
+    # skin 0 rebuilds the list every sweep, over all pairs; skin 50 lists
+    # every pair and rarely rebuilds
+    points, d_min, seed = inputs
+    outcomes = []
+    for skin in (0.0, 0.5, 2.0, 50.0):
+        pop = manual_population(points, [True] * len(points), SwarmParams(d_min=d_min), seed=seed)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(firefly, "SETTLE_SKIN", skin)
+            enforce_min_distance(pop)
+        outcomes.append((pop.positions.tobytes(), pop.settle_converged, pop.rng.bit_generator.state))
+    assert all(outcome == outcomes[0] for outcome in outcomes[1:])
 
 
 def test_spacing_disabled_is_a_no_op():
