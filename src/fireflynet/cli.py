@@ -56,13 +56,9 @@ RUN_KEY_HELP: dict[str, str] = {
     "cue": "cue pattern file for recall (--cue overrides)",
 }
 
-# Model keys that a sweep may vary: not the grid sides, not the string
-# choices, and not master_seed, since a sweep's seed axis is its seed list.
-SWEEPABLE = tuple(
-    spec.key
-    for spec in CONFIG_KEYS
-    if spec.field != "grid" and spec.kind is not str and spec.key != "master_seed"
-)
+# Model keys that a sweep may vary: not the grid sides, and not
+# master_seed, since a sweep's seed axis is its seed list.
+SWEEPABLE = tuple(spec.key for spec in CONFIG_KEYS if spec.field != "grid" and spec.key != "master_seed")
 
 
 class UsageError(FireflynetError):

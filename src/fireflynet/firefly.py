@@ -123,15 +123,12 @@ class GridLayout:
         y = (r + 0.5) / self.rows
         return np.column_stack([x, y])
 
-    def cell_distance_sq(self, periodic: bool) -> np.ndarray:
-        """(n, n) squared cell-to-cell distances in cell units, wrapped
-        around both axes when periodic."""
+    def cell_distance_sq(self) -> np.ndarray:
+        """(n, n) squared cell-to-cell distances in cell units."""
         total = np.zeros((self.n, self.n))
-        for index, size in zip(np.divmod(np.arange(self.n), self.cols), (self.rows, self.cols)):
+        for index in np.divmod(np.arange(self.n), self.cols):
             coord = index.astype(float)
             d = np.abs(coord[:, None] - coord[None, :])
-            if periodic:
-                d = np.minimum(d, size - d)
             total += d * d
         return total
 
@@ -401,7 +398,6 @@ def synthesize_weights(pop: FireflyPopulation, layout: GridLayout, v: float) -> 
     pos_sums = np.clip(w, 0.0, None).sum(axis=1, keepdims=True)
     w = w / np.maximum(pos_sums, 1.0)
     w = np.clip(w, -0.5 * v, v)
-    np.fill_diagonal(w, 0.0)
     return WeightMatrix(w)
 
 

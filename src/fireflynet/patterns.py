@@ -157,7 +157,6 @@ def gaussian_2d(
     sigma_x: float,
     sigma_y: float,
     *,
-    wrap: bool = False,
     label: str | None = None,
 ) -> Pattern:
     """Unit-norm separable Gaussian bump on a rows x cols grid.
@@ -172,12 +171,7 @@ def gaussian_2d(
         raise ParameterError(f"sigmas must be > 0, got ({sigma_x}, {sigma_y})")
 
     def axis_profile(size: int, center: float, sigma: float) -> np.ndarray:
-        coords = np.arange(size, dtype=float)
-        if wrap:
-            d = np.abs((coords - center) % size)
-            d = np.minimum(d, size - d)
-        else:
-            d = coords - center
+        d = np.arange(size, dtype=float) - center
         return np.exp(-0.5 * (d / sigma) ** 2)
 
     gx = axis_profile(cols, center_x, sigma_x)

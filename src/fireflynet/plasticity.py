@@ -202,10 +202,9 @@ def evolve_weights(
     # per-step records, sized by the steps run rather than by the cap
     row_sums = np.empty((min(params.max_steps, 64), n))
     peaks = np.empty((len(row_sums), 2))  # max |f| and the largest change, per step
-    # the diagonals as strided views: every (n+1)-th element of the flat buffer
+    # the rate's diagonal as a strided view: every (n+1)-th element of the
+    # flat buffer; zeroing it keeps the weights' zero diagonal through each step
     f_diag = f.reshape(-1)[:: n + 1]
-    current_diag = current.reshape(-1)[:: n + 1]
-    upcoming_diag = upcoming.reshape(-1)[:: n + 1]
 
     steps, converged = params.max_steps, False
     for k in range(params.max_steps):
@@ -216,13 +215,11 @@ def evolve_weights(
         add(current, coop, out=upcoming)
         maximum(upcoming, 0.0, out=upcoming)
         minimum(upcoming, v, out=upcoming)
-        upcoming_diag.fill(0.0)
         subtract(upcoming, current, out=change)
         absolute(moves, out=moves)
         peak = peaks[k]
         max_reduce(moves, axis=(1, 2), out=peak)
         current, upcoming = upcoming, current
-        current_diag, upcoming_diag = upcoming_diag, current_diag
         add_reduce(current, axis=1, out=row_sums[k])
         if peak[1] < threshold:
             steps, converged = k + 1, True

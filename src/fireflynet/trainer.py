@@ -67,8 +67,7 @@ NOISE_LEVEL = 0.2
 MASK_FRACTION = 0.3
 TEMPLATE_SIGMA = 1.0
 FUSED_GAP_TARGET = 0.15
-
-BOUNDARIES = ("open", "periodic")
+RING_NEIGHBORS = 3  # evolve1d's ring: neighbours per side, each at 1 / (2 k)
 
 # Seed-stream tags, so every random draw hangs off one master seed.
 _STREAM_WEIGHTS = 0
@@ -94,14 +93,10 @@ class TrainerConfig:
     pattern's peak.  topology_mix is how far the excitatory weights move
     toward the swarm-synthesized prior at each presentation (0 ignores
     the swarm structure, 1 replaces the learned weights).
-    hand_wired_neighbors switches init to a deterministic ring with that
-    many neighbors per side at 1/(2k) each (1D only); 0 leaves it off,
-    as None does.
     """
 
     n: int
     grid: tuple[int, int] | None = None
-    boundary: str = "open"
     use_firefly: bool = False
     plasticity: PlasticityParams = field(default_factory=PlasticityParams)
     swarm: SwarmParams = field(default_factory=SwarmParams)
@@ -110,7 +105,6 @@ class TrainerConfig:
     master_seed: int = 0
     epochs: int = 5
     topology_mix: float = 0.3
-    hand_wired_neighbors: int | None = None
     init_sigma_cells: float = 1.5
 
     def __post_init__(self) -> None:
@@ -118,8 +112,6 @@ class TrainerConfig:
             raise ParameterError(f"network size must be >= 2, got {self.n}")
         if self.layout().n != self.n:  # GridLayout rejects sides below 1
             raise ShapeMismatchError(f"grid {self.grid} does not match n={self.n}")
-        if self.boundary not in BOUNDARIES:
-            raise ConfigError(f"boundary must be one of {BOUNDARIES}, got {self.boundary!r}")
         if not 0.0 <= self.theta_act:
             raise ParameterError(f"theta_act must be >= 0, got {self.theta_act}")
         if self.pattern_count < 1:
@@ -130,14 +122,6 @@ class TrainerConfig:
             raise ParameterError(f"epochs must be >= 1, got {self.epochs}")
         if not 0.0 <= self.topology_mix <= 1.0:
             raise ParameterError(f"topology_mix must lie in [0,1], got {self.topology_mix}")
-        if self.hand_wired_neighbors == 0:
-            object.__setattr__(self, "hand_wired_neighbors", None)
-        if self.hand_wired_neighbors is not None:
-            k = self.hand_wired_neighbors
-            if self.grid is not None:
-                raise ParameterError("hand-wired ring init is defined for 1D lines only")
-            if k < 1 or 2 * k >= self.n:
-                raise ParameterError(f"hand-wired neighbor count {k} invalid for n={self.n}")
         if self.init_sigma_cells <= 0.0:
             raise ParameterError(f"init_sigma_cells must be > 0, got {self.init_sigma_cells}")
 
@@ -210,21 +194,15 @@ def _row_normalize_capped(w: np.ndarray, v: float) -> np.ndarray:
 
 
 def init_model(config: TrainerConfig) -> Model:
-    """Seeded model: distance-decaying random weights (or a hand-wired
-    ring) plus a fresh swarm population when the config asks for one."""
+    """Seeded model: distance-decaying random weights plus a fresh swarm
+    population when the config asks for one."""
     n = config.n
-    distance_sq = config.layout().cell_distance_sq(config.boundary == "periodic")
-    if config.hand_wired_neighbors is not None:
-        k = config.hand_wired_neighbors
-        w = np.where((distance_sq > 0.0) & (distance_sq <= k * k), 1.0 / (2 * k), 0.0)
-    else:
-        rng = _rng(config.master_seed, _STREAM_WEIGHTS)
-        sigma = config.init_sigma_cells
-        kernel = np.exp(-distance_sq / (2.0 * sigma * sigma))
-        w = kernel * rng.random((n, n))
-        np.fill_diagonal(w, 0.0)
-        w = _row_normalize_capped(w, config.plasticity.v)
+    rng = _rng(config.master_seed, _STREAM_WEIGHTS)
+    sigma = config.init_sigma_cells
+    kernel = np.exp(-config.layout().cell_distance_sq() / (2.0 * sigma * sigma))
+    w = kernel * rng.random((n, n))
     np.fill_diagonal(w, 0.0)
+    w = _row_normalize_capped(w, config.plasticity.v)
 
     population = None
     if config.use_firefly:
@@ -264,7 +242,6 @@ def present_pattern(model: Model, p: Pattern) -> Model:
         rho = cfg.topology_mix
         # Swarm-declared inhibitory surround suppresses learned excitation
         # there; elsewhere the prior pulls excitation toward its layout.
-        excitatory = excitatory.copy()
         excitatory[prior.w < 0.0] = 0.0
         excitatory = (1.0 - rho) * excitatory + rho * prior.positive_part()
         inhibitory = prior.negative_part()
@@ -405,9 +382,9 @@ class ConfigKey:
     """One flat config key: the dataclass field it sets and its help text.
 
     The field's default decides how the key is parsed and echoed (bool,
-    int, float or a plain string); a field without a default, or with
-    None, is an int.  The grid sides rows and cols both set ``grid``, in
-    that order.  A field left at None is not echoed.
+    int or float); a field without a default, or with None, is an int.
+    The grid sides rows and cols both set ``grid``, in that order.  A
+    field left at None is not echoed.
     """
 
     key: str
@@ -424,17 +401,15 @@ class ConfigKey:
         default = getattr(self.owner, self.field, None)
         return int if default is None else type(default)
 
-    def parse(self, raw: str) -> bool | int | float | str:
+    def parse(self, raw: str) -> bool | int | float:
         if self.kind is bool:
             return _parse_bool(self.key, raw)
-        if self.kind is str:
-            return raw
         value = _parse_num(self.key, raw, self.kind)
         if self.kind is float and not math.isfinite(value):
             raise ConfigError(f"{self.key}: expected a finite number, got {raw!r}")
         return value
 
-    def format(self, value: bool | int | float | str) -> str:
+    def format(self, value: bool | int | float) -> str:
         if self.kind is bool:
             return str(value).lower()
         return repr(value) if self.kind is float else str(value)
@@ -444,14 +419,12 @@ CONFIG_KEYS: tuple[ConfigKey, ...] = (
     ConfigKey("n", TrainerConfig, "network size (number of cells)"),
     ConfigKey("rows", TrainerConfig, "grid rows (with cols; omit both for a 1D line)", "grid"),
     ConfigKey("cols", TrainerConfig, "grid columns", "grid"),
-    ConfigKey("boundary", TrainerConfig, "open | periodic"),
     ConfigKey("use_firefly", TrainerConfig, "synthesize topology with the swarm before each presentation"),
     ConfigKey("theta_act", TrainerConfig, "active threshold as a fraction of the pattern peak"),
     ConfigKey("pattern_count", TrainerConfig, "number of stored templates the scenario generates"),
     ConfigKey("master_seed", TrainerConfig, "root of the run's seed hierarchy"),
     ConfigKey("epochs", TrainerConfig, "training passes over the pattern list"),
     ConfigKey("topology_mix", TrainerConfig, "pull of the swarm prior on excitatory weights, in [0,1]"),
-    ConfigKey("hand_wired_neighbors", TrainerConfig, "ring init with k neighbors per side (1D only)"),
     ConfigKey("init_sigma_cells", TrainerConfig, "width of the random-init distance kernel, in cells"),
     ConfigKey("alpha", PlasticityParams, "uniform-decay rate of the weight rule"),
     ConfigKey("beta", PlasticityParams, "competition gain of the weight rule"),
@@ -548,7 +521,12 @@ def save_model(model: Model, out_dir: str | Path) -> None:
 
 # Removed keys that every config.cfg saved while they existed echoes, with
 # the one value such a model can still be loaded at.
-_RETIRED_KEYS = {"learn_schedule": "onset", "recall_iterations": "1", "reset_per_pattern": "false"}
+_RETIRED_KEYS = {
+    "learn_schedule": "onset",
+    "recall_iterations": "1",
+    "reset_per_pattern": "false",
+    "boundary": "open",
+}
 
 
 def load_model(model_dir: str | Path) -> Model:
@@ -652,8 +630,7 @@ def _random_bump(config: TrainerConfig, rng: np.random.Generator, label: str | N
     rows, cols = _scenario_grid(config)
     cy = rng.uniform(1.0, rows - 2.0) if rows > 3 else rows / 2.0
     cx = rng.uniform(1.0, cols - 2.0) if cols > 3 else cols / 2.0
-    wrap = config.boundary == "periodic"
-    return gaussian_2d(rows, cols, cx, cy, TEMPLATE_SIGMA, TEMPLATE_SIGMA, wrap=wrap, label=label)
+    return gaussian_2d(rows, cols, cx, cy, TEMPLATE_SIGMA, TEMPLATE_SIGMA, label=label)
 
 
 def _distinct_bumps(config: TrainerConfig, rng: np.random.Generator, count: int) -> list[Pattern]:
@@ -664,9 +641,8 @@ def _distinct_bumps(config: TrainerConfig, rng: np.random.Generator, count: int)
     if count > len(interior):
         raise ParameterError(f"cannot place {count} distinct templates on a {rows}x{cols} grid")
     picks = rng.choice(len(interior), size=count, replace=False)
-    wrap = config.boundary == "periodic"
     return [
-        gaussian_2d(rows, cols, float(c), float(r), TEMPLATE_SIGMA, TEMPLATE_SIGMA, wrap=wrap, label=f"t{k}")
+        gaussian_2d(rows, cols, float(c), float(r), TEMPLATE_SIGMA, TEMPLATE_SIGMA, label=f"t{k}")
         for k, (r, c) in enumerate(interior[int(pick)] for pick in picks)
     ]
 
@@ -676,18 +652,19 @@ def _distinct_bumps(config: TrainerConfig, rng: np.random.Generator, count: int)
 # the models it trained.  run_experiment holds the seed loop.
 
 def _evolve1d(report: ExperimentReport, config: TrainerConfig, seed: int, emit: Emit) -> list[EvolveReport]:
-    """Run the weight rule to quiescence on a hand-wired periodic ring."""
-    scfg = replace(
-        config, grid=None, boundary="periodic", use_firefly=False, hand_wired_neighbors=config.hand_wired_neighbors or 3
-    )
-    model = init_model(scfg)
-    w_initial = model.weights.w
-    tensor = correlation_tensor(model.weights.resolvent, np.arange(scfg.n))
-    evolved, evo = evolve_weights(model.weights, tensor, scfg.plasticity)
+    """Run the weight rule to quiescence on a hand-wired periodic ring of
+    n cells, each wired to RING_NEIGHBORS neighbours per side."""
+    n, k = config.n, RING_NEIGHBORS
+    if 2 * k >= n:
+        raise ParameterError(f"a ring with {k} neighbours per side needs n > {2 * k}, got n={n}")
+    idx = np.arange(n)
+    gap = np.abs(idx[:, None] - idx[None, :])
+    w_initial = np.where((gap > 0) & (np.minimum(gap, n - gap) <= k), 1.0 / (2 * k), 0.0)
+    start = WeightMatrix(w_initial)
+    tensor = correlation_tensor(start.resolvent, idx)
+    evolved, evo = evolve_weights(start, tensor, config.plasticity)
     w_final = evolved.w
 
-    n = scfg.n
-    idx = np.arange(n)
     at = lambda offset: w_final[idx, (idx + offset) % n]  # w[i, i + offset] around the ring
     nearest = np.concatenate([at(1), at(-1)])
     third = np.concatenate([at(3), at(-3)])

@@ -329,9 +329,11 @@ def test_a_saved_agent_off_the_square_is_a_data_error(tmp_path, swarm_model, cap
 
 
 def with_retired_lines(config_text: str, recall_iterations: str = "1") -> str:
-    """A config.cfg as saved while learn_schedule, recall_iterations and
-    reset_per_pattern were keys: each echoed after the key before it."""
+    """A grid model's config.cfg as saved while boundary, learn_schedule,
+    recall_iterations and reset_per_pattern were keys: each echoed after
+    the key before it."""
     after = {
+        "cols": "boundary = open",
         "use_firefly": "learn_schedule = onset",
         "topology_mix": f"recall_iterations = {recall_iterations}",
         "population_factor": "reset_per_pattern = false",
@@ -435,7 +437,14 @@ def test_experiment_rejects_unknown_names_and_keys(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "key, value", [("learn_schedule", "onset"), ("recall_iterations", "1"), ("reset_per_pattern", "false")]
+    "key, value",
+    [
+        ("learn_schedule", "onset"),
+        ("recall_iterations", "1"),
+        ("reset_per_pattern", "false"),
+        ("boundary", "open"),
+        ("hand_wired_neighbors", "3"),
+    ],
 )
 def test_retired_keys_are_unknown_to_set_and_config(tmp_path, capsys, key, value):
     config = tmp_path / "run.cfg"
@@ -537,14 +546,14 @@ def test_sweep_rejects_structural_keys(tmp_path, capsys):
             "--set",
             "experiment=evolve1d",
             "--set",
-            "sweep.boundary=open,periodic",
+            "sweep.rows=3,4",
             "--out",
             str(tmp_path / "s"),
         ]
     )
     assert code == 2
     assert "cannot sweep" in capsys.readouterr().err
-    assert "boundary" not in SWEEPABLE
+    assert "rows" not in SWEEPABLE
     # the seed axis of a sweep is its seed list, not master_seed
     code = main(
         [

@@ -20,7 +20,6 @@ from fireflynet.patterns import (
     active_set,
     add_noise,
     cosine,
-    gaussian_1d,
     gaussian_2d,
     load_image,
     relative_threshold,
@@ -77,8 +76,6 @@ def test_config_rejects_inconsistent_fields():
         TrainerConfig(n=10, grid=(3, 3))
     with pytest.raises(ParameterError):
         TrainerConfig(n=9, grid=(-3, -3))
-    with pytest.raises(ConfigError):
-        TrainerConfig(n=9, boundary="twisted")
     with pytest.raises(ParameterError, match="master_seed must be >= 0, got -1"):
         TrainerConfig(n=9, master_seed=-1)
     with pytest.raises(ParameterError):
@@ -87,10 +84,6 @@ def test_config_rejects_inconsistent_fields():
         TrainerConfig(n=9, epochs=0)
     with pytest.raises(ParameterError):
         TrainerConfig(n=9, topology_mix=1.5)
-    with pytest.raises(ParameterError):
-        TrainerConfig(n=9, grid=(3, 3), hand_wired_neighbors=2)
-    with pytest.raises(ParameterError):
-        TrainerConfig(n=6, hand_wired_neighbors=3)
     with pytest.raises(ParameterError):
         TrainerConfig(n=9, init_sigma_cells=0.0)
 
@@ -138,9 +131,10 @@ def test_init_weights_decay_with_cell_distance():
     assert near_total > 2.0 * far_total
 
 
-def test_hand_wired_ring_is_exact():
-    cfg = TrainerConfig(n=25, boundary="periodic", hand_wired_neighbors=3)
-    w = init_model(cfg).weights.w
+def test_hand_wired_ring_is_exact(tmp_path):
+    # evolve1d starts from a ring of 3 neighbours per side at 1/6 each
+    run_experiment(TrainerConfig(n=25), "evolve1d", out_dir=tmp_path)
+    w = load_matrix_csv(tmp_path / "w_matrix_initial.csv")
     level = 1.0 / 6.0
     want = np.zeros((25, 25))
     for i in range(25):
@@ -150,12 +144,19 @@ def test_hand_wired_ring_is_exact():
     assert np.array_equal(w, want)
 
 
-def test_hand_wired_open_line_truncates_at_the_edge():
-    cfg = TrainerConfig(n=10, boundary="open", hand_wired_neighbors=2)
-    w = init_model(cfg).weights.w
-    assert w[0, 1] == 0.25 and w[0, 2] == 0.25
-    assert w[0].sum() == 0.5
-    assert w[5].sum() == 1.0
+@pytest.mark.parametrize("n", [12, 25, 40])
+def test_evolve1d_keeps_the_ring_circulant(tmp_path, n):
+    # every cell of the ring sees the same neighbourhood, so every row of
+    # the evolved weights is row 0 rotated to that cell
+    run_experiment(TrainerConfig(n=n), "evolve1d", out_dir=tmp_path)
+    w = load_matrix_csv(tmp_path / "w_matrix_final.csv")
+    rows = np.stack([np.roll(w[i], -i) for i in range(n)])
+    assert np.abs(rows - rows[0]).max() <= 1e-12
+
+
+def test_evolve1d_needs_a_ring_wider_than_its_neighbourhood():
+    with pytest.raises(ParameterError, match="needs n > 6, got n=6"):
+        run_experiment(TrainerConfig(n=6), "evolve1d")
 
 
 def test_init_spawns_population_only_when_asked():
@@ -247,24 +248,6 @@ def test_learning_favors_connections_inside_the_active_set():
         aa = np.mean([w[i, j] for i in act for j in act if i != j])
         ai = np.mean([w[i, j] for i in act for j in inact])
         assert aa > ai
-
-
-def test_training_on_all_shifts_washes_out_the_random_init():
-    # a full set of wrapped translates drives every row toward the same
-    # displacement profile regardless of the seed
-    for seed in range(3):
-        cfg = TrainerConfig(
-            n=25,
-            boundary="periodic",
-            use_firefly=False,
-            master_seed=seed,
-            epochs=1,
-            plasticity=PlasticityParams(alpha=0.01, max_steps=400),
-        )
-        model = train(init_model(cfg), [gaussian_1d(25, c, 1.5, wrap=True) for c in range(25)])
-        w = model.weights.w
-        rows = np.stack([np.roll(w[i], -i) for i in range(25)])
-        assert np.abs(rows - rows[0]).max() <= 0.1
 
 
 def test_presentation_validates_pattern_length():
@@ -473,7 +456,6 @@ def test_config_round_trips_through_text():
     cfg = TrainerConfig(
         n=12,
         grid=(3, 4),
-        boundary="periodic",
         use_firefly=True,
         plasticity=PlasticityParams(alpha=0.02, beta=0.8, v=0.4, max_steps=123, tol=1e-7),
         swarm=SwarmParams(
@@ -510,14 +492,6 @@ def test_dt_is_an_unknown_config_key():
     TrainerConfig(n=100, plasticity=PlasticityParams(alpha=1.0))
 
 
-def test_hand_wired_config_round_trips():
-    cfg = TrainerConfig(n=10, hand_wired_neighbors=2)
-    back = config_from_dict(parse_kv_text(format_kv(config_to_dict(cfg))))
-    assert back == cfg
-    relaxed = config_from_dict({"n": "10", "hand_wired_neighbors": "0"})
-    assert relaxed.hand_wired_neighbors is None
-
-
 @st.composite
 def config_dicts(draw):
     """Flat key/value dicts over every key, each key present or left at
@@ -529,15 +503,10 @@ def config_dicts(draw):
         kv = {"n": str(draw(st.integers(2, 40)))}
     # small positive floats, inside the domain of most float keys
     by_kind = {bool: st.booleans(), int: st.integers(1, 50), float: st.floats(1e-4, 0.15)}
-    by_key = {
-        "boundary": st.sampled_from(["open", "periodic"]),
-        "hand_wired_neighbors": st.integers(0, 0 if "rows" in kv else 3),
-    }
     for spec in CONFIG_KEYS:
         if spec.key in kv or not draw(st.booleans()):
             continue
-        strategy = by_key[spec.key] if spec.key in by_key else by_kind[spec.kind]
-        kv[spec.key] = spec.format(draw(strategy))
+        kv[spec.key] = spec.format(draw(by_kind[spec.kind]))
     return kv
 
 
@@ -626,7 +595,12 @@ def test_loading_rejects_a_size_mismatch(tmp_path):
 
 @pytest.mark.parametrize(
     "key, kept, other",
-    [("learn_schedule", "onset", "converged"), ("recall_iterations", "1", "2"), ("reset_per_pattern", "false", "true")],
+    [
+        ("learn_schedule", "onset", "converged"),
+        ("recall_iterations", "1", "2"),
+        ("reset_per_pattern", "false", "true"),
+        ("boundary", "open", "periodic"),
+    ],
 )
 def test_a_retired_key_loads_only_at_the_value_that_stayed(tmp_path, key, kept, other):
     # every model saved while the key existed echoes it, at its default
