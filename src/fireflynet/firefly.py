@@ -8,19 +8,26 @@ pushes any pair closer than d_min apart.  After some steps the swarm
 clusters around active cells, and a signed coupling matrix is read off:
 excitatory agents near a cell contribute positive weight to it, the
 inhibitory minority contributes negative weight.
+
+The move pass and the settle run in ``swarm.c``, compiled on first use
+(``load_kernel``).  It keeps the order of every floating-point operation
+of the plain loops in ``tests/oracles.py``, and its build neither fuses
+nor reorders them, so it returns their bits.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 from pathlib import Path
 
 import numpy as np
 
 from .dynamics import WeightMatrix
-from .errors import FormatError, ParameterError, ShapeMismatchError
+from .errors import FireflynetError, FormatError, ParameterError, ShapeMismatchError
 from .patterns import FLOAT_FMT, Pattern, read_text, write_table
 
 # Settling passes before giving up on the spacing constraint, the slack
@@ -28,30 +35,62 @@ from .patterns import FLOAT_FMT, Pattern, read_text, write_table
 # floating-point resolution near the middle of the unit square), and the
 # overshoot past d_min each split aims for.  Pushing exactly to d_min
 # approaches the constraint geometrically and never terminates; the 5%
-# margin makes each violation resolve in one shove.  The settle scatters
-# pushes in row-major i<j pair order: the order of accumulation decides the
-# output bits the determinism checks compare.
+# margin makes each violation resolve in one shove.
 MAX_SETTLE_SWEEPS = 100
 SETTLE_EPS = 1e-9
 SETTLE_OVERSHOOT = 1.05
-# Width, in units of d_min, of the margin past too_close within which the
-# settle's neighbour list keeps pairs (a Verlet list); any width gives the
-# same bits, the width only trades list rebuilds against listed pairs.
-SETTLE_SKIN = 2.0
-# A pair's push enters the scatter negated at its lower-index end and as
-# is at its higher (negation is exact); no agent moves further in a sweep
-# than sqrt(2) times the sweep's largest coordinate move.
-_PUSH_SIGNS = np.array([-1.0, 1.0]).reshape(2, 1, 1)
-_SQRT2 = math.sqrt(2.0)
+
+_KERNEL_SOURCE = Path(__file__).with_name("swarm.c")
+_KERNEL_COMMAND = ("cc", "-O2", "-ffp-contract=off", "-fPIC", "-shared")
 
 
-@lru_cache(maxsize=None)
-def _pair_bins(count: int) -> np.ndarray:
-    """(4, P) rows [i, i+F, j, j+F] of the i<j pairs of F = count agents in
-    row-major order: each pair's x and y bins at its lower-index end, then
-    at its higher, in positions held flat as x then y."""
-    ii, jj = np.triu_indices(count, k=1)
-    return np.stack([ii, ii + count, jj, jj + count])
+@cache
+def load_kernel() -> ctypes.CDLL:
+    """The compiled swarm kernel, built the first time it is asked for.
+
+    The library is cached in ``__pycache__`` beside ``swarm.c``, named by
+    a hash of the source and the compiler command, so later processes
+    load it without compiling; where that directory cannot be written,
+    the build goes to a private temporary directory.  Raises
+    FireflynetError when no C compiler is found or the build fails."""
+    lib = ctypes.CDLL(str(_build_kernel(_KERNEL_SOURCE)))
+    long_, double, ptr = ctypes.c_long, ctypes.c_double, ctypes.c_void_p
+    lib.swarm_move.argtypes = [ptr, ptr, long_, ptr, double, double, double]
+    lib.swarm_settle.argtypes = [ptr, long_, double, double, long_, ctypes.POINTER(long_), ptr]
+    lib.swarm_move.restype = lib.swarm_settle.restype = long_
+    return lib
+
+
+def _build_kernel(source: Path) -> Path:
+    """The shared library built from ``source``: the cached one, or a new
+    build written under a temporary name and renamed into place."""
+    import hashlib  # only a first use needs these
+    import subprocess
+    import tempfile
+
+    tag = hashlib.sha256(source.read_bytes() + " ".join(_KERNEL_COMMAND).encode()).hexdigest()[:16]
+    folder = source.parent / "__pycache__"
+    lib = folder / f"{source.stem}-{tag}.so"
+    if lib.is_file():
+        return lib
+    try:
+        folder.mkdir(exist_ok=True)
+        handle, partial = tempfile.mkstemp(suffix=".so", dir=folder)
+    except OSError:  # never a shared, world-writable directory: mkdtemp's is private
+        lib = Path(tempfile.mkdtemp(prefix="fireflynet-")) / lib.name
+        handle, partial = tempfile.mkstemp(suffix=".so", dir=lib.parent)
+    os.close(handle)
+    try:
+        built = subprocess.run([*_KERNEL_COMMAND, "-o", partial, str(source), "-lm"], capture_output=True, text=True)
+        failure = built.returncode and (built.stderr.strip().splitlines() or [f"exit {built.returncode}"])[-1]
+    except OSError as exc:
+        failure = exc
+    if failure:
+        os.unlink(partial)
+        raise FireflynetError(f"building {source.name} needs a working C compiler (cc): {failure}")
+    os.chmod(partial, 0o755)  # mkstemp's 0600 would keep other users from loading it
+    os.replace(partial, lib)
+    return lib
 
 
 @dataclass(frozen=True)
@@ -183,6 +222,14 @@ class FireflyPopulation:
         return int(self.excitatory.sum())
 
 
+def _kernel_positions(pop: FireflyPopulation) -> np.ndarray:
+    """A copy of the positions as the kernel reads them: C-ordered (x, y) rows."""
+    positions = np.array(pop.positions, dtype=float, order="C")
+    if positions.ndim != 2 or positions.shape[1] != 2:
+        raise ShapeMismatchError(f"swarm positions must be (agents, 2), got shape {positions.shape}")
+    return positions
+
+
 def swarm_step(
     pop: FireflyPopulation, activity: Pattern, layout: GridLayout
 ) -> FireflyPopulation:
@@ -196,54 +243,25 @@ def swarm_step(
     A move of agent i toward a brighter agent j is Yang's firefly rule:
     x_i += b * exp(-gamma * r^2) * (x_j - x_i) + eta * (u - 1/2) per
     coordinate (u drawn per coordinate, x first), clipped to the unit
-    square.  With eta = 0 the move is a contraction toward x_j.
+    square.  With eta = 0 the move is a contraction toward x_j.  The
+    kernel counts the moves first, so the u for the whole pass are one
+    block of 2 * moves draws; it groups each move as written above, clips
+    with < and >, and takes exp from libm, as ``math.exp`` does.
     """
     if activity.n != layout.n:
         raise ShapeMismatchError(
             f"activity length {activity.n} does not match layout size {layout.n}"
         )
-    count = len(pop)
-    nearest = layout.nearest_cell(pop.positions)
-    pop.brightness = activity.values[nearest]  # a float copy: Pattern values are float
-
-    bright = pop.brightness.tolist()
-    # brighter[b]: the agents strictly brighter than level b, ascending
-    members: dict[float, list[int]] = {}
-    for j, bj in enumerate(bright):
-        members.setdefault(bj, []).append(j)
-    brighter, above = {}, []
-    for level in sorted(members, reverse=True):
-        brighter[level] = above
-        above = sorted(above + members[level])
-    # Move count is fixed by the brightness ranking, so the jitter for the
-    # whole pass can be drawn as one block without changing the stream.
-    n_moves = sum(len(brighter[bi]) for bi in bright)
-    jitter = (pop.params.eta * (pop.rng.random(2 * n_moves) - 0.5)).tolist() if n_moves else []
-
-    b_att = pop.params.b
-    neg_gamma = -pop.params.gamma
-    exp = math.exp
-    x, y = pop.positions.T.tolist()
-    k = 0
-    for i in range(count):
-        xi, yi = x[i], y[i]
-        for j in brighter[bright[i]]:
-            dx = x[j] - xi
-            dy = y[j] - yi
-            attract = b_att * exp(neg_gamma * (dx * dx + dy * dy))
-            xi += attract * dx + jitter[k]
-            yi += attract * dy + jitter[k + 1]
-            k += 2
-            if xi < 0.0:
-                xi = 0.0
-            elif xi > 1.0:
-                xi = 1.0
-            if yi < 0.0:
-                yi = 0.0
-            elif yi > 1.0:
-                yi = 1.0
-        x[i], y[i] = xi, yi
-    pop.positions = np.array((x, y)).T.copy()
+    kernel = load_kernel()
+    positions = _kernel_positions(pop)
+    pop.brightness = activity.values[layout.nearest_cell(positions)]  # a float copy: Pattern values are float
+    agents = (positions.ctypes.data, pop.brightness.ctypes.data, len(pop))
+    rule = (pop.params.b, -pop.params.gamma, pop.params.eta)
+    moves = kernel.swarm_move(*agents, None, *rule)  # no noise: counts the moves
+    if moves:
+        noise = pop.rng.random(2 * moves)  # held: the kernel reads it by address
+        kernel.swarm_move(*agents, noise.ctypes.data, *rule)
+    pop.positions = positions
     return enforce_min_distance(pop)
 
 
@@ -261,19 +279,12 @@ def enforce_min_distance(pop: FireflyPopulation) -> FireflyPopulation:
     outcome lands in settle_converged and the best-effort positions are
     kept either way.
 
-    Positions are held flat, x then y.  A sweep measures only the pairs
-    on a neighbour list, in row-major i<j order: the pairs within
-    SETTLE_SKIN * d_min of violating when the list was last built, by a
-    sweep over all pairs.  The list is rebuilt whenever an agent has
-    drifted half that skin, so a pair off the list cannot violate and
-    every sweep finds what an all-pairs sweep would.  The drift is
-    measured exactly only once a bound on it reaches that threshold: the
-    last measured drift plus sqrt(2) times the sum of each sweep's largest
-    coordinate move since, which the wall-deadlock test computes anyway.
-    Each agent's displacement sums its pushes as the lower-index end in
-    pair order, then its pushes as the higher-index end in pair order;
-    that order fixes the result bits that the byte-determinism checks
-    compare.
+    The kernel sweeps all i<j pairs in row-major order.  Each agent's
+    displacement sums its pushes as the lower-index end in pair order,
+    then as the higher-index end; that order fixes the bits the
+    byte-determinism checks compare.  A sweep that meets coincident pairs
+    returns before it pushes, and resumes with their directions: numpy's
+    cos and sin of 2 pi times one block of generator draws.
     """
     d_min = pop.params.d_min
     count = len(pop)
@@ -281,72 +292,20 @@ def enforce_min_distance(pop: FireflyPopulation) -> FireflyPopulation:
         pop.settle_converged = True
         return pop
 
-    flat = pop.positions.T.ravel()
-    all_bins = _pair_bins(count)
-    too_close, reach = d_min - SETTLE_EPS, SETTLE_OVERSHOOT * d_min
-    skin = SETTLE_SKIN * d_min
-    # A pair left off the list was at least too_close + skin apart when the
-    # list was built and has closed by at most the drift of its two ends
-    # since, so rebuilding once an agent drifts skin / 2 (less a rounding
-    # margin) keeps every unlisted pair clear of too_close.  The drift
-    # bound is inflated by 1e-12 to cover its own rounding.
-    rebuild = max(0.5 * skin - 1e-9, 0.0)
-    rebuild_sq = rebuild**2
-    anchor = None  # positions when the list was built
-    drift = 0.0  # bound on any agent's distance from anchor
-    converged = False
-    for _ in range(MAX_SETTLE_SWEEPS):
-        stale = anchor is None
-        if not stale and drift * (1.0 + 1e-12) >= rebuild:
-            squares = np.square(flat - anchor)
-            drift_sq = np.maximum.reduce(squares[:count] + squares[count:])
-            stale, drift = drift_sq >= rebuild_sq, math.sqrt(drift_sq)
-        # the pair ends x_i, y_i, x_j, y_j; pair (i, j) points i -> j
-        ends = flat.take(all_bins if stale else bins)
-        sep = ends[2:] - ends[:2]
-        sq = sep * sep
-        dist = np.sqrt(sq[0] + sq[1])
-        if stale:
-            anchor, drift = flat, 0.0
-            near = (dist < too_close + skin).nonzero()[0]
-            bins, sep, dist = all_bins.take(near, axis=1), sep.take(near, axis=1), dist[near]
-        bad = (dist < too_close).nonzero()[0]
-        if not bad.size:
-            converged = True
-            break
-        gaps = dist[bad]
-        unit = sep.take(bad, axis=1)
-        if np.minimum.reduce(gaps) < 1e-15:
-            touching = gaps < 1e-15
-            angles = 2.0 * math.pi * pop.rng.random(int(touching.sum()))
-            unit[:, touching] = np.cos(angles), np.sin(angles)
-            apart = ~touching
-            unit[:, apart] /= gaps[apart]
-        else:
-            unit /= gaps
-        half = reach - gaps
-        half *= 0.5
-        unit *= half  # the push
-        # bincount sums its weights in input order, so each agent's shift
-        # is its pushes as the lower-index end in pair order, then its
-        # pushes as the higher-index end; x bins are 0..F-1, y bins F..2F-1.
-        moved = np.bincount(
-            bins.take(bad, axis=1).ravel(),
-            weights=(_PUSH_SIGNS * unit).ravel(),
-            minlength=2 * count,
-        )
-        moved += flat
-        np.maximum(moved, 0.0, out=moved)
-        np.minimum(moved, 1.0, out=moved)
-        step = np.maximum.reduce(np.absolute(moved - flat))
-        flat = moved
-        if step < 1e-12:
-            # clipping cancelled every push (wall deadlock); no progress
-            # possible, keep the best-effort layout
-            break
-        drift += _SQRT2 * step
-    pop.positions = np.ascontiguousarray(flat.reshape(2, count).T)
-    pop.settle_converged = converged
+    kernel = load_kernel()
+    positions = _kernel_positions(pop)
+    where = positions.ctypes.data
+    sweep = ctypes.c_long(0)
+    args = (count, d_min - SETTLE_EPS, SETTLE_OVERSHOOT * d_min, MAX_SETTLE_SWEEPS, ctypes.byref(sweep))
+    status = kernel.swarm_settle(where, *args, None)
+    while status < 0:  # the sweep stopped at -status touching pairs
+        angles = 2.0 * math.pi * pop.rng.random(-status)
+        dirs = np.column_stack((np.cos(angles), np.sin(angles)))
+        status = kernel.swarm_settle(where, *args, dirs.ctypes.data)
+    if status == 2:
+        raise MemoryError(f"no memory for the spacing settle of {count} agents")
+    pop.positions = positions
+    pop.settle_converged = status == 0
     return pop
 
 

@@ -1,0 +1,114 @@
+/* The swarm's move pass and spacing settle, called from firefly.py through
+ * ctypes.  Positions are (x, y) pairs, agent after agent, updated in place.
+ * The results equal, bit for bit, the plain loops in tests/oracles.py:
+ * every expression keeps their grouping and order, the build neither fuses
+ * nor reorders floating-point operations (-ffp-contract=off, no
+ * -ffast-math), and exp is libm's, as math.exp's is. */
+#include <math.h>
+#include <stdlib.h>
+
+/* One in-place move pass; returns its number of moves, and with noise NULL
+ * only counts them.  Agent i, in ascending order, moves toward each
+ * strictly brighter agent j in ascending order and sees the moves made
+ * earlier in the pass: x_i += b exp(-gamma r^2) (x_j - x_i) + eta (u - 1/2)
+ * per coordinate, with u from noise (x then y per move), then clips into
+ * the unit square. */
+long swarm_move(double *pos, const double *bright, long count, const double *noise,
+                double b, double neg_gamma, double eta)
+{
+    long moves = 0;
+    for (long i = 0; i < count; i++) {
+        double xi = pos[2 * i], yi = pos[2 * i + 1];
+        for (long j = 0; j < count; j++) {
+            if (!(bright[j] > bright[i]))
+                continue;
+            moves++;
+            if (!noise)
+                continue;
+            double dx = pos[2 * j] - xi, dy = pos[2 * j + 1] - yi;
+            double attract = b * exp(neg_gamma * (dx * dx + dy * dy));
+            xi += attract * dx + eta * (*noise++ - 0.5);
+            yi += attract * dy + eta * (*noise++ - 0.5);
+            xi = xi < 0.0 ? 0.0 : xi > 1.0 ? 1.0 : xi;
+            yi = yi < 0.0 ? 0.0 : yi > 1.0 ? 1.0 : yi;
+        }
+        pos[2 * i] = xi;
+        pos[2 * i + 1] = yi;
+    }
+    return moves;
+}
+
+struct push { long i, j; double x, y; };
+
+/* The spacing settle: Jacobi sweeps *sweep, *sweep + 1, ... below
+ * max_sweeps over all pairs i < j in row-major order.  A pair nearer than
+ * too_close is pushed apart by (s / d) * ((reach - d) * 0.5), s = pos_j -
+ * pos_i; a touching pair (d < 1e-15) takes its unit vector from dirs,
+ * (cos, sin) per touching pair of the sweep in pair order.
+ *
+ * Each agent's shift sums, into a zero, its pushes as the lower-index end
+ * (negated) in pair order, then its pushes as the higher-index end in pair
+ * order: the order numpy's bincount summed them in, which fixes the bits.
+ * The position plus the shift is clipped with max 0, then min 1.
+ *
+ * Returns 0 when a sweep finds no violation; 1 when clipping cancels a
+ * sweep (no coordinate moves 1e-12) or the sweeps run out; 2 when memory
+ * runs out; and -k when dirs is NULL and the sweep has k touching pairs.
+ * Then it returns before pushing, *sweep is that sweep, and the caller
+ * calls again with k directions to resume it. */
+long swarm_settle(double *pos, long count, double too_close, double reach,
+                  long max_sweeps, long *sweep, const double *dirs)
+{
+    long status = 1;
+    double *shift = malloc(2 * count * sizeof *shift);
+    struct push *pushes = malloc(count * (count - 1) / 2 * sizeof *pushes);
+    if (!shift || !pushes)
+        *sweep = max_sweeps, status = 2;
+    for (; *sweep < max_sweeps; ++*sweep, dirs = NULL) {
+        long bad = 0, touching = 0;
+        for (long i = 0; i < count; i++) {
+            for (long j = i + 1; j < count; j++) {
+                double sx = pos[2 * j] - pos[2 * i], sy = pos[2 * j + 1] - pos[2 * i + 1];
+                double d = sqrt(sx * sx + sy * sy), half = (reach - d) * 0.5, ux, uy;
+                if (!(d < too_close))
+                    continue;
+                if (d >= 1e-15) {
+                    ux = sx / d, uy = sy / d;
+                } else if (dirs) {
+                    ux = dirs[2 * touching], uy = dirs[2 * touching + 1];
+                    touching++;
+                } else {
+                    touching++;
+                    continue;
+                }
+                pushes[bad++] = (struct push){i, j, ux * half, uy * half};
+            }
+        }
+        if (touching && !dirs) {
+            status = -touching;
+            break;
+        }
+        if (!bad) {
+            status = 0;
+            break;
+        }
+        for (long a = 0; a < 2 * count; a++)
+            shift[a] = 0.0;
+        for (struct push *p = pushes; p < pushes + bad; p++)
+            shift[2 * p->i] += -p->x, shift[2 * p->i + 1] += -p->y;
+        for (struct push *p = pushes; p < pushes + bad; p++)
+            shift[2 * p->j] += p->x, shift[2 * p->j + 1] += p->y;
+        double step = 0.0;
+        for (long a = 0; a < 2 * count; a++) {
+            double moved = shift[a] + pos[a];
+            moved = moved < 0.0 ? 0.0 : moved > 1.0 ? 1.0 : moved;
+            step = fmax(step, fabs(moved - pos[a]));
+            pos[a] = moved;
+        }
+        if (step < 1e-12)
+            break; /* wall deadlock: clipping cancelled every push */
+    }
+    free(shift);
+    free(pushes);
+    return status;
+}

@@ -1,6 +1,11 @@
 """Swarm agents: attraction moves, spacing, and weight synthesis."""
 
 import math
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +19,6 @@ from fireflynet.firefly import (
     MAX_SETTLE_SWEEPS,
     SETTLE_EPS,
     SETTLE_OVERSHOOT,
-    SETTLE_SKIN,
     FireflyPopulation,
     GridLayout,
     SwarmParams,
@@ -25,7 +29,7 @@ from fireflynet.firefly import (
     synthesize_weights,
 )
 from fireflynet.dynamics import WeightMatrix
-from fireflynet.patterns import Pattern
+from fireflynet.patterns import Pattern, gaussian_2d, save_pattern_csv
 
 from fireflynet.trainer import digit_template
 from oracles import nearest_index, pair_distances, settle_loops, swarm_moves_reference
@@ -411,9 +415,9 @@ def test_spacing_of_a_collapsed_swarm_matches_the_oracle_across_list_rebuilds():
     spots = np.array([[0.3, 0.3], [0.7, 0.35], [0.5, 0.8], [0.0, 0.6]])
     points = spots[np.arange(121) % 4]
     pop = settle_against_the_pair_loop_oracle(points, 0.05)
-    # an agent that drifted past the skin forced the neighbour list to be rebuilt
+    # agents drifted well past d_min from where they started
     drift = np.sqrt(((pop.positions - points) ** 2).sum(axis=1))
-    assert drift.max() > SETTLE_SKIN * 0.05
+    assert drift.max() > 2.0 * 0.05
 
 
 def clustered_crowd(seed: int) -> tuple[np.ndarray, float]:
@@ -430,10 +434,8 @@ def clustered_crowd(seed: int) -> tuple[np.ndarray, float]:
 
 @pytest.mark.parametrize("seed", [0, 31, 51, 691])
 def test_spacing_of_clustered_crowds_matches_the_oracle_across_list_rebuilds(seed):
-    # a cluster bursting apart moves agents far between list builds; these
-    # crowds lose a violating pair when the list is rebuilt only after a
-    # full skin of drift instead of half of it, and 691 also when only the
-    # drift bound's gate waits for a full skin
+    # a cluster bursting apart moves agents far within one settle; these
+    # crowds caught an earlier neighbour-list settle losing violating pairs
     settle_against_the_pair_loop_oracle(*clustered_crowd(seed))
 
 
@@ -446,6 +448,20 @@ def test_spacing_of_an_overfull_swarm_matches_the_oracle_up_to_the_sweep_cap():
     before = pop.positions.copy()
     enforce_min_distance(pop)
     assert np.abs(pop.positions - before).max() > 1e-3
+
+
+def test_spacing_resumes_the_sweep_in_which_a_pair_first_touches():
+    # the first sweep clips agents 0 and 4 into the same corner, so the
+    # second stops for one direction draw and resumes where it stopped; the
+    # settle then runs to the sweep cap, where one sweep more or less shows
+    points = np.array([[0.01, 0.011], [0.011, 0.03], [0.019, 0.02], [0.01, 0.02], [0.004, 0.002]])
+    assert min(pair_distances(points)) > 1e-3
+    first, _ = settle_loops(points, 0.5, np.random.default_rng(8), 1, SETTLE_EPS, SETTLE_OVERSHOOT)
+    assert first[0] == first[4] == (0.0, 0.0)
+    pop = settle_against_the_pair_loop_oracle(points, 0.5)
+    assert not pop.settle_converged
+    short, _ = settle_loops(points, 0.5, np.random.default_rng(8), MAX_SETTLE_SWEEPS - 1, SETTLE_EPS, SETTLE_OVERSHOOT)
+    assert not np.array_equal(pop.positions, np.asarray(short))
 
 
 @st.composite
@@ -475,20 +491,14 @@ def test_spacing_matches_the_pair_loop_oracle_for_generated_populations(inputs):
     assert pop.rng.random() == ref_rng.random()
 
 
-@settings(deadline=None, max_examples=60)
-@given(settle_inputs())
-def test_spacing_bits_do_not_depend_on_the_neighbour_list_width(inputs):
-    # skin 0 rebuilds the list every sweep, over all pairs; skin 50 lists
-    # every pair and rarely rebuilds
-    points, d_min, seed = inputs
-    outcomes = []
-    for skin in (0.0, 0.5, 2.0, 50.0):
-        pop = manual_population(points, [True] * len(points), SwarmParams(d_min=d_min), seed=seed)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(firefly, "SETTLE_SKIN", skin)
-            enforce_min_distance(pop)
-        outcomes.append((pop.positions.tobytes(), pop.settle_converged, pop.rng.bit_generator.state))
-    assert all(outcome == outcomes[0] for outcome in outcomes[1:])
+@pytest.mark.parametrize("shape", [(3,), (3, 1), (3, 3)])
+def test_swarm_rejects_positions_that_are_not_xy_rows(shape):
+    # the kernel reads positions as (x, y) pairs by address
+    pop = manual_population(np.full(shape, 0.5), [True] * 3, SwarmParams(d_min=0.1))
+    with pytest.raises(ShapeMismatchError):
+        enforce_min_distance(pop)
+    with pytest.raises(ShapeMismatchError):
+        swarm_step(pop, Pattern(np.arange(4.0), grid=(2, 2)), GridLayout(2, 2))
 
 
 def test_spacing_disabled_is_a_no_op():
@@ -639,3 +649,110 @@ def test_population_file_accepts_agents_on_the_edge_of_the_square(tmp_path):
     path.write_text("x,y,polarity,brightness\n0,1,E,-3.5\n1.0,-0.0,I,1e300\n")
     pop = load_population_csv(path, SwarmParams(), np.random.default_rng(0))
     assert pop.positions.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+
+
+# ---------------------------------------------------------------------------
+# the compiled kernel: its build cache, and a host without a compiler
+# ---------------------------------------------------------------------------
+
+SWARM_SCRIPT = """
+import numpy as np
+from fireflynet.firefly import FireflyPopulation, GridLayout, SwarmParams, swarm_step
+from fireflynet.patterns import Pattern, gaussian_2d, save_pattern_csv
+pop = FireflyPopulation.spawn(9, SwarmParams(), np.random.default_rng(0))
+swarm_step(pop, Pattern(np.arange(9.0), grid=(3, 3)), GridLayout(3, 3))
+print(pop.positions.tobytes().hex())
+"""
+
+
+def copy_package(tmp_path: Path) -> Path:
+    """A copy of the package with an empty build cache; returns the
+    directory to put on PYTHONPATH."""
+    site = tmp_path / "site"
+    shutil.copytree(
+        Path(firefly.__file__).parent, site / "fireflynet", ignore=shutil.ignore_patterns("__pycache__")
+    )
+    return site
+
+
+def failing_compiler(tmp_path: Path) -> str:
+    """A PATH whose cc exits 1 at once."""
+    bindir = tmp_path / "bin"
+    bindir.mkdir()
+    (bindir / "cc").write_text("#!/bin/sh\nexit 1\n")
+    (bindir / "cc").chmod(0o755)
+    return f"{bindir}{os.pathsep}{os.environ['PATH']}"
+
+
+def run_python(site: Path, path: str, *args: str) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": str(site), "PATH": path}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+def test_a_second_interpreter_loads_the_cached_kernel_without_compiling(tmp_path):
+    site = copy_package(tmp_path)
+    built = run_python(site, os.environ["PATH"], "-c", SWARM_SCRIPT)
+    assert built.returncode == 0, built.stderr
+    cache = site / "fireflynet" / "__pycache__"
+    assert len(list(cache.glob("swarm-*.so"))) == 1
+    broken = failing_compiler(tmp_path)
+    cached = run_python(site, broken, "-c", SWARM_SCRIPT)
+    assert cached.returncode == 0, cached.stderr
+    assert cached.stdout == built.stdout
+    # that compiler fails whenever it runs, so the second run compiled nothing
+    for lib in cache.glob("swarm-*.so"):
+        lib.unlink()
+    rebuilt = run_python(site, broken, "-c", SWARM_SCRIPT)
+    assert rebuilt.returncode != 0 and "building swarm.c needs a working C compiler" in rebuilt.stderr
+
+
+def test_a_changed_kernel_source_builds_under_a_new_name(tmp_path):
+    source = tmp_path / "swarm.c"
+    shutil.copyfile(firefly._KERNEL_SOURCE, source)
+    first = firefly._build_kernel(source)
+    source.write_text(source.read_text() + "\n/* edited */\n")
+    second = firefly._build_kernel(source)
+    assert first.parent == second.parent == tmp_path / "__pycache__"
+    assert first.name != second.name and first.is_file() and second.is_file()
+
+
+def test_a_kernel_cache_that_cannot_be_written_falls_back_to_a_private_directory(tmp_path):
+    source = tmp_path / "swarm.c"
+    shutil.copyfile(firefly._KERNEL_SOURCE, source)
+    # a file where the cache directory belongs: unwritable even for root
+    (tmp_path / "__pycache__").write_text("")
+    lib = firefly._build_kernel(source)
+    try:
+        assert lib.is_file() and tmp_path not in lib.parents
+        assert lib.parent.stat().st_mode & 0o777 == 0o700
+    finally:
+        shutil.rmtree(lib.parent)
+
+
+def test_without_a_compiler_a_swarm_experiment_exits_4_and_the_rest_still_runs(tmp_path):
+    site = copy_package(tmp_path)
+    patterns, model = tmp_path / "patterns", tmp_path / "model"
+    patterns.mkdir()
+    for k in range(2):
+        save_pattern_csv(gaussian_2d(3, 3, k, 1.0, 1.0, 1.0), patterns / f"p{k}.csv")
+    trained = run_python(
+        site, os.environ["PATH"], "-m", "fireflynet.cli", "train", "--patterns", str(patterns),
+        "--set", "n=9", "--set", "rows=3", "--set", "cols=3", "--set", "use_firefly=true", "--out", str(model),
+    )
+    assert trained.returncode == 0, trained.stderr
+    for lib in (site / "fireflynet" / "__pycache__").glob("swarm-*.so"):
+        lib.unlink()
+    nothing = tmp_path / "empty"
+    nothing.mkdir()  # a PATH with no cc on it
+
+    def cli(*args):
+        return run_python(site, str(nothing), "-m", "fireflynet.cli", *args, "--out", str(tmp_path / args[1]))
+
+    swarm = cli("experiment", "denoise", "--set", "n=25", "--set", "rows=5", "--set", "cols=5",
+                "--set", "use_firefly=true", "--set", "pattern_count=3", "--set", "seeds=0")
+    assert swarm.returncode == 4
+    assert swarm.stderr.count("\n") == 1 and "C compiler" in swarm.stderr
+    assert "Traceback" not in swarm.stderr
+    assert cli("experiment", "evolve1d", "--set", "n=25").returncode == 0
+    # a model the swarm laid out recalls without the kernel
+    assert cli("recall", "--model", str(model), "--cue", str(patterns / "p0.csv")).returncode == 0
