@@ -7,6 +7,7 @@ from .dynamics import (
     truncated_resolvent,
 )
 from .errors import (
+    CompilerError,
     ConfigError,
     FireflynetError,
     FormatError,

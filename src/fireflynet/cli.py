@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    CompilerError,
     ConfigError,
     FireflynetError,
     FormatError,
@@ -398,6 +399,9 @@ def main(argv: list[str] | None = None) -> int:
     except (FormatError, ShapeMismatchError, PatternAnnihilatedError, ParameterError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
+    except CompilerError as exc:  # the host lacks a tool; nothing internal failed
+        print(exc, file=sys.stderr)
+        return 4
     except FireflynetError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4

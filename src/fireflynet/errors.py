@@ -27,6 +27,10 @@ class PatternAnnihilatedError(FireflynetError, ValueError):
     """Normalization was asked to rescale an all-zero pattern."""
 
 
+class CompilerError(FireflynetError, RuntimeError):
+    """No working C compiler built the swarm kernel: the host lacks a tool."""
+
+
 class ConfigError(FireflynetError, ValueError):
     """A run configuration contains an unknown key or a bad value."""
 

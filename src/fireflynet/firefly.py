@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import WeightMatrix
-from .errors import FireflynetError, FormatError, ParameterError, ShapeMismatchError
+from .errors import CompilerError, FormatError, ParameterError, ShapeMismatchError
 from .patterns import FLOAT_FMT, Pattern, read_text, write_table
 
 # Settling passes before giving up on the spacing constraint, the slack
@@ -51,9 +51,10 @@ def load_kernel() -> ctypes.CDLL:
     The library is cached in ``__pycache__`` beside ``swarm.c``, named by
     a hash of the source and the compiler command, so later processes
     load it without compiling; where that directory cannot be written,
-    the build goes to a private temporary directory.  Raises
-    FireflynetError when no C compiler is found or the build fails."""
-    lib = ctypes.CDLL(str(_build_kernel(_KERNEL_SOURCE)))
+    the build goes to a private temporary directory, removed once the
+    library is loaded.  Raises CompilerError when no C compiler is found
+    or the build fails."""
+    lib = _build_kernel(_KERNEL_SOURCE)
     long_, double, ptr = ctypes.c_long, ctypes.c_double, ctypes.c_void_p
     lib.swarm_move.argtypes = [ptr, ptr, long_, ptr, double, double, double]
     lib.swarm_settle.argtypes = [ptr, long_, double, double, long_, ctypes.POINTER(long_), ptr]
@@ -61,36 +62,38 @@ def load_kernel() -> ctypes.CDLL:
     return lib
 
 
-def _build_kernel(source: Path) -> Path:
-    """The shared library built from ``source``: the cached one, or a new
-    build written under a temporary name and renamed into place."""
+def _build_kernel(source: Path) -> ctypes.CDLL:
+    """The shared library built from ``source``, loaded: the cached one, or
+    a new build in a private directory, renamed into the cache.  Where the
+    cache cannot be written, the build is loaded from the private directory
+    and the directory removed; the loaded mapping outlives the file."""
     import hashlib  # only a first use needs these
     import subprocess
     import tempfile
 
     tag = hashlib.sha256(source.read_bytes() + " ".join(_KERNEL_COMMAND).encode()).hexdigest()[:16]
-    folder = source.parent / "__pycache__"
-    lib = folder / f"{source.stem}-{tag}.so"
+    lib = source.parent / "__pycache__" / f"{source.stem}-{tag}.so"
     if lib.is_file():
-        return lib
+        return ctypes.CDLL(str(lib))
     try:
-        folder.mkdir(exist_ok=True)
-        handle, partial = tempfile.mkstemp(suffix=".so", dir=folder)
+        lib.parent.mkdir(exist_ok=True)
+        private = tempfile.TemporaryDirectory(dir=lib.parent)
     except OSError:  # never a shared, world-writable directory: mkdtemp's is private
-        lib = Path(tempfile.mkdtemp(prefix="fireflynet-")) / lib.name
-        handle, partial = tempfile.mkstemp(suffix=".so", dir=lib.parent)
-    os.close(handle)
-    try:
-        built = subprocess.run([*_KERNEL_COMMAND, "-o", partial, str(source), "-lm"], capture_output=True, text=True)
-        failure = built.returncode and (built.stderr.strip().splitlines() or [f"exit {built.returncode}"])[-1]
-    except OSError as exc:
-        failure = exc
-    if failure:
-        os.unlink(partial)
-        raise FireflynetError(f"building {source.name} needs a working C compiler (cc): {failure}")
-    os.chmod(partial, 0o755)  # mkstemp's 0600 would keep other users from loading it
-    os.replace(partial, lib)
-    return lib
+        private, lib = tempfile.TemporaryDirectory(prefix="fireflynet-"), None
+    with private:
+        built = os.path.join(private.name, f"{source.stem}.so")
+        try:
+            run = subprocess.run([*_KERNEL_COMMAND, "-o", built, str(source), "-lm"], capture_output=True, text=True)
+            failure = run.returncode and (run.stderr.strip().splitlines() or [f"exit {run.returncode}"])[-1]
+        except OSError as exc:
+            failure = exc
+        if failure:
+            raise CompilerError(f"building {source.name} needs a working C compiler (cc): {failure}")
+        if lib is None:
+            return ctypes.CDLL(built)
+        os.chmod(built, 0o755)  # whatever the umask, other users of the cache can load it
+        os.replace(built, lib)
+    return ctypes.CDLL(str(lib))
 
 
 @dataclass(frozen=True)

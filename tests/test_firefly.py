@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -709,24 +710,37 @@ def test_a_second_interpreter_loads_the_cached_kernel_without_compiling(tmp_path
 def test_a_changed_kernel_source_builds_under_a_new_name(tmp_path):
     source = tmp_path / "swarm.c"
     shutil.copyfile(firefly._KERNEL_SOURCE, source)
-    first = firefly._build_kernel(source)
+    first = Path(firefly._build_kernel(source)._name)
     source.write_text(source.read_text() + "\n/* edited */\n")
-    second = firefly._build_kernel(source)
+    second = Path(firefly._build_kernel(source)._name)
     assert first.parent == second.parent == tmp_path / "__pycache__"
     assert first.name != second.name and first.is_file() and second.is_file()
 
 
-def test_a_kernel_cache_that_cannot_be_written_falls_back_to_a_private_directory(tmp_path):
-    source = tmp_path / "swarm.c"
+def test_a_kernel_cache_that_cannot_be_written_falls_back_to_a_private_directory(tmp_path, monkeypatch):
+    def step() -> np.ndarray:
+        pop = FireflyPopulation.spawn(9, SwarmParams(), np.random.default_rng(0))
+        swarm_step(pop, Pattern(np.arange(9.0), grid=(3, 3)), GridLayout(3, 3))
+        return pop.positions
+
+    expected = step()
+    source = tmp_path / "package" / "swarm.c"
+    source.parent.mkdir()
     shutil.copyfile(firefly._KERNEL_SOURCE, source)
     # a file where the cache directory belongs: unwritable even for root
-    (tmp_path / "__pycache__").write_text("")
-    lib = firefly._build_kernel(source)
+    (source.parent / "__pycache__").write_text("")
+    private = tmp_path / "tmp"
+    private.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(private))
+    monkeypatch.setattr(firefly, "_KERNEL_SOURCE", source)
+    firefly.load_kernel.cache_clear()
     try:
-        assert lib.is_file() and tmp_path not in lib.parents
-        assert lib.parent.stat().st_mode & 0o777 == 0o700
+        assert np.array_equal(step(), expected)
+        # the library stays loaded once its private directory is gone
+        assert list(private.iterdir()) == []
+        assert np.array_equal(step(), expected)
     finally:
-        shutil.rmtree(lib.parent)
+        firefly.load_kernel.cache_clear()
 
 
 def test_without_a_compiler_a_swarm_experiment_exits_4_and_the_rest_still_runs(tmp_path):
@@ -751,7 +765,8 @@ def test_without_a_compiler_a_swarm_experiment_exits_4_and_the_rest_still_runs(t
     swarm = cli("experiment", "denoise", "--set", "n=25", "--set", "rows=5", "--set", "cols=5",
                 "--set", "use_firefly=true", "--set", "pattern_count=3", "--set", "seeds=0")
     assert swarm.returncode == 4
-    assert swarm.stderr.count("\n") == 1 and "C compiler" in swarm.stderr
+    assert swarm.stderr.count("\n") == 1 and "C compiler (cc)" in swarm.stderr
+    assert "internal error" not in swarm.stderr and "'cc'" in swarm.stderr
     assert "Traceback" not in swarm.stderr
     assert cli("experiment", "evolve1d", "--set", "n=25").returncode == 0
     # a model the swarm laid out recalls without the kernel

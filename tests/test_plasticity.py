@@ -299,25 +299,16 @@ def test_evolution_matches_the_reference_bit_for_bit(case):
 
 
 def test_a_huge_step_cap_allocates_only_for_the_steps_run():
-    # the per-step records start small and double as steps run, so a cap
-    # of 10**12 touches no more memory than the default and changes no bit
+    # no allocation is sized by max_steps: the trace grows one row per step
+    # run, so a cap of 10**12 touches no more memory than the default and
+    # changes no bit
     params = PlasticityParams(alpha=0.05)
     tensor = gram_tensor(6, 0, unit_rows=True)
     wf, report = evolve_weights(uniform_weights(6), tensor, params)
     huge_wf, huge = evolve_weights(uniform_weights(6), tensor, replace(params, max_steps=10**12))
-    assert report.converged and report.steps > 64  # past the first block of records
+    assert report.converged and report.steps > 64  # a run of many steps
     assert np.array_equal(huge_wf.w, wf.w)
     assert huge.trace == report.trace and huge.steps == report.steps
-
-
-def test_an_oracle_case_runs_past_the_first_block_of_records():
-    # n25-derived-clamps runs its full 400 steps, through three doublings
-    # of the 64-row records, and still matches the reference bit for bit
-    w0, tensor, params, _ = EVOLUTION_CASES["n25-derived-clamps"]
-    expected, trace, steps, _, _ = evolve_reference(w0, tensor, params)
-    wf, report = evolve_weights(WeightMatrix(w0), tensor, params)
-    assert steps == report.steps == 400
-    assert np.array_equal(wf.w, expected) and report.trace == trace
 
 
 @st.composite
