@@ -12,7 +12,8 @@ inhibitory minority contributes negative weight.
 The move pass and the settle run in ``swarm.c``, compiled on first use
 (``load_kernel``).  It keeps the order of every floating-point operation
 of the plain loops in ``tests/oracles.py``, and its build neither fuses
-nor reorders them, so it returns their bits.
+nor reorders them, so it returns their bits.  Its move pass draws the
+jitter from the population's own generator, through numpy's C API.
 """
 
 from __future__ import annotations
@@ -56,9 +57,9 @@ def load_kernel() -> ctypes.CDLL:
     or the build fails."""
     lib = _build_kernel(_KERNEL_SOURCE)
     long_, double, ptr = ctypes.c_long, ctypes.c_double, ctypes.c_void_p
-    lib.swarm_move.argtypes = [ptr, ptr, long_, ptr, double, double, double]
+    lib.swarm_move.argtypes = [ptr, ptr, long_, ptr, long_, long_, ptr, double, double, double]
     lib.swarm_settle.argtypes = [ptr, long_, double, double, long_, ctypes.POINTER(long_), ptr]
-    lib.swarm_move.restype = lib.swarm_settle.restype = long_
+    lib.swarm_move.restype, lib.swarm_settle.restype = None, long_
     return lib
 
 
@@ -247,23 +248,20 @@ def swarm_step(
     x_i += b * exp(-gamma * r^2) * (x_j - x_i) + eta * (u - 1/2) per
     coordinate (u drawn per coordinate, x first), clipped to the unit
     square.  With eta = 0 the move is a contraction toward x_j.  The
-    kernel counts the moves first, so the u for the whole pass are one
-    block of 2 * moves draws; it groups each move as written above, clips
-    with < and >, and takes exp from libm, as ``math.exp`` does.
+    kernel finds cells as ``GridLayout.nearest_cell`` does and draws each
+    u with the generator's ``next_double``, x then y per move: the stream
+    ``rng.random(2 * moves)`` reads.  It groups each move as written
+    above, clips with < and >, and takes exp from libm, as ``math.exp``.
     """
     if activity.n != layout.n:
         raise ShapeMismatchError(
             f"activity length {activity.n} does not match layout size {layout.n}"
         )
-    kernel = load_kernel()
-    positions = _kernel_positions(pop)
-    pop.brightness = activity.values[layout.nearest_cell(positions)]  # a float copy: Pattern values are float
+    positions, pop.brightness = _kernel_positions(pop), np.empty(len(pop))
     agents = (positions.ctypes.data, pop.brightness.ctypes.data, len(pop))
-    rule = (pop.params.b, -pop.params.gamma, pop.params.eta)
-    moves = kernel.swarm_move(*agents, None, *rule)  # no noise: counts the moves
-    if moves:
-        noise = pop.rng.random(2 * moves)  # held: the kernel reads it by address
-        kernel.swarm_move(*agents, noise.ctypes.data, *rule)
+    grid = (activity.values.ctypes.data, layout.rows, layout.cols)  # Pattern values: C-ordered float64
+    rule = (pop.rng.bit_generator.ctypes.bit_generator, pop.params.b, -pop.params.gamma, pop.params.eta)
+    load_kernel().swarm_move(*agents, *grid, *rule)
     pop.positions = positions
     return enforce_min_distance(pop)
 
@@ -285,9 +283,11 @@ def enforce_min_distance(pop: FireflyPopulation) -> FireflyPopulation:
     The kernel sweeps all i<j pairs in row-major order.  Each agent's
     displacement sums its pushes as the lower-index end in pair order,
     then as the higher-index end; that order fixes the bits the
-    byte-determinism checks compare.  A sweep that meets coincident pairs
-    returns before it pushes, and resumes with their directions: numpy's
-    cos and sin of 2 pi times one block of generator draws.
+    byte-determinism checks compare.  A pair whose squared distance shows
+    that its sqrt cannot fall under the bound skips the sqrt.  A sweep
+    that meets coincident pairs returns before it pushes, and resumes with
+    their directions: numpy's cos and sin of 2 pi times one block of
+    generator draws.
     """
     d_min = pop.params.d_min
     count = len(pop)

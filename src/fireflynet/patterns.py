@@ -62,7 +62,7 @@ class Pattern:
     label: str | None = None
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float)
+        v = np.asarray(self.values, dtype=float, order="C")  # the swarm kernel reads it by address
         if v.ndim != 1 or v.size == 0:
             raise ParameterError(f"pattern values must be a non-empty 1D vector, got shape {v.shape}")
         if not np.isfinite(v).all():

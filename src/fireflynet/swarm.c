@@ -5,37 +5,45 @@
  * nor reorders floating-point operations (-ffp-contract=off, no
  * -ffast-math), and exp is libm's, as math.exp's is. */
 #include <math.h>
+#include <stdint.h>
 #include <stdlib.h>
 
-/* One in-place move pass; returns its number of moves, and with noise NULL
- * only counts them.  Agent i, in ascending order, moves toward each
- * strictly brighter agent j in ascending order and sees the moves made
- * earlier in the pass: x_i += b exp(-gamma r^2) (x_j - x_i) + eta (u - 1/2)
- * per coordinate, with u from noise (x then y per move), then clips into
- * the unit square. */
-long swarm_move(double *pos, const double *bright, long count, const double *noise,
-                double b, double neg_gamma, double eta)
+/* numpy's bitgen_t (numpy/random/bitgen.h): a generator's state and draws. */
+typedef struct { void *state; uint64_t (*next_uint64)(void *); uint32_t (*next_uint32)(void *);
+                 double (*next_double)(void *); uint64_t (*next_raw)(void *); } bitgen_t;
+
+/* A cell index along a side, as GridLayout.nearest_cell takes it: floor, cast, clamp. */
+static long cell(double at, long side)
 {
-    long moves = 0;
+    double k = floor(at * side);
+    return k >= side ? side - 1 : k >= 0.0 ? (long)k : 0;
+}
+
+/* One in-place move pass; an agent's brightness is the activity of its
+ * cell.  Agent i, in ascending order, moves toward each strictly brighter
+ * agent j in ascending order and sees the moves made earlier in the pass:
+ * x_i += b exp(-gamma r^2) (x_j - x_i) + eta (u - 1/2) per coordinate, u
+ * one next_double draw, x then y per move, then clips into the unit square. */
+void swarm_move(double *pos, double *bright, long count, const double *activity, long rows,
+                long cols, bitgen_t *rng, double b, double neg_gamma, double eta)
+{
+    for (long i = 0; i < count; i++)
+        bright[i] = activity[cell(pos[2 * i + 1], rows) * cols + cell(pos[2 * i], cols)];
     for (long i = 0; i < count; i++) {
         double xi = pos[2 * i], yi = pos[2 * i + 1];
         for (long j = 0; j < count; j++) {
             if (!(bright[j] > bright[i]))
                 continue;
-            moves++;
-            if (!noise)
-                continue;
             double dx = pos[2 * j] - xi, dy = pos[2 * j + 1] - yi;
             double attract = b * exp(neg_gamma * (dx * dx + dy * dy));
-            xi += attract * dx + eta * (*noise++ - 0.5);
-            yi += attract * dy + eta * (*noise++ - 0.5);
+            xi += attract * dx + eta * (rng->next_double(rng->state) - 0.5);
+            yi += attract * dy + eta * (rng->next_double(rng->state) - 0.5);
             xi = xi < 0.0 ? 0.0 : xi > 1.0 ? 1.0 : xi;
             yi = yi < 0.0 ? 0.0 : yi > 1.0 ? 1.0 : yi;
         }
         pos[2 * i] = xi;
         pos[2 * i + 1] = yi;
     }
-    return moves;
 }
 
 struct push { long i, j; double x, y; };
@@ -59,6 +67,10 @@ struct push { long i, j; double x, y; };
 long swarm_settle(double *pos, long count, double too_close, double reach,
                   long max_sweeps, long *sweep, const double *dirs)
 {
+    /* far, one ulp above too_close^2 rounded, is at least the exact square,
+     * so a pair with sx^2 + sy^2 >= far has a correctly rounded sqrt of at
+     * least too_close: skipping it before the sqrt changes no decision. */
+    double far = nextafter(too_close * too_close, INFINITY);
     long status = 1;
     double *shift = malloc(2 * count * sizeof *shift);
     struct push *pushes = malloc(count * (count - 1) / 2 * sizeof *pushes);
@@ -69,7 +81,10 @@ long swarm_settle(double *pos, long count, double too_close, double reach,
         for (long i = 0; i < count; i++) {
             for (long j = i + 1; j < count; j++) {
                 double sx = pos[2 * j] - pos[2 * i], sy = pos[2 * j + 1] - pos[2 * i + 1];
-                double d = sqrt(sx * sx + sy * sy), half = (reach - d) * 0.5, ux, uy;
+                double d2 = sx * sx + sy * sy;
+                if (d2 >= far)
+                    continue;
+                double d = sqrt(d2), half = (reach - d) * 0.5, ux, uy;
                 if (!(d < too_close))
                     continue;
                 if (d >= 1e-15) {

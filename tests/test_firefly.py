@@ -331,6 +331,83 @@ def test_moves_match_the_all_pairs_loop_for_generated_swarms(inputs):
     check_moves_against_the_all_pairs_loop(*inputs)
 
 
+def test_a_strided_activity_moves_the_swarm_as_its_contiguous_copy():
+    # the kernel reads the activity by address, so a view of every other
+    # entry must reach it as the entries, not as the memory they sit in
+    big = np.random.default_rng(3).random(50)
+    runs = []
+    for values in (big[::2], big[::2].copy()):
+        pop = FireflyPopulation.spawn(25, SwarmParams(), rng=np.random.default_rng(4))
+        swarm_step(pop, Pattern(values, grid=(5, 5)), GridLayout(5, 5))
+        runs.append((pop.positions.tobytes(), pop.brightness.tobytes()))
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("rows, cols", [(3, 5), (5, 3), (1, 4), (4, 1)])
+def test_brightness_on_cell_borders_and_walls_is_the_nearest_cell_bit_for_bit(rows, cols):
+    # agents on x = k/cols and y = k/rows exactly, one float either side of
+    # them, and on the walls; every cell has its own activity, so a swapped
+    # rows/cols picks other values
+    def borders(side):
+        exact = np.arange(side + 1) / side
+        return np.clip(np.concatenate([np.nextafter(exact, -1.0), exact, np.nextafter(exact, 2.0)]), 0.0, 1.0)
+
+    points = np.array([(x, y) for x in borders(cols) for y in borders(rows)])
+    layout = GridLayout(rows, cols)
+    activity = Pattern(np.arange(1.0, layout.n + 1.0), grid=(rows, cols))
+    expected = activity.values[layout.nearest_cell(points)]
+    pop = manual_population(points, [True] * len(points), still_params())
+    swarm_step(pop, activity, layout)
+    assert pop.brightness.tobytes() == expected.tobytes()
+
+
+@st.composite
+def step_inputs(draw):
+    """Agents on a wall or inside a cell of a small grid, clear of the cell
+    borders, where the scan and the floor may pick different cells.  Agents
+    0 and 1 share the centre of the brightest cell: nothing is brighter, so
+    they stay put and the settle draws a direction after the jitter."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+
+    def coordinate(side):
+        inside = st.tuples(st.integers(0, side - 1), st.floats(0.05, 0.95)).map(lambda c: (c[0] + c[1]) / side)
+        return st.one_of(st.sampled_from([0.0, 1.0]), inside)
+
+    count = draw(st.integers(2, 16))
+    points = np.array([(draw(coordinate(cols)), draw(coordinate(rows))) for _ in range(count)])
+    levels = st.sampled_from(draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4)))
+    activity = Pattern(draw(arrays(np.float64, rows * cols, elements=levels)), grid=(rows, cols))
+    hot_row, hot_col = divmod(int(np.argmax(activity.values)), cols)
+    points[0] = points[1] = ((hot_col + 0.5) / cols, (hot_row + 0.5) / rows)
+    params = SwarmParams(
+        b=draw(st.floats(0.1, 2.0)),
+        gamma=draw(st.floats(0.1, 10.0)),
+        eta=draw(st.one_of(st.just(0.0), st.floats(0.001, 0.5))),
+        d_min=draw(st.floats(0.01, 0.3)),
+    )
+    return points, activity, GridLayout(rows, cols), params, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(deadline=None, max_examples=60)
+@given(step_inputs())
+def test_a_step_matches_the_scan_the_move_loop_and_the_settle_loop_bit_for_bit(inputs):
+    points, activity, layout, params, seed = inputs
+    pop = manual_population(points, [True] * len(points), params, seed=seed)
+    swarm_step(pop, activity, layout)
+    ref_rng = np.random.default_rng(seed)
+    centers = [tuple(c) for c in layout.cell_positions()]
+    bright = [float(activity.values[nearest_index(p, centers)]) for p in points]
+    moved = swarm_moves_reference(points, bright, params.b, params.gamma, params.eta, ref_rng)
+    expected, converged = settle_loops(
+        moved, params.d_min, ref_rng, MAX_SETTLE_SWEEPS, SETTLE_EPS, SETTLE_OVERSHOOT
+    )
+    assert pop.brightness.tobytes() == np.asarray(bright).tobytes()
+    assert pop.positions.tobytes() == np.asarray(expected).tobytes()
+    assert pop.settle_converged == converged
+    # the jitter and the direction draws left both generators in step
+    assert pop.rng.random() == ref_rng.random()
+
+
 # ---------------------------------------------------------------------------
 # spacing
 # ---------------------------------------------------------------------------
@@ -490,6 +567,23 @@ def test_spacing_matches_the_pair_loop_oracle_for_generated_populations(inputs):
     assert np.array_equal(pop.positions, np.asarray(expected))
     assert pop.settle_converged == expected_converged
     assert pop.rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("d_min", [0.05, 0.3, 0.7])
+def test_pairs_within_two_ulps_of_the_spacing_bound_settle_as_in_the_pair_loop(d_min):
+    # the settle skips far pairs on their squared distance before the sqrt;
+    # that must change no decision at the bound d_min - SETTLE_EPS itself
+    bound = d_min - SETTLE_EPS
+    gaps = [bound]
+    for _ in range(2):
+        gaps = [np.nextafter(gaps[0], 0.0), *gaps, np.nextafter(gaps[-1], 1.0)]
+    for gap in gaps:
+        along_x = np.array([[0.0, 0.0], [gap, 0.0]])
+        pop = settle_against_the_pair_loop_oracle(along_x, d_min)
+        # sqrt(gap * gap) is gap, so the pair is pushed exactly below the bound
+        assert (not np.array_equal(pop.positions, along_x)) == (gap < bound)
+        for points in ([[0.0, 0.0], [0.6 * gap, 0.8 * gap]], [[0.2, 0.25], [0.2 + gap, 0.25]]):
+            settle_against_the_pair_loop_oracle(np.array(points), d_min)
 
 
 @pytest.mark.parametrize("shape", [(3,), (3, 1), (3, 3)])
