@@ -28,7 +28,6 @@ from .errors import (
     PatternAnnihilatedError,
     ShapeMismatchError,
 )
-from .firefly import load_kernel
 from .patterns import Pattern, load_image, read_text, save_image, save_pattern_csv, write_table
 from .trainer import (
     CONFIG_KEY_HELP,
@@ -354,10 +353,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             index, metrics = _sweep_worker(task)
             results[index] = metrics
     else:
-        # build the swarm kernel before the pool forks, so no two workers compile it
-        name = run_kv["experiment"]
-        if name != "evolve1d" and (name == "recall2d" or any(config_from_dict(t[1]).use_firefly for t in tasks)):
-            load_kernel()
         # the pool forks all its workers at the first submit, so never ask
         # for more than there are tasks
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:

@@ -57,9 +57,9 @@ def load_kernel() -> ctypes.CDLL:
     or the build fails."""
     lib = _build_kernel(_KERNEL_SOURCE)
     long_, double, ptr = ctypes.c_long, ctypes.c_double, ctypes.c_void_p
-    lib.swarm_move.argtypes = [ptr, ptr, long_, ptr, long_, long_, ptr, double, double, double]
-    lib.swarm_settle.argtypes = [ptr, long_, double, double, long_, ctypes.POINTER(long_), ptr]
-    lib.swarm_move.restype, lib.swarm_settle.restype = None, long_
+    lib.swarm_move.argtypes = [ptr, long_, ptr, ptr, ptr, long_, long_, double, double, double]
+    lib.swarm_settle.argtypes = [ptr, long_, ptr, double, double, long_]
+    lib.swarm_move.restype = lib.swarm_settle.restype = long_
     return lib
 
 
@@ -226,23 +226,29 @@ class FireflyPopulation:
         return int(self.excitatory.sum())
 
 
-def _kernel_positions(pop: FireflyPopulation) -> np.ndarray:
-    """A copy of the positions as the kernel reads them: C-ordered (x, y) rows."""
+def _run_kernel(entry, pop: FireflyPopulation, *args) -> tuple[np.ndarray, int]:
+    """Run a kernel entry point on a C-ordered copy of the (x, y) rows and on
+    the population's generator; return the copy and the status.  Status
+    -1 - k, agent k off the unit square or not finite, raises."""
     positions = np.array(pop.positions, dtype=float, order="C")
     if positions.ndim != 2 or positions.shape[1] != 2:
         raise ShapeMismatchError(f"swarm positions must be (agents, 2), got shape {positions.shape}")
-    return positions
+    status = entry(positions.ctypes.data, len(positions), pop.rng.bit_generator.ctypes.bit_generator, *args)
+    if status < 0:
+        k = -1 - status
+        raise ParameterError(f"swarm agent {k} at {positions[k].tolist()} is off the unit square or not finite")
+    return positions, status
 
 
-def swarm_step(
-    pop: FireflyPopulation, activity: Pattern, layout: GridLayout
-) -> FireflyPopulation:
+def swarm_step(pop: FireflyPopulation, activity: Pattern, layout: GridLayout) -> FireflyPopulation:
     """One full swarm update against a fixed activity pattern.
 
     Brightness is refreshed from the nearest cell's activity, then every
     agent moves toward each strictly brighter agent in one in-place pass
     (ascending index, updated positions visible within the pass), and
-    finally the spacing constraint is settled.  Mutates and returns pop.
+    finally the spacing constraint is settled.  Mutates and returns pop;
+    raises ParameterError, with pop unchanged, on an agent off the unit
+    square or not finite.
 
     A move of agent i toward a brighter agent j is Yang's firefly rule:
     x_i += b * exp(-gamma * r^2) * (x_j - x_i) + eta * (u - 1/2) per
@@ -254,15 +260,12 @@ def swarm_step(
     above, clips with < and >, and takes exp from libm, as ``math.exp``.
     """
     if activity.n != layout.n:
-        raise ShapeMismatchError(
-            f"activity length {activity.n} does not match layout size {layout.n}"
-        )
-    positions, pop.brightness = _kernel_positions(pop), np.empty(len(pop))
-    agents = (positions.ctypes.data, pop.brightness.ctypes.data, len(pop))
+        raise ShapeMismatchError(f"activity length {activity.n} does not match layout size {layout.n}")
+    brightness = np.empty(len(pop))
     grid = (activity.values.ctypes.data, layout.rows, layout.cols)  # Pattern values: C-ordered float64
-    rule = (pop.rng.bit_generator.ctypes.bit_generator, pop.params.b, -pop.params.gamma, pop.params.eta)
-    load_kernel().swarm_move(*agents, *grid, *rule)
-    pop.positions = positions
+    rule = (pop.params.b, -pop.params.gamma, pop.params.eta)
+    pop.positions, _ = _run_kernel(load_kernel().swarm_move, pop, brightness.ctypes.data, *grid, *rule)
+    pop.brightness = brightness
     return enforce_min_distance(pop)
 
 
@@ -284,10 +287,10 @@ def enforce_min_distance(pop: FireflyPopulation) -> FireflyPopulation:
     displacement sums its pushes as the lower-index end in pair order,
     then as the higher-index end; that order fixes the bits the
     byte-determinism checks compare.  A pair whose squared distance shows
-    that its sqrt cannot fall under the bound skips the sqrt.  A sweep
-    that meets coincident pairs returns before it pushes, and resumes with
-    their directions: numpy's cos and sin of 2 pi times one block of
-    generator draws.
+    that its sqrt cannot fall under the bound skips the sqrt.  A
+    coincident pair's direction is libm's cos and sin of 2 pi times one
+    ``next_double`` draw from the population's generator, the stream
+    ``rng.random`` reads.  Raises ParameterError as ``swarm_step`` does.
     """
     d_min = pop.params.d_min
     count = len(pop)
@@ -295,16 +298,8 @@ def enforce_min_distance(pop: FireflyPopulation) -> FireflyPopulation:
         pop.settle_converged = True
         return pop
 
-    kernel = load_kernel()
-    positions = _kernel_positions(pop)
-    where = positions.ctypes.data
-    sweep = ctypes.c_long(0)
-    args = (count, d_min - SETTLE_EPS, SETTLE_OVERSHOOT * d_min, MAX_SETTLE_SWEEPS, ctypes.byref(sweep))
-    status = kernel.swarm_settle(where, *args, None)
-    while status < 0:  # the sweep stopped at -status touching pairs
-        angles = 2.0 * math.pi * pop.rng.random(-status)
-        dirs = np.column_stack((np.cos(angles), np.sin(angles)))
-        status = kernel.swarm_settle(where, *args, dirs.ctypes.data)
+    spacing = (d_min - SETTLE_EPS, SETTLE_OVERSHOOT * d_min, MAX_SETTLE_SWEEPS)
+    positions, status = _run_kernel(load_kernel().swarm_settle, pop, *spacing)
     if status == 2:
         raise MemoryError(f"no memory for the spacing settle of {count} agents")
     pop.positions = positions
@@ -347,11 +342,9 @@ def synthesize_weights(pop: FireflyPopulation, layout: GridLayout, v: float) -> 
     params = pop.params
     sig_e = params.kernel_pitches * layout.pitch
     sig_i = params.inhib_pitches * layout.pitch
-    kernel = np.where(
-        pop.excitatory[None, :],
-        params.b * np.exp(-d2 / (2.0 * sig_e * sig_e)),
-        -params.inhibition_gain * params.b * np.exp(-d2 / (2.0 * sig_i * sig_i)),
-    )
+    width = np.where(pop.excitatory, 2.0 * sig_e * sig_e, 2.0 * sig_i * sig_i)
+    amplitude = np.where(pop.excitatory, params.b, -params.inhibition_gain * params.b)
+    kernel = amplitude * np.exp(-d2 / width)
 
     w = np.zeros((layout.n, layout.n))
     np.add.at(w.T, assigned, kernel.T)

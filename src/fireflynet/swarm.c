@@ -3,7 +3,7 @@
  * The results equal, bit for bit, the plain loops in tests/oracles.py:
  * every expression keeps their grouping and order, the build neither fuses
  * nor reorders floating-point operations (-ffp-contract=off, no
- * -ffast-math), and exp is libm's, as math.exp's is. */
+ * -ffast-math), and exp, cos and sin are libm's, as math's are. */
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
@@ -11,6 +11,10 @@
 /* numpy's bitgen_t (numpy/random/bitgen.h): a generator's state and draws. */
 typedef struct { void *state; uint64_t (*next_uint64)(void *); uint32_t (*next_uint32)(void *);
                  double (*next_double)(void *); uint64_t (*next_raw)(void *); } bitgen_t;
+
+/* Off the unit square, inf and nan included: each entry point returns -1 - i
+ * for such an agent i, before it writes a position or draws. */
+static int off_square(double x, double y) { return !(x >= 0.0 && x <= 1.0 && y >= 0.0 && y <= 1.0); }
 
 /* A cell index along a side, as GridLayout.nearest_cell takes it: floor, cast, clamp. */
 static long cell(double at, long side)
@@ -24,11 +28,14 @@ static long cell(double at, long side)
  * agent j in ascending order and sees the moves made earlier in the pass:
  * x_i += b exp(-gamma r^2) (x_j - x_i) + eta (u - 1/2) per coordinate, u
  * one next_double draw, x then y per move, then clips into the unit square. */
-void swarm_move(double *pos, double *bright, long count, const double *activity, long rows,
-                long cols, bitgen_t *rng, double b, double neg_gamma, double eta)
+long swarm_move(double *pos, long count, bitgen_t *rng, double *bright, const double *activity,
+                long rows, long cols, double b, double neg_gamma, double eta)
 {
-    for (long i = 0; i < count; i++)
+    for (long i = 0; i < count; i++) {
+        if (off_square(pos[2 * i], pos[2 * i + 1]))
+            return -1 - i;
         bright[i] = activity[cell(pos[2 * i + 1], rows) * cols + cell(pos[2 * i], cols)];
+    }
     for (long i = 0; i < count; i++) {
         double xi = pos[2 * i], yi = pos[2 * i + 1];
         for (long j = 0; j < count; j++) {
@@ -44,15 +51,17 @@ void swarm_move(double *pos, double *bright, long count, const double *activity,
         pos[2 * i] = xi;
         pos[2 * i + 1] = yi;
     }
+    return 0;
 }
 
 struct push { long i, j; double x, y; };
 
-/* The spacing settle: Jacobi sweeps *sweep, *sweep + 1, ... below
- * max_sweeps over all pairs i < j in row-major order.  A pair nearer than
- * too_close is pushed apart by (s / d) * ((reach - d) * 0.5), s = pos_j -
- * pos_i; a touching pair (d < 1e-15) takes its unit vector from dirs,
- * (cos, sin) per touching pair of the sweep in pair order.
+/* The spacing settle: at most max_sweeps Jacobi sweeps over all pairs
+ * i < j in row-major order.  A pair nearer than too_close is pushed apart
+ * by (s / d) * ((reach - d) * 0.5), s = pos_j - pos_i; a touching pair
+ * (d < 1e-15) takes the unit vector (cos t, sin t), t = 2 pi u, u one
+ * next_double draw per touching pair in pair order: the stream
+ * 2 pi rng.random(k) reads.
  *
  * Each agent's shift sums, into a zero, its pushes as the lower-index end
  * (negated) in pair order, then its pushes as the higher-index end in pair
@@ -61,12 +70,12 @@ struct push { long i, j; double x, y; };
  *
  * Returns 0 when a sweep finds no violation; 1 when clipping cancels a
  * sweep (no coordinate moves 1e-12) or the sweeps run out; 2 when memory
- * runs out; and -k when dirs is NULL and the sweep has k touching pairs.
- * Then it returns before pushing, *sweep is that sweep, and the caller
- * calls again with k directions to resume it. */
-long swarm_settle(double *pos, long count, double too_close, double reach,
-                  long max_sweeps, long *sweep, const double *dirs)
+ * runs out. */
+long swarm_settle(double *pos, long count, bitgen_t *rng, double too_close, double reach, long max_sweeps)
 {
+    for (long i = 0; i < count; i++) /* apart from the pair loop, which may draw first */
+        if (off_square(pos[2 * i], pos[2 * i + 1]))
+            return -1 - i;
     /* far, one ulp above too_close^2 rounded, is at least the exact square,
      * so a pair with sx^2 + sy^2 >= far has a correctly rounded sqrt of at
      * least too_close: skipping it before the sqrt changes no decision. */
@@ -75,9 +84,9 @@ long swarm_settle(double *pos, long count, double too_close, double reach,
     double *shift = malloc(2 * count * sizeof *shift);
     struct push *pushes = malloc(count * (count - 1) / 2 * sizeof *pushes);
     if (!shift || !pushes)
-        *sweep = max_sweeps, status = 2;
-    for (; *sweep < max_sweeps; ++*sweep, dirs = NULL) {
-        long bad = 0, touching = 0;
+        max_sweeps = 0, status = 2;
+    for (long sweep = 0; sweep < max_sweeps; sweep++) {
+        long bad = 0;
         for (long i = 0; i < count; i++) {
             for (long j = i + 1; j < count; j++) {
                 double sx = pos[2 * j] - pos[2 * i], sy = pos[2 * j + 1] - pos[2 * i + 1];
@@ -89,19 +98,12 @@ long swarm_settle(double *pos, long count, double too_close, double reach,
                     continue;
                 if (d >= 1e-15) {
                     ux = sx / d, uy = sy / d;
-                } else if (dirs) {
-                    ux = dirs[2 * touching], uy = dirs[2 * touching + 1];
-                    touching++;
                 } else {
-                    touching++;
-                    continue;
+                    double angle = 2.0 * M_PI * rng->next_double(rng->state);
+                    ux = cos(angle), uy = sin(angle);
                 }
                 pushes[bad++] = (struct push){i, j, ux * half, uy * half};
             }
-        }
-        if (touching && !dirs) {
-            status = -touching;
-            break;
         }
         if (!bad) {
             status = 0;

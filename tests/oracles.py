@@ -160,8 +160,8 @@ def settle_loops(
     (converged), on a sweep that clipping cancelled to under 1e-12
     (wall deadlock), or after max_sweeps.
 
-    cos and sin are numpy's, the same routines the library uses; libm's
-    may round the last bit differently.
+    cos and sin are math's, the libm routines the library's kernel calls;
+    numpy's own may round the last bit differently.
     """
     pos = [(float(p[0]), float(p[1])) for p in points]
     count = len(pos)
@@ -175,7 +175,7 @@ def settle_loops(
                 if gap < d_min - eps:
                     if gap < 1e-15:
                         angle = 2.0 * math.pi * float(rng.random())
-                        ux, uy = float(np.cos(angle)), float(np.sin(angle))
+                        ux, uy = math.cos(angle), math.sin(angle)
                     else:
                         ux, uy = dx / gap, dy / gap
                     half = 0.5 * (overshoot * d_min - gap)

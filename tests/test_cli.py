@@ -537,7 +537,7 @@ def test_sweep_parallel_matches_serial(tmp_path):
     assert main(sweep_args(serial)) == 0
     assert main(sweep_args(parallel, jobs=2)) == 0
     assert (serial / "sweep.csv").read_bytes() == (parallel / "sweep.csv").read_bytes()
-    # a swarm sweep: the kernel is built before the workers fork
+    # a swarm sweep: each worker loads the kernel for itself
     swarm = ["sweep", "--set", "experiment=denoise", "--set", "n=25", "--set", "rows=5", "--set", "cols=5",
              "--set", "use_firefly=true", "--set", "pattern_count=3", "--set", "seeds=0,1"]
     assert main([*swarm, "--out", str(tmp_path / "swarm1"), "--jobs", "1"]) == 0

@@ -430,6 +430,14 @@ def test_spacing_splits_coincident_pair():
     gap = float(np.linalg.norm(pop.positions[0] - pop.positions[1]))
     assert gap >= 0.1 - 1e-9
     assert pop.settle_converged
+    # one sweep splits the pair along libm's cos and sin of 2 pi times one
+    # draw, half of 1.05 d_min to each side; the next finds it apart
+    ref_rng = np.random.default_rng(2)
+    angle = 2.0 * math.pi * ref_rng.random()
+    half = (SETTLE_OVERSHOOT * 0.1 - 0.0) * 0.5
+    px, py = math.cos(angle) * half, math.sin(angle) * half
+    assert pop.positions.tolist() == [[0.5 - px, 0.5 - py], [0.5 + px, 0.5 + py]]
+    assert pop.rng.random() == ref_rng.random()
 
 
 def test_spacing_resolves_a_crowd():
@@ -528,10 +536,10 @@ def test_spacing_of_an_overfull_swarm_matches_the_oracle_up_to_the_sweep_cap():
     assert np.abs(pop.positions - before).max() > 1e-3
 
 
-def test_spacing_resumes_the_sweep_in_which_a_pair_first_touches():
+def test_spacing_draws_a_direction_in_the_sweep_in_which_a_pair_first_touches():
     # the first sweep clips agents 0 and 4 into the same corner, so the
-    # second stops for one direction draw and resumes where it stopped; the
-    # settle then runs to the sweep cap, where one sweep more or less shows
+    # second draws one direction for them, in pair order among its pushes;
+    # the settle then runs to the sweep cap, where one sweep more or less shows
     points = np.array([[0.01, 0.011], [0.011, 0.03], [0.019, 0.02], [0.01, 0.02], [0.004, 0.002]])
     assert min(pair_distances(points)) > 1e-3
     first, _ = settle_loops(points, 0.5, np.random.default_rng(8), 1, SETTLE_EPS, SETTLE_OVERSHOOT)
@@ -594,6 +602,30 @@ def test_swarm_rejects_positions_that_are_not_xy_rows(shape):
         enforce_min_distance(pop)
     with pytest.raises(ShapeMismatchError):
         swarm_step(pop, Pattern(np.arange(4.0), grid=(2, 2)), GridLayout(2, 2))
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [(math.inf, 0.2), (math.nan, 0.7), (0.4, -math.inf), (np.nextafter(1.0, 2.0), 0.5), (0.5, -1e-300),
+     (0.3, np.nextafter(1.0, 2.0))],
+)
+@pytest.mark.parametrize("call", ["swarm_step", "enforce_min_distance"])
+def test_swarm_rejects_an_agent_off_the_unit_square_and_leaves_the_population_as_it_was(bad, call):
+    # agents 0 and 1 coincide, so the settle's pair loop would draw a
+    # direction for them before it came to agent 2; the move pass would
+    # draw jitter for agent 0 first
+    points = [[0.5, 0.5], [0.5, 0.5], bad, [0.2, 0.2]]
+    pop = manual_population(points, [True] * 4, SwarmParams(d_min=0.1, eta=0.05), seed=4)
+    positions, brightness, state = pop.positions, pop.brightness, pop.rng.bit_generator.state
+    before = positions.tobytes()
+    with pytest.raises(ParameterError, match=r"swarm agent 2 at \[.+\] is off the unit square or not finite"):
+        if call == "swarm_step":
+            swarm_step(pop, Pattern(np.arange(4.0), grid=(2, 2)), GridLayout(2, 2))
+        else:
+            enforce_min_distance(pop)
+    assert pop.positions is positions and pop.positions.tobytes() == before
+    assert pop.brightness is brightness and not brightness.any()
+    assert pop.rng.bit_generator.state == state
 
 
 def test_spacing_disabled_is_a_no_op():
@@ -799,6 +831,21 @@ def test_a_second_interpreter_loads_the_cached_kernel_without_compiling(tmp_path
         lib.unlink()
     rebuilt = run_python(site, broken, "-c", SWARM_SCRIPT)
     assert rebuilt.returncode != 0 and "building swarm.c needs a working C compiler" in rebuilt.stderr
+
+
+def test_a_parallel_swarm_sweep_builds_the_kernel_in_its_workers_on_an_empty_cache(tmp_path):
+    site = copy_package(tmp_path)
+    sweep = ["-m", "fireflynet.cli", "sweep", "--set", "experiment=denoise", "--set", "n=25", "--set", "rows=5",
+             "--set", "cols=5", "--set", "use_firefly=true", "--set", "pattern_count=3", "--set", "seeds=0,1"]
+    parallel = run_python(site, os.environ["PATH"], *sweep, "--jobs", "2", "--out", str(tmp_path / "parallel"))
+    assert parallel.returncode == 0, parallel.stderr
+    # each worker that found no library built one privately and renamed it in
+    cache = site / "fireflynet" / "__pycache__"
+    assert len(list(cache.glob("swarm-*.so"))) == 1
+    assert [entry for entry in cache.iterdir() if entry.is_dir()] == []
+    serial = run_python(site, os.environ["PATH"], *sweep, "--jobs", "1", "--out", str(tmp_path / "serial"))
+    assert serial.returncode == 0, serial.stderr
+    assert (tmp_path / "parallel" / "sweep.csv").read_bytes() == (tmp_path / "serial" / "sweep.csv").read_bytes()
 
 
 def test_a_changed_kernel_source_builds_under_a_new_name(tmp_path):
