@@ -2,11 +2,13 @@
 
 Configuration is a flat ``key = value`` file (# comments allowed); every
 key can also be set or overridden on the command line with repeated
-``--set key=value`` flags.  Unknown keys are hard errors, and so are a
-model key given to recall, whose saved model fixes them, and a run key
-that the command does not read.  Exit codes:
-1 usage, 2 configuration, 3 data (missing or malformed files), 4
-internal invariant violation.
+``--set key=value`` flags.  A run key (``RUN_KEYS``) may also be given by
+its flag, which overrides it, and every command takes every such flag.
+Unknown keys are hard errors, and so are a model key given to recall,
+whose saved model fixes them, a run key that the command does not read,
+however it was given, and a missing or empty key that the command
+requires.  Exit codes: 1 usage, 2 configuration, 3 data (missing or
+malformed files), 4 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -14,8 +16,10 @@ from __future__ import annotations
 import argparse
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from itertools import product
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,15 +50,28 @@ from .trainer import (
     train,
 )
 
-RUN_KEY_HELP: dict[str, str] = {
-    "experiment": f"experiment name: {', '.join(EXPERIMENT_NAMES)}",
-    "seeds": "comma list of run seeds, e.g. 0,1,2",
-    "seed_count": "shorthand for seeds = 0..seed_count-1",
-    "out": "output directory (--out overrides)",
-    "jobs": "parallel workers for sweep (--jobs overrides)",
-    "patterns_dir": "directory of training patterns for train (--patterns overrides)",
-    "model_dir": "saved model directory for recall (--model overrides)",
-    "cue": "cue pattern file for recall (--cue overrides)",
+_EVERY_COMMAND = ("train", "recall", "experiment", "sweep")
+
+
+class RunKey(NamedTuple):
+    help: str
+    flag: str | None  # the flag that also sets the key, and overrides it
+    read_by: tuple[str, ...]  # a command refuses any other run key
+    required_by: tuple[str, ...] = ()
+
+
+# The keys that say how to run a command rather than what model to build;
+# a command checks the keys it requires in this order.
+RUN_KEYS: dict[str, RunKey] = {
+    "experiment": RunKey(f"experiment name: {', '.join(EXPERIMENT_NAMES)}", None,
+                         ("experiment", "sweep"), ("experiment", "sweep")),
+    "seeds": RunKey("comma list of run seeds, e.g. 0,1,2", None, ("experiment", "sweep")),
+    "seed_count": RunKey("shorthand for seeds = 0..seed_count-1", None, ("experiment", "sweep")),
+    "jobs": RunKey("parallel workers for sweep", "--jobs", ("sweep",)),
+    "patterns_dir": RunKey("directory of .csv/.pgm training patterns", "--patterns", ("train",), ("train",)),
+    "model_dir": RunKey("saved model directory", "--model", ("recall",), ("recall",)),
+    "cue": RunKey("cue pattern file", "--cue", ("recall",), ("recall",)),
+    "out": RunKey("output directory", "--out", _EVERY_COMMAND, _EVERY_COMMAND),
 }
 
 # Model keys that a sweep may vary: not the grid sides, and not
@@ -76,8 +93,8 @@ def _key_listing() -> str:
     for key, text in CONFIG_KEY_HELP.items():
         lines.append(f"  {key:<22} {text}")
     lines.append("run config keys:")
-    for key, text in RUN_KEY_HELP.items():
-        lines.append(f"  {key:<22} {text}")
+    for key, row in RUN_KEYS.items():
+        lines.append(f"  {key:<22} {row.help}" + (f" ({row.flag} overrides)" if row.flag else ""))
     lines.append("sweep config keys:")
     lines.append("  sweep.<key> = v1,v2   grid over any sweepable model key")
     return "\n".join(lines)
@@ -90,24 +107,15 @@ def _build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     common = dict(formatter_class=argparse.RawDescriptionHelpFormatter, epilog=_key_listing())
-
-    p_train = sub.add_parser("train", help="train a model on a directory of patterns", **common)
-    p_train.add_argument("--patterns", help="directory of .csv/.pgm training patterns")
-
-    p_recall = sub.add_parser("recall", help="recall from a cue using a saved model", **common)
-    p_recall.add_argument("--model", help="saved model directory")
-    p_recall.add_argument("--cue", help="cue pattern file")
-
-    p_exp = sub.add_parser("experiment", help="run a named experiment", **common)
-    p_exp.add_argument("name", nargs="?", help=f"one of: {', '.join(EXPERIMENT_NAMES)}")
-
-    sub.add_parser("sweep", help="cross-product parameter sweep of an experiment", **common)
-
-    for p in (p_train, p_recall, p_exp, sub.choices["sweep"]):
+    for command, (_, text) in _COMMANDS.items():
+        p = sub.add_parser(command, help=text, **common)
+        if command == "experiment":
+            p.add_argument("experiment", nargs="?", metavar="name", help=RUN_KEYS["experiment"].help)
         p.add_argument("--config", help="flat key = value config file")
-        p.add_argument("--out", help="output directory")
         p.add_argument("--seed", type=int, help="override master_seed")
-        p.add_argument("--jobs", type=int, help="parallel workers (sweep only)")
+        for key, row in RUN_KEYS.items():
+            if row.flag:
+                p.add_argument(row.flag, dest=key, help=f"{row.help} (sets {key})")
         p.add_argument(
             "--set",
             action="append",
@@ -130,52 +138,37 @@ def _load_run_config(args: argparse.Namespace) -> dict[str, str]:
             raise UsageError(f"--set expects KEY=VALUE, got {item!r}")
         key, value = item.split("=", 1)
         kv[key.strip()] = value.strip()
-    _check_keys(kv)
     if args.seed is not None:
         kv["master_seed"] = str(args.seed)
-    if args.out:
-        kv["out"] = args.out
-    if args.jobs is not None:
-        kv["jobs"] = str(args.jobs)
+    for key in RUN_KEYS:
+        if getattr(args, key, None) is not None:
+            kv[key] = getattr(args, key)
     return kv
 
 
-def _check_keys(kv: dict[str, str]) -> None:
-    for key in kv:
-        if key in CONFIG_KEY_HELP or key in RUN_KEY_HELP:
-            continue
-        if key.startswith("sweep."):
-            base = key[len("sweep.") :]
-            if base in SWEEPABLE:
-                continue
-            hint = "; give the run seeds with seeds or seed_count" if base == "master_seed" else ""
-            raise ConfigError(f"cannot sweep key {base!r}{hint}")
-        raise ConfigError(f"unknown config key {key!r}")
-
-
-# The run keys each command reads; any other run key could change nothing.
-_RUN_KEYS_READ = {
-    "train": {"out", "patterns_dir"},
-    "recall": {"out", "model_dir", "cue"},
-    "experiment": {"out", "experiment", "seeds", "seed_count"},
-    "sweep": {"out", "experiment", "seeds", "seed_count", "jobs"},
-}
-
-
-def _split_run_keys(kv: dict[str, str], command: str) -> tuple[dict[str, str], dict[str, str], dict[str, list[str]]]:
+def _split_keys(kv: dict[str, str], command: str) -> tuple[dict[str, str], dict[str, str], dict[str, list[str]]]:
     model_kv, run_kv, sweep_kv = {}, {}, {}
     for key, value in kv.items():
-        if key.startswith("sweep."):
-            sweep_kv[key[len("sweep.") :]] = [v.strip() for v in value.split(",") if v.strip()]
-        elif key in RUN_KEY_HELP:
-            run_kv[key] = value
-        else:
+        base = key.removeprefix("sweep.")
+        if key in CONFIG_KEY_HELP:
             model_kv[key] = value
+        elif key in RUN_KEYS:
+            run_kv[key] = value
+        elif not key.startswith("sweep."):
+            raise ConfigError(f"unknown config key {key!r}")
+        elif base in SWEEPABLE:
+            sweep_kv[base] = [v.strip() for v in value.split(",") if v.strip()]
+        else:
+            hint = "; give the run seeds with seeds or seed_count" if base == "master_seed" else ""
+            raise ConfigError(f"cannot sweep key {base!r}{hint}")
     if sweep_kv and command != "sweep":
         raise ConfigError("sweep keys are only valid for the sweep command")
-    unread = sorted(run_kv.keys() - _RUN_KEYS_READ[command])
+    unread = sorted(key for key in run_kv if command not in RUN_KEYS[key].read_by)
     if unread:
         raise ConfigError(f"{command} does not read the run keys: {', '.join(unread)}")
+    for key, row in RUN_KEYS.items():
+        if command in row.required_by and not run_kv.get(key):
+            raise ConfigError(f"{command} requires the {key} key" + (f" or {row.flag}" if row.flag else ""))
     return model_kv, run_kv, sweep_kv
 
 
@@ -201,20 +194,8 @@ def _run_seeds(run_kv: dict[str, str], config: TrainerConfig) -> list[int]:
     return [config.master_seed]
 
 
-def _require_out(run_kv: dict[str, str]) -> Path:
-    if "out" not in run_kv:
-        raise ConfigError("an output directory is required (--out or the out key)")
-    return Path(run_kv["out"])
-
-
-def _cmd_train(args: argparse.Namespace) -> int:
-    kv = _load_run_config(args)
-    if args.patterns:
-        kv["patterns_dir"] = args.patterns
-    model_kv, run_kv, _ = _split_run_keys(kv, "train")
-    if "patterns_dir" not in run_kv:
-        raise ConfigError("train requires a pattern directory (--patterns or patterns_dir)")
-    out = _require_out(run_kv)
+def _cmd_train(model_kv: dict[str, str], run_kv: dict[str, str], _) -> int:
+    out = Path(run_kv["out"])
     config = config_from_dict(model_kv)
 
     pattern_dir = Path(run_kv["patterns_dir"])
@@ -239,10 +220,9 @@ def _cmd_train(args: argparse.Namespace) -> int:
     model = train(init_model(config), patterns)
     out.mkdir(parents=True, exist_ok=True)
     save_model(model, out)
-    if model.history:
-        rows = [(k, rep.steps, int(rep.converged), rep.final_max_rhs) for k, rep in enumerate(model.history)]
-        write_table(out / "training_summary.csv", ("presentation", "steps", "converged", "final_max_rhs"), rows)
-        model.history[-1].save_trace_csv(out / "trace_final.csv")
+    rows = [(k, rep.steps, int(rep.converged), rep.final_max_rhs) for k, rep in enumerate(model.history)]
+    write_table(out / "training_summary.csv", ("presentation", "steps", "converged", "final_max_rhs"), rows)
+    model.history[-1].save_trace_csv(out / "trace_final.csv")
     _regime_warning(model)
     n_converged = sum(r.converged for r in model.history)
     print(f"trained on {len(patterns)} patterns; {n_converged}/{len(model.history)} presentations converged")
@@ -259,20 +239,11 @@ def _regime_warning(model) -> None:
               file=sys.stderr)
 
 
-def _cmd_recall(args: argparse.Namespace) -> int:
-    kv = _load_run_config(args)
-    if args.model:
-        kv["model_dir"] = args.model
-    if args.cue:
-        kv["cue"] = args.cue
-    model_kv, run_kv, _ = _split_run_keys(kv, "recall")
+def _cmd_recall(model_kv: dict[str, str], run_kv: dict[str, str], _) -> int:
     if model_kv:
         keys = ", ".join(sorted(model_kv))
         raise ConfigError(f"recall takes no model keys, the saved model fixes them: {keys}")
-    for required in ("model_dir", "cue"):
-        if required not in run_kv:
-            raise ConfigError(f"recall requires {required}")
-    out = _require_out(run_kv)
+    out = Path(run_kv["out"])
 
     model_dir = Path(run_kv["model_dir"])
     if not model_dir.is_dir():
@@ -292,14 +263,8 @@ def _cmd_recall(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_experiment(args: argparse.Namespace) -> int:
-    kv = _load_run_config(args)
-    if getattr(args, "name", None):
-        kv["experiment"] = args.name
-    model_kv, run_kv, _ = _split_run_keys(kv, "experiment")
-    if "experiment" not in run_kv:
-        raise ConfigError("experiment requires a name (positional or the experiment key)")
-    out = _require_out(run_kv)
+def _cmd_experiment(model_kv: dict[str, str], run_kv: dict[str, str], _) -> int:
+    out = Path(run_kv["out"])
     config = config_from_dict(model_kv)
     seeds = _run_seeds(run_kv, config)
 
@@ -316,12 +281,8 @@ def _sweep_worker(task: tuple[int, dict[str, str], str, str, int]) -> tuple[int,
     return index, report.metrics
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    kv = _load_run_config(args)
-    model_kv, run_kv, sweep_kv = _split_run_keys(kv, "sweep")
-    if "experiment" not in run_kv:
-        raise ConfigError("sweep requires the experiment key")
-    out = _require_out(run_kv)
+def _cmd_sweep(model_kv: dict[str, str], run_kv: dict[str, str], sweep_kv: dict[str, list[str]]) -> int:
+    out = Path(run_kv["out"])
     try:
         jobs = int(run_kv.get("jobs", "1"))
     except ValueError as exc:
@@ -347,17 +308,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             run_dir = out / f"run_{index:03d}"
             tasks.append((index, overrides, run_kv["experiment"], str(run_dir), seed))
 
-    results: dict[int, dict[str, float]] = {}
-    if jobs == 1:
-        for task in tasks:
-            index, metrics = _sweep_worker(task)
-            results[index] = metrics
-    else:
-        # the pool forks all its workers at the first submit, so never ask
-        # for more than there are tasks
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            for index, metrics in pool.map(_sweep_worker, tasks):
-                results[index] = metrics
+    # one job runs in process; a pool forks all its workers at the first
+    # submit, so it never asks for more than there are tasks
+    with nullcontext() if jobs == 1 else ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+        results = dict((pool.map if pool else map)(_sweep_worker, tasks))
 
     metric_names = sorted({name for m in results.values() for name in m})
     rows = [
@@ -372,17 +326,17 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 _COMMANDS = {
-    "train": _cmd_train,
-    "recall": _cmd_recall,
-    "experiment": _cmd_experiment,
-    "sweep": _cmd_sweep,
+    "train": (_cmd_train, "train a model on a directory of patterns"),
+    "recall": (_cmd_recall, "recall from a cue using a saved model"),
+    "experiment": (_cmd_experiment, "run a named experiment"),
+    "sweep": (_cmd_sweep, "cross-product parameter sweep of an experiment"),
 }
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](*_split_keys(_load_run_config(args), args.command))
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
     except UsageError as exc:

@@ -291,17 +291,13 @@ def enforce_min_distance(pop: FireflyPopulation) -> FireflyPopulation:
     coincident pair's direction is libm's cos and sin of 2 pi times one
     ``next_double`` draw from the population's generator, the stream
     ``rng.random`` reads.  Raises ParameterError as ``swarm_step`` does.
+    With d_min = 0, or one agent, no pair violates and the first sweep converges.
     """
     d_min = pop.params.d_min
-    count = len(pop)
-    if d_min <= 0.0 or count < 2:
-        pop.settle_converged = True
-        return pop
-
     spacing = (d_min - SETTLE_EPS, SETTLE_OVERSHOOT * d_min, MAX_SETTLE_SWEEPS)
     positions, status = _run_kernel(load_kernel().swarm_settle, pop, *spacing)
     if status == 2:
-        raise MemoryError(f"no memory for the spacing settle of {count} agents")
+        raise MemoryError(f"no memory for the spacing settle of {len(pop)} agents")
     pop.positions = positions
     pop.settle_converged = status == 0
     return pop

@@ -362,45 +362,36 @@ def _pgm_header_tokens(data: bytes, path: str | Path) -> tuple[list[int], int]:
 
 
 def load_image(path: str | Path) -> Pattern:
-    """Load a PGM (P2/P5) or pattern CSV; grayscale goes to [0,1], then unit norm."""
+    """Load a PGM (P2/P5) or pattern CSV; grayscale goes to [0,1], then unit norm.
+
+    A P2 file's ``#`` comments run to the end of any line, raster included.
+    """
     data = Path(path).read_bytes()
     if not data:
         raise FormatError(f"empty image file: {path}")
     magic = data[:2]
-    if magic == b"P5":
-        (cols, rows, maxval), offset = _pgm_header_tokens(data, path)
-        if maxval < 1 or maxval > 255:
-            raise FormatError(f"unsupported PGM maxval {maxval} in {path} (8-bit only)")
-        raster = data[offset : offset + rows * cols]
-        if len(raster) != rows * cols:
-            raise ShapeMismatchError(
-                f"{path}: PGM raster has {len(raster)} bytes, header implies {rows * cols}"
-            )
-        arr = np.frombuffer(raster, dtype=np.uint8).astype(float) / float(maxval)
-        return Pattern(_unit(arr), grid=(rows, cols))
     if magic == b"P2":
         try:
             text = data.decode("ascii")
         except UnicodeDecodeError as exc:
             raise FormatError(f"P2 file is not ASCII: {path}") from exc
-        body = "\n".join(ln.split("#", 1)[0] for ln in text.splitlines())
-        fields = body.split()
-        if len(fields) < 4:
-            raise FormatError(f"truncated P2 header in {path}")
+        fields = [tok for ln in text.splitlines() for tok in ln.split("#", 1)[0].split()]
+        data = " ".join(["P2", *fields[1:]]).encode()  # fields[0] is the magic
+    elif magic != b"P5":
+        return load_pattern_csv(path)
+    (cols, rows, maxval), offset = _pgm_header_tokens(data, path)
+    if maxval < 1 or maxval > 255:
+        raise FormatError(f"unsupported PGM maxval {maxval} in {path} (8-bit only)")
+    if magic == b"P5":
+        raster = np.frombuffer(data[offset : offset + rows * cols], dtype=np.uint8).astype(float)
+    else:
         try:
-            cols, rows, maxval = int(fields[1]), int(fields[2]), int(fields[3])
-            pixels = [int(f) for f in fields[4:]]
+            raster = np.asarray([int(tok) for tok in data[offset:].split()], dtype=float)
         except ValueError as exc:
             raise FormatError(f"non-numeric token in P2 file {path}") from exc
-        if maxval < 1 or maxval > 255:
-            raise FormatError(f"unsupported PGM maxval {maxval} in {path} (8-bit only)")
-        if len(pixels) != rows * cols:
-            raise ShapeMismatchError(
-                f"{path}: P2 raster has {len(pixels)} samples, header implies {rows * cols}"
-            )
-        arr = np.asarray(pixels, dtype=float) / float(maxval)
-        return Pattern(_unit(arr), grid=(rows, cols))
-    return load_pattern_csv(path)
+    if len(raster) != rows * cols:
+        raise ShapeMismatchError(f"{path}: PGM raster has {len(raster)} samples, header implies {rows * cols}")
+    return Pattern(_unit(raster / float(maxval)), grid=(rows, cols))
 
 
 def save_image(p: Pattern, path: str | Path) -> None:

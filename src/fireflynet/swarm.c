@@ -82,7 +82,7 @@ long swarm_settle(double *pos, long count, bitgen_t *rng, double too_close, doub
     double far = nextafter(too_close * too_close, INFINITY);
     long status = 1;
     double *shift = malloc(2 * count * sizeof *shift);
-    struct push *pushes = malloc(count * (count - 1) / 2 * sizeof *pushes);
+    struct push *pushes = malloc((count * (count - 1) / 2 + 1) * sizeof *pushes); /* never malloc(0) */
     if (!shift || !pushes)
         max_sweeps = 0, status = 2;
     for (long sweep = 0; sweep < max_sweeps; sweep++) {

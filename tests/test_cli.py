@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fireflynet.cli import RUN_KEY_HELP, SWEEPABLE, main
+from fireflynet.cli import RUN_KEYS, SWEEPABLE, main
 from fireflynet.dynamics import save_matrix_csv
 from fireflynet.patterns import Pattern, gaussian_2d, save_image, save_pattern_csv
 from fireflynet.trainer import CONFIG_KEY_HELP
@@ -57,7 +57,7 @@ def test_train_requires_an_output_directory(tmp_path, capsys):
     pats = tmp_path / "pats"
     write_patterns(pats)
     assert main(["train", "--patterns", str(pats), *SMALL]) == 2
-    assert "output directory" in capsys.readouterr().err
+    assert "train requires the out key or --out" in capsys.readouterr().err
 
 
 def test_train_rejects_missing_or_empty_pattern_dirs(tmp_path, capsys):
@@ -215,6 +215,61 @@ def test_a_run_key_the_command_does_not_read_is_a_config_error(tmp_path, monkeyp
     assert main([command, *args, "--out", str(tmp_path / "x")]) == 2
     assert capsys.readouterr().err == f"config error: {command} does not read the run keys: {unread}\n"
     assert not (tmp_path / "x").exists()
+
+
+# One working run of each command, every key given by --set: inputs that
+# write_run_inputs makes, outputs under out/, all relative to the run's root.
+WORKING_RUNS = {
+    "train": {"patterns_dir": "pats", "n": "9", "rows": "3", "cols": "3", "epochs": "1", "out": "out"},
+    "recall": {"model_dir": "m", "cue": "c.csv", "out": "out"},
+    "experiment": {"experiment": "evolve1d", "n": "12", "seeds": "0", "out": "out"},
+    "sweep": {"experiment": "evolve1d", "n": "12", "sweep.alpha": "0.01", "seeds": "0", "jobs": "1", "out": "out"},
+}
+
+
+def write_run_inputs(root):
+    write_patterns(root / "pats")
+    write_model(root / "m", 0.1 * (np.ones((9, 9)) - np.eye(9)))
+    save_pattern_csv(gaussian_2d(3, 3, 1.0, 1.0, 1.0, 1.0), root / "c.csv")
+
+
+def files_under(root):
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def run_in(root, monkeypatch, command, kv, flags=()):
+    """Run the command in a fresh root of inputs; return its code and the root's files."""
+    write_run_inputs(root)
+    monkeypatch.chdir(root)
+    code = main([command, *flags, *(f"--set={key}={value}" for key, value in kv.items())])
+    return code, files_under(root)
+
+
+@pytest.mark.parametrize(
+    "key, command",
+    [(key, command) for key, row in RUN_KEYS.items() for command in WORKING_RUNS
+     if command in row.required_by or row.flag and (command in row.read_by or command == "train")],
+)
+def test_each_run_key_is_one_key_by_flag_or_by_set(tmp_path, monkeypatch, capsys, key, command):
+    row = RUN_KEYS[key]
+    write_run_inputs(tmp_path / "inputs")
+    inputs = files_under(tmp_path / "inputs")
+    if command not in row.read_by:  # train --cue c.csv is refused as --set cue=c.csv is
+        value = WORKING_RUNS[row.read_by[0]][key]
+        code, files = run_in(tmp_path / "unread", monkeypatch, command, WORKING_RUNS[command], [row.flag, value])
+        assert (code, files) == (2, inputs)
+        assert capsys.readouterr().err == f"config error: {command} does not read the run keys: {key}\n"
+        return
+    kv = dict(WORKING_RUNS[command])
+    value = kv.pop(key)
+    by_key = run_in(tmp_path / "key", monkeypatch, command, {**kv, key: value}), capsys.readouterr().out
+    assert by_key[0][0] == 0 and by_key[0][1] != inputs
+    if row.flag:
+        by_flag = run_in(tmp_path / "flag", monkeypatch, command, kv, [row.flag, value]), capsys.readouterr().out
+        assert by_flag == by_key
+    if command in row.required_by:
+        assert run_in(tmp_path / "missing", monkeypatch, command, kv) == (2, inputs)
+        assert capsys.readouterr().err.startswith(f"config error: {command} requires the {key} key")
 
 
 def test_recall_reports_broken_cue_files(tmp_path, capsys):
@@ -492,7 +547,7 @@ def test_non_finite_float_config_values_are_config_errors(tmp_path, capsys, key)
 
 def test_experiment_requires_a_name(tmp_path, capsys):
     assert main(["experiment", "--out", str(tmp_path / "x")]) == 2
-    assert "requires a name" in capsys.readouterr().err
+    assert "experiment requires the experiment key" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -648,6 +703,6 @@ def test_help_lists_every_config_key(capsys):
         text = capsys.readouterr().out
         for key in CONFIG_KEY_HELP:
             assert key in text
-        for key in RUN_KEY_HELP:
-            assert key in text
+        for key, row in RUN_KEYS.items():
+            assert key in text and (row.flag or key) in text
         assert "sweep.<key>" in text

@@ -610,15 +610,16 @@ def test_swarm_rejects_positions_that_are_not_xy_rows(shape):
      (0.3, np.nextafter(1.0, 2.0))],
 )
 @pytest.mark.parametrize("call", ["swarm_step", "enforce_min_distance"])
-def test_swarm_rejects_an_agent_off_the_unit_square_and_leaves_the_population_as_it_was(bad, call):
-    # agents 0 and 1 coincide, so the settle's pair loop would draw a
-    # direction for them before it came to agent 2; the move pass would
-    # draw jitter for agent 0 first
-    points = [[0.5, 0.5], [0.5, 0.5], bad, [0.2, 0.2]]
-    pop = manual_population(points, [True] * 4, SwarmParams(d_min=0.1, eta=0.05), seed=4)
+@pytest.mark.parametrize("d_min, alone", [(0.1, False), (0.0, False), (0.1, True)], ids=["crowd", "no-spacing", "alone"])
+def test_swarm_rejects_an_agent_off_the_unit_square_and_leaves_the_population_as_it_was(bad, call, d_min, alone):
+    # in the crowd agents 0 and 1 coincide, so the settle's pair loop would
+    # draw a direction for them before it came to agent 2; the move pass
+    # would draw jitter for agent 0 first
+    points, k = ([bad], 0) if alone else ([[0.5, 0.5], [0.5, 0.5], bad, [0.2, 0.2]], 2)
+    pop = manual_population(points, [True] * len(points), SwarmParams(d_min=d_min, eta=0.05), seed=4)
     positions, brightness, state = pop.positions, pop.brightness, pop.rng.bit_generator.state
     before = positions.tobytes()
-    with pytest.raises(ParameterError, match=r"swarm agent 2 at \[.+\] is off the unit square or not finite"):
+    with pytest.raises(ParameterError, match=rf"swarm agent {k} at \[.+\] is off the unit square or not finite"):
         if call == "swarm_step":
             swarm_step(pop, Pattern(np.arange(4.0), grid=(2, 2)), GridLayout(2, 2))
         else:
@@ -628,11 +629,16 @@ def test_swarm_rejects_an_agent_off_the_unit_square_and_leaves_the_population_as
     assert pop.rng.bit_generator.state == state
 
 
-def test_spacing_disabled_is_a_no_op():
-    pop = manual_population([[0.5, 0.5], [0.5, 0.5]], [True, True], SwarmParams(d_min=0.0))
-    before = pop.positions.copy()
+@pytest.mark.parametrize(
+    "points, d_min", [([[0.5, 0.5], [0.5, 0.5]], 0.0), ([[0.5, 0.5]], 0.1)], ids=["no-spacing", "alone"]
+)
+def test_a_settle_with_no_pair_to_push_converges_and_changes_nothing(points, d_min):
+    pop = manual_population(points, [True] * len(points), SwarmParams(d_min=d_min), seed=4)
+    before, state = pop.positions.copy(), pop.rng.bit_generator.state
+    pop.settle_converged = False
     enforce_min_distance(pop)
     assert np.array_equal(pop.positions, before)
+    assert pop.rng.bit_generator.state == state
     assert pop.settle_converged
 
 

@@ -346,12 +346,12 @@ def test_pattern_csv_round_trip_is_lossless(tmp_path):
     assert np.abs(q.values - p.values).max() <= 1e-12
 
 
-def write_p2(p, path):
+def write_p2(p, path, comment=""):
     """The ASCII (P2) form of the raster save_pgm writes as P5."""
     pixels = np.rint(p.as_grid() / p.values.max() * 255.0).astype(np.uint8)
     rows, cols = pixels.shape
     body = "\n".join(" ".join(str(int(x)) for x in row) for row in pixels)
-    path.write_text(f"P2\n{cols} {rows}\n255\n{body}\n")
+    path.write_text(f"P2\n{comment}{cols} {rows}\n255\n{body}\n")
 
 
 def test_pgm_round_trip_within_quantization(tmp_path):
@@ -371,7 +371,11 @@ def test_ascii_and_binary_pgm_agree(tmp_path):
     p = gaussian_2d(4, 6, 2.0, 1.0, 1.0, 1.5)
     save_pgm(p, tmp_path / "b.pgm")
     write_p2(p, tmp_path / "a.pgm")
-    assert np.array_equal(load_image(tmp_path / "b.pgm").values, load_image(tmp_path / "a.pgm").values)
+    write_p2(p, tmp_path / "c.pgm", comment="# made by hand\n")
+    binary = load_image(tmp_path / "b.pgm")
+    for name in ("a.pgm", "c.pgm"):
+        ascii_ = load_image(tmp_path / name)
+        assert ascii_.grid == binary.grid and np.array_equal(ascii_.values, binary.values)
 
 
 def test_all_black_image_annihilates_on_load(tmp_path):
