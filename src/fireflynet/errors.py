@@ -28,7 +28,7 @@ class PatternAnnihilatedError(FireflynetError, ValueError):
 
 
 class CompilerError(FireflynetError, RuntimeError):
-    """No working C compiler built the swarm kernel: the host lacks a tool."""
+    """No working C compiler built the C kernel: the host lacks a tool."""
 
 
 class ConfigError(FireflynetError, ValueError):

@@ -9,11 +9,12 @@ clusters around active cells, and a signed coupling matrix is read off:
 excitatory agents near a cell contribute positive weight to it, the
 inhibitory minority contributes negative weight.
 
-The move pass and the settle run in ``swarm.c``, compiled on first use
-(``load_kernel``).  It keeps the order of every floating-point operation
-of the plain loops in ``tests/oracles.py``, and its build neither fuses
-nor reorders them, so it returns their bits.  Its move pass draws the
-jitter from the population's own generator, through numpy's C API.
+The move pass and the settle run in the C kernel ``swarm.c``, compiled on
+first use (``load_kernel``), with ``plasticity.row_fixed_points``' solve.  It
+keeps the order of every floating-point operation of the plain loops and
+the numpy search in ``tests/oracles.py``, and its build neither fuses nor
+reorders them, so it returns their bits.  Its move pass draws the jitter
+from the population's own generator, through numpy's C API.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ _KERNEL_COMMAND = ("cc", "-O2", "-ffp-contract=off", "-fPIC", "-shared")
 
 @cache
 def load_kernel() -> ctypes.CDLL:
-    """The compiled swarm kernel, built the first time it is asked for.
+    """The compiled C kernel, built the first time it is asked for.
 
     The library is cached in ``__pycache__`` beside ``swarm.c``, named by
     a hash of the source and the compiler command, so later processes
@@ -59,7 +60,8 @@ def load_kernel() -> ctypes.CDLL:
     long_, double, ptr = ctypes.c_long, ctypes.c_double, ctypes.c_void_p
     lib.swarm_move.argtypes = [ptr, long_, ptr, ptr, ptr, long_, long_, double, double, double]
     lib.swarm_settle.argtypes = [ptr, long_, ptr, double, double, long_]
-    lib.swarm_move.restype = lib.swarm_settle.restype = long_
+    lib.row_fixed_points.argtypes = [ptr, ptr, ptr, long_, double, double, double, double]
+    lib.swarm_move.restype = lib.swarm_settle.restype = lib.row_fixed_points.restype = long_
     return lib
 
 

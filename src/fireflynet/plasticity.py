@@ -17,7 +17,8 @@ off by the step budget.  A row can have several fixed points, the
 saturated corner (every weight at v) among them, and which one Euler
 reaches depends on where it starts.  A presentation solves for its rows'
 fixed points first (``row_fixed_points``), and Euler only polishes that,
-in one step on every presentation of the shipped experiments.
+in one step on every presentation of the shipped experiments.  The solve
+runs in the C kernel (``firefly.load_kernel``), so it needs a C compiler.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import numpy as np
 
 from .dynamics import WeightMatrix
 from .errors import ParameterError, ShapeMismatchError
+from .firefly import load_kernel
 from .patterns import write_table
 
 # The share of the stability bound 1 / (alpha * n + beta * max|T|) that a
@@ -177,45 +179,20 @@ def row_fixed_points(w: WeightMatrix, t: np.ndarray, params: PlasticityParams) -
     reaches depends on its start.  So each row starts at w's own lambda and
     steps toward the sign of g, from |g| / 8 and doubling, within
     v * sum T- <= lam <= v * sum T+, until g changes sign; Illinois regula falsi
-    then closes the bracket, all rows at once.  A weight's rate is at most
+    then closes the bracket, row by row in the C kernel, which returns the bits
+    of the numpy search in ``tests/oracles.py``.  A weight's rate is at most
     beta * v * |g_i|, so the search stops at |g_i| <= tol / (2 beta v), where
     ``evolve_weights`` from the result is quiescent at its first step.  With
     alpha = 0 no point is fixed (Euler holds a zero weight at zero): w is returned.
     """
     _check_sizes(w, t)
+    if not np.all(np.isfinite(t)):
+        raise ParameterError("correlation tensor entries must be finite")
     alpha, beta, v = params.alpha, params.beta, params.v
     if alpha == 0.0:
         return w
-    n = w.n
-    tz = t.copy()
-    tz.reshape(-1)[:: n + 1] = 0.0
-    bt, c, prod = beta * tz, np.empty((n, n)), np.empty((n, n))
     tol = 0.5 * params.tol / (beta * v) if beta * v > 0.0 else math.inf
-
-    def g(lam: np.ndarray) -> np.ndarray:  # leaves w(lam) in c
-        np.subtract((n * alpha + beta * lam)[:, None], bt, out=c)
-        np.divide(alpha, np.maximum(c, alpha / v, out=c), out=c)
-        c.reshape(-1)[:: n + 1] = 0.0
-        return np.add.reduce(np.multiply(c, tz, out=prod), axis=1) - lam
-
-    lo, hi = v * np.minimum(tz, 0.0).sum(axis=1), v * np.maximum(tz, 0.0).sum(axis=1)
-    x = np.clip(np.add.reduce(w.w * tz, axis=1), lo, hi)
-    a, ga = x, g(x)  # a: the last point on the start's side of the root
-    gx, side, step, edge = ga, np.sign(ga), np.abs(ga) / 8.0, np.where(ga > 0.0, hi, lo)
-    search = np.abs(ga) > tol
-    while search.any():
-        a, ga = np.where(search, x, a), np.where(search, gx, ga)
-        x = np.where(search, np.clip(x + side * step, lo, hi), x)
-        gx, step = g(x), 2.0 * step
-        search &= (side * gx > tol) & (x != edge)
-    live = side * gx < -tol
-    for _ in range(100):
-        if not live.any():
-            break
-        nx = np.where(live, x - gx * (x - a) / np.where(live, gx - ga, 1.0), x)
-        ng = g(nx)
-        flip = live & (ng * gx < 0.0)
-        a, ga = np.where(flip, x, a), np.where(flip, gx, np.where(live, 0.5 * ga, ga))
-        live &= (np.abs(ng) > tol) & (nx != x)
-        x, gx = nx, ng
-    return WeightMatrix(np.minimum(c, v, out=c))
+    ww, tt, out = np.ascontiguousarray(w.w), np.ascontiguousarray(t, dtype=float), np.empty((w.n, w.n))
+    if load_kernel().row_fixed_points(ww.ctypes.data, tt.ctypes.data, out.ctypes.data, w.n, alpha, beta, v, tol):
+        raise MemoryError(f"no memory for the fixed points of {w.n} weight rows")
+    return WeightMatrix(out)

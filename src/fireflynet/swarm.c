@@ -1,9 +1,12 @@
-/* The swarm's move pass and spacing settle, called from firefly.py through
- * ctypes.  Positions are (x, y) pairs, agent after agent, updated in place.
- * The results equal, bit for bit, the plain loops in tests/oracles.py:
+/* The swarm's move pass and spacing settle, and the weight rows' fixed-point
+ * solve, called from firefly.py and plasticity.py through ctypes.  Positions
+ * are (x, y) pairs, agent after agent, updated in place.  The results equal,
+ * bit for bit, the plain loops and the numpy search in tests/oracles.py:
  * every expression keeps their grouping and order, the build neither fuses
- * nor reorders floating-point operations (-ffp-contract=off, no
- * -ffast-math), and exp, cos and sin are libm's, as math's are. */
+ * nor reorders floating-point operations (-ffp-contract=off, no -ffast-math),
+ * and exp, cos and sin are libm's, as math's are.  The solve's row sums mirror
+ * numpy's pairwise_sum, so its bits depend on that order: the oracle test
+ * checks it on every Tier-1 run. */
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
@@ -128,4 +131,82 @@ long swarm_settle(double *pos, long count, bitgen_t *rng, double too_close, doub
     free(shift);
     free(pushes);
     return status;
+}
+
+/* np.add.reduce of a contiguous row: 0.0 plus numpy's pairwise_sum
+ * (loops_utils.h.src): a plain loop below 8 terms, eight accumulators up to
+ * 128, else halves split at a multiple of 8. */
+static double pairwise(const double *a, long n)
+{
+    double r[8], res = -0.0;
+    long i = 0, half = n / 2 - n / 2 % 8;
+    if (n > 128)
+        return pairwise(a, half) + pairwise(a + half, n - half);
+    if (n >= 8) {
+        for (; i < n - n % 8; i++)
+            r[i % 8] = i < 8 ? a[i] : r[i % 8] + a[i];
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+    }
+    for (; i < n; i++)
+        res += a[i];
+    return res;
+}
+
+/* np.clip: the max with lo, then the min with hi, a nan kept. */
+static double clip(double x, double lo, double hi) { x = x != x || x > lo ? x : lo; return x != x || x < hi ? x : hi; }
+
+/* Row i's tensor tz (zero diagonal), beta tz, weights c and products to sum. */
+struct row { const double *tz, *bt; double *c, *prod; long n, i; double alpha, beta, floor; };
+
+/* g(lam) = sum_j c_j tz_j - lam, leaving in c the weights at lam:
+ * alpha / max(n alpha + beta lam - beta tz_j, alpha / v), 0 on the diagonal. */
+static double row_g(const struct row *r, double lam)
+{
+    double base = r->n * r->alpha + r->beta * lam;
+    for (long j = 0; j < r->n; j++) {
+        double c = base - r->bt[j];
+        r->c[j] = j == r->i ? 0.0 : r->alpha / (c < r->floor ? r->floor : c);
+        r->prod[j] = r->c[j] * r->tz[j];
+    }
+    return (0.0 + pairwise(r->prod, r->n)) - lam;
+}
+
+/* plasticity.row_fixed_points' search, row by row, into the n x n out: from
+ * the row's own lambda, steps toward the sign of g from |g| / 8, doubling,
+ * within [lo, hi] until g changes sign, then at most 100 Illinois regula falsi
+ * steps, to |g| <= tol.  Returns 0, or 2 when memory runs out. */
+long row_fixed_points(const double *w, const double *t, double *out, long n,
+                      double alpha, double beta, double v, double tol)
+{
+    double *tz = malloc(4 * n * sizeof *tz);
+    if (!tz)
+        return 2;
+    double *bt = tz + n, *neg = tz + 2 * n, *pos = tz + 3 * n;
+    struct row r = {tz, bt, out, pos, n, 0, alpha, beta, alpha / v};
+    for (; r.i < n; r.i++, r.c += n) {
+        for (long j = 0; j < n; j++) {
+            tz[j] = j == r.i ? 0.0 : t[r.i * n + j];
+            bt[j] = beta * tz[j], neg[j] = tz[j] < 0.0 ? tz[j] : 0.0, pos[j] = tz[j] > 0.0 ? tz[j] : 0.0;
+            r.c[j] = w[r.i * n + j] * tz[j]; /* the start's products, until g writes the weights */
+        }
+        double lo = v * (0.0 + pairwise(neg, n)), hi = v * (0.0 + pairwise(pos, n));
+        double x = clip(0.0 + pairwise(r.c, n), lo, hi), a = x, ga = row_g(&r, x), gx = ga;
+        double side = ga > 0.0 ? 1.0 : ga < 0.0 ? -1.0 : 0.0, step = fabs(ga) / 8.0, edge = ga > 0.0 ? hi : lo;
+        for (int search = fabs(ga) > tol; search; step = 2.0 * step) {
+            a = x, ga = gx;
+            x = clip(x + side * step, lo, hi);
+            gx = row_g(&r, x);
+            search = side * gx > tol && x != edge;
+        }
+        for (int k = 0, live = side * gx < -tol; live && k < 100; k++) {
+            double nx = x - gx * (x - a) / (gx - ga), ng = row_g(&r, nx);
+            ga = ng * gx < 0.0 ? (a = x, gx) : 0.5 * ga;
+            live = fabs(ng) > tol && nx != x;
+            x = nx, gx = ng;
+        }
+        for (long j = 0; j < n; j++) /* c holds the weights at x, where g was last evaluated */
+            r.c[j] = r.c[j] > v ? v : r.c[j];
+    }
+    free(tz);
+    return 0;
 }

@@ -283,6 +283,49 @@ def evolve_reference(w, t, params) -> tuple[np.ndarray, list, int, bool, float]:
     return current, trace, steps, converged, final_max_rhs
 
 
+def row_fixed_points_reference(w, t, params) -> np.ndarray:
+    """The numpy search ``row_fixed_points`` ran before its C kernel: every
+    row at once, one masked array operation per step, rows summed by
+    ``np.add.reduce`` along the contiguous axis.  Takes the start weights as
+    an array and returns the solved weights, w unchanged where alpha = 0."""
+    alpha, beta, v = params.alpha, params.beta, params.v
+    if alpha == 0.0:
+        return np.asarray(w, dtype=float)
+    n = len(w)
+    tz = t.copy()
+    tz.reshape(-1)[:: n + 1] = 0.0
+    bt, c, prod = beta * tz, np.empty((n, n)), np.empty((n, n))
+    tol = 0.5 * params.tol / (beta * v) if beta * v > 0.0 else math.inf
+
+    def g(lam: np.ndarray) -> np.ndarray:  # leaves w(lam) in c
+        np.subtract((n * alpha + beta * lam)[:, None], bt, out=c)
+        np.divide(alpha, np.maximum(c, alpha / v, out=c), out=c)
+        c.reshape(-1)[:: n + 1] = 0.0
+        return np.add.reduce(np.multiply(c, tz, out=prod), axis=1) - lam
+
+    lo, hi = v * np.minimum(tz, 0.0).sum(axis=1), v * np.maximum(tz, 0.0).sum(axis=1)
+    x = np.clip(np.add.reduce(w * tz, axis=1), lo, hi)
+    a, ga = x, g(x)  # a: the last point on the start's side of the root
+    gx, side, step, edge = ga, np.sign(ga), np.abs(ga) / 8.0, np.where(ga > 0.0, hi, lo)
+    search = np.abs(ga) > tol
+    while search.any():
+        a, ga = np.where(search, x, a), np.where(search, gx, ga)
+        x = np.where(search, np.clip(x + side * step, lo, hi), x)
+        gx, step = g(x), 2.0 * step
+        search &= (side * gx > tol) & (x != edge)
+    live = side * gx < -tol
+    for _ in range(100):
+        if not live.any():
+            break
+        nx = np.where(live, x - gx * (x - a) / np.where(live, gx - ga, 1.0), x)
+        ng = g(nx)
+        flip = live & (ng * gx < 0.0)
+        a, ga = np.where(flip, x, a), np.where(flip, gx, np.where(live, 0.5 * ga, ga))
+        live &= (np.abs(ng) > tol) & (nx != x)
+        x, gx = nx, ng
+    return np.minimum(c, v, out=c)
+
+
 def similarity_reference(output, reference, templates):
     """Recall scoring as it read when it went through numpy's own
     ``mean``, ``std`` and ``corrcoef``."""

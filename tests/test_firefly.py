@@ -906,15 +906,19 @@ def test_without_a_compiler_a_swarm_experiment_exits_4_and_the_rest_still_runs(t
     nothing = tmp_path / "empty"
     nothing.mkdir()  # a PATH with no cc on it
 
-    def cli(*args):
-        return run_python(site, str(nothing), "-m", "fireflynet.cli", *args, "--out", str(tmp_path / args[1]))
+    def cli(out, *args):
+        return run_python(site, str(nothing), "-m", "fireflynet.cli", *args, "--out", str(tmp_path / out))
 
-    swarm = cli("experiment", "denoise", "--set", "n=25", "--set", "rows=5", "--set", "cols=5",
-                "--set", "use_firefly=true", "--set", "pattern_count=3", "--set", "seeds=0")
-    assert swarm.returncode == 4
-    assert swarm.stderr.count("\n") == 1 and "C compiler (cc)" in swarm.stderr
-    assert "internal error" not in swarm.stderr and "'cc'" in swarm.stderr
-    assert "Traceback" not in swarm.stderr
-    assert cli("experiment", "evolve1d", "--set", "n=25").returncode == 0
-    # a model the swarm laid out recalls without the kernel
-    assert cli("recall", "--model", str(model), "--cue", str(patterns / "p0.csv")).returncode == 0
+    def fails_for_want_of_cc(run):
+        assert run.returncode == 4
+        assert run.stderr.count("\n") == 1 and "C compiler (cc)" in run.stderr
+        assert "internal error" not in run.stderr and "'cc'" in run.stderr
+        assert "Traceback" not in run.stderr
+
+    fails_for_want_of_cc(cli("denoise", "experiment", "denoise", "--set", "n=25", "--set", "rows=5", "--set", "cols=5",
+                             "--set", "use_firefly=true", "--set", "pattern_count=3", "--set", "seeds=0"))
+    # every presentation solves its rows' fixed points in the kernel, swarm or not
+    fails_for_want_of_cc(cli("plain", "train", "--patterns", str(patterns),
+                             "--set", "n=9", "--set", "rows=3", "--set", "cols=3"))
+    assert cli("ring", "experiment", "evolve1d", "--set", "n=25").returncode == 0
+    assert cli("recalled", "recall", "--model", str(model), "--cue", str(patterns / "p0.csv")).returncode == 0

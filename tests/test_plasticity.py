@@ -8,11 +8,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from fireflynet import plasticity
 from fireflynet.dynamics import (
     WeightMatrix,
     correlation_tensor,
 )
 from fireflynet.errors import ParameterError, ShapeMismatchError
+from fireflynet.firefly import load_kernel
 from fireflynet.plasticity import (
     STEP_FRACTION,
     PlasticityParams,
@@ -21,7 +23,7 @@ from fireflynet.plasticity import (
     row_fixed_points,
 )
 
-from oracles import evolve_reference, growth_rate_loops
+from oracles import evolve_reference, growth_rate_loops, row_fixed_points_reference
 
 
 def uniform_weights(n: int) -> WeightMatrix:
@@ -410,6 +412,74 @@ def test_the_solve_finds_the_uniform_level_without_cooperation():
     expected = np.full((n, n), 1.0 / n)
     np.fill_diagonal(expected, 0.0)
     assert np.abs(solved.w - expected).max() <= 1e-15
+
+
+# every branch of numpy's pairwise row sum: a plain loop below 8 terms,
+# eight accumulators up to 128, halves split at a multiple of 8 above
+SOLVE_SIZES = (*range(2, 10), 25, 121, 128, 129, 130, 257, 400)
+
+
+@st.composite
+def solve_inputs(draw, n: int):
+    """Start weights in [0, v] and a Gram tensor x x^T with x in [-1, 1]:
+    negative entries off the diagonal, positive ones on it; beta = 0 makes the
+    stopping bound infinite and a small v saturates rows."""
+    v = draw(st.sampled_from((0.002, 0.02)) | st.floats(0.05, 1.0))
+    beta = draw(st.just(0.0) | st.floats(0.0, 5.0))
+    params = PlasticityParams(alpha=draw(st.floats(0.001, 1.0)), beta=beta, v=v)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = rng.random((n, n)) * v
+    np.fill_diagonal(w, 0.0)
+    x = rng.uniform(-1.0, 1.0, (n, draw(st.integers(1, 8))))
+    return w, x @ x.T * draw(st.floats(0.01, 10.0)), params
+
+
+@pytest.mark.parametrize("n", SOLVE_SIZES)
+@settings(deadline=None, max_examples=20)
+@given(data=st.data())
+def test_the_solve_returns_the_numpy_search_bit_for_bit(n, data):
+    w0, tensor, params = data.draw(solve_inputs(n))
+    solved = row_fixed_points(WeightMatrix(w0), tensor, params)
+    assert np.array_equal(solved.w, row_fixed_points_reference(w0, tensor, params))
+
+
+def test_the_solve_reads_the_tensor_by_value_not_by_layout():
+    # a tensor that is not symmetric tells a transposed read from a straight one
+    n = 9
+    rng = np.random.default_rng(4)
+    w0 = uniform_weights(n)
+    tensor = gram_tensor(n, 2) + rng.uniform(-0.1, 0.1, (n, n))
+    params = PlasticityParams(alpha=0.05)
+    expected = row_fixed_points_reference(w0.w, tensor, params)
+    for layout in (np.asfortranarray(tensor), np.repeat(tensor, 2, axis=1)[:, ::2]):
+        assert np.array_equal(row_fixed_points(w0, layout, params).w, expected)
+    transposed = row_fixed_points(w0, tensor.T, params).w
+    assert np.array_equal(transposed, row_fixed_points_reference(w0.w, tensor.T.copy(), params))
+    assert not np.array_equal(transposed, expected)
+
+
+def test_the_solve_rejects_a_non_finite_tensor_before_the_kernel(monkeypatch):
+    monkeypatch.setattr(plasticity, "load_kernel", None)  # calling it would fail
+    for bad in (np.nan, np.inf, -np.inf):
+        t = gram_tensor(4, 3)
+        t[0, 1] = bad
+        with pytest.raises(ParameterError, match="correlation tensor"):
+            row_fixed_points(uniform_weights(4), t, PlasticityParams())
+
+
+def test_a_solve_the_kernel_cannot_allocate_for_raises_memory_error(monkeypatch):
+    # the kernel's 4 * 2**56 doubles are more than any address space maps, so malloc fails
+    kernel = load_kernel()
+
+    class Huge:
+        @staticmethod
+        def row_fixed_points(w, t, out, n, *rule):
+            return kernel.row_fixed_points(w, t, out, 2**56, *rule)
+
+    assert kernel.row_fixed_points(None, None, None, 2**56, 0.01, 1.0, 0.5, 1e-6) == 2
+    monkeypatch.setattr(plasticity, "load_kernel", Huge)
+    with pytest.raises(MemoryError, match="4 weight rows"):
+        row_fixed_points(uniform_weights(4), gram_tensor(4, 3), PlasticityParams())
 
 
 def test_evolution_rejects_out_of_range_start():

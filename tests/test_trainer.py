@@ -47,7 +47,7 @@ from fireflynet.trainer import (
     train,
 )
 
-from oracles import complete_reference, recall_reference, similarity_reference
+from oracles import complete_reference, recall_reference, row_fixed_points_reference, similarity_reference
 
 
 def small_config(**kw) -> TrainerConfig:
@@ -228,7 +228,9 @@ def test_presentations_learn_the_fixed_point_euler_reaches_from_their_start(monk
     run_experiment(cfg, "denoise", seeds=[0, 8, 10, 17])
     assert len(starts) == 4 * 15
     for w, t, params in starts:
-        polished, report = evolve_weights(row_fixed_points(w, t, params), t, params)
+        solved = row_fixed_points(w, t, params)
+        assert np.array_equal(solved.w, row_fixed_points_reference(w.w, t, params))
+        polished, report = evolve_weights(solved, t, params)
         euler, euler_report = evolve_weights(w, t, replace(params, max_steps=20000))
         assert report.converged and report.steps == 1 and euler_report.converged
         assert np.abs(polished.w - euler.w).max() <= 1e-4
