@@ -29,7 +29,8 @@ class WeightMatrix:
 
     ``w`` is read-only: the constructor keeps a private copy when it was
     handed a float array (the caller's array stays writable), so the
-    memoised ``resolvent`` always belongs to these weights.
+    memoised ``resolvent`` always belongs to these weights.  Arrays the
+    library builds from checked weights go through ``_wrap`` instead.
     """
 
     w: np.ndarray
@@ -47,6 +48,14 @@ class WeightMatrix:
         a.flags.writeable = False
         object.__setattr__(self, "w", a)
 
+    @classmethod
+    def _wrap(cls, a: np.ndarray) -> "WeightMatrix":
+        """A fresh array the library built from checked weights, made read-only: no check, no copy."""
+        a.flags.writeable = False
+        m = object.__new__(cls)
+        object.__setattr__(m, "w", a)
+        return m
+
     @cached_property
     def resolvent(self) -> np.ndarray:
         """D of these weights, computed on first use and kept read-only."""
@@ -59,10 +68,10 @@ class WeightMatrix:
         return int(self.w.shape[0])
 
     def positive_part(self) -> np.ndarray:
-        return np.clip(self.w, 0.0, None)
+        return np.maximum(self.w, 0.0)
 
     def negative_part(self) -> np.ndarray:
-        return np.clip(self.w, None, 0.0)
+        return np.minimum(self.w, 0.0)
 
 
 def truncated_resolvent(w: WeightMatrix) -> np.ndarray:

@@ -237,9 +237,12 @@ def _run_kernel(entry, pop: FireflyPopulation, *args) -> tuple[np.ndarray, int]:
         raise ShapeMismatchError(f"swarm positions must be (agents, 2), got shape {positions.shape}")
     status = entry(positions.ctypes.data, len(positions), pop.rng.bit_generator.ctypes.bit_generator, *args)
     if status < 0:
-        k = -1 - status
-        raise ParameterError(f"swarm agent {k} at {positions[k].tolist()} is off the unit square or not finite")
+        raise _off_square(positions, -1 - status)
     return positions, status
+
+
+def _off_square(positions: np.ndarray, k: int) -> ParameterError:
+    return ParameterError(f"swarm agent {k} at {positions[k].tolist()} is off the unit square or not finite")
 
 
 def swarm_step(pop: FireflyPopulation, activity: Pattern, layout: GridLayout) -> FireflyPopulation:
@@ -326,17 +329,24 @@ def synthesize_weights(pop: FireflyPopulation, layout: GridLayout, v: float) -> 
     divided down with the excitatory mass.
 
     Requires at least one excitatory agent; without any positive mass
-    the row scaling is undefined.
+    the row scaling is undefined.  Raises ParameterError, as ``swarm_step``
+    does, on an agent off the unit square or not finite.  The distances and
+    clamps return the bits of the reference in ``tests/oracles.py``.
     """
     if pop.n_excitatory == 0:
         raise ParameterError("population lacking excitatory polarity; cannot synthesize weights")
     if v <= 0.0:
         raise ParameterError(f"saturation ceiling v must be > 0, got {v}")
+    positions = pop.positions
+    if not 0.0 <= positions.min() <= positions.max() <= 1.0:  # a NaN fails every comparison
+        inside = ((positions >= 0.0) & (positions <= 1.0)).all(axis=1)
+        raise _off_square(positions, int(np.argmin(inside)))
 
-    cells = layout.cell_positions()
-    assigned = layout.nearest_cell(pop.positions)
+    cx, cy = _cell_centres(layout)
+    assigned = layout.nearest_cell(positions)
     # kernel[i, f] = strength agent f contributes at cell i
-    d2 = ((cells[:, None, :] - pop.positions[None, :, :]) ** 2).sum(axis=2)
+    dx, dy = cx - positions[:, 0], cy - positions[:, 1]
+    d2 = dx * dx + dy * dy
     params = pop.params
     sig_e = params.kernel_pitches * layout.pitch
     sig_i = params.inhib_pitches * layout.pitch
@@ -348,10 +358,17 @@ def synthesize_weights(pop: FireflyPopulation, layout: GridLayout, v: float) -> 
     np.add.at(w.T, assigned, kernel.T)
     np.fill_diagonal(w, 0.0)
 
-    pos_sums = np.clip(w, 0.0, None).sum(axis=1, keepdims=True)
+    pos_sums = np.maximum(w, 0.0).sum(axis=1, keepdims=True)
     w = w / np.maximum(pos_sums, 1.0)
-    w = np.clip(w, -0.5 * v, v)
-    return WeightMatrix(w)
+    return WeightMatrix._wrap(np.minimum(np.maximum(w, -0.5 * v), v))
+
+
+@cache
+def _cell_centres(layout: GridLayout) -> tuple[np.ndarray, np.ndarray]:
+    """The cell centres' x and y as read-only (n, 1) columns, one pair per grid."""
+    centres = layout.cell_positions()
+    centres.flags.writeable = False
+    return centres[:, :1], centres[:, 1:]
 
 
 # ---------------------------------------------------------------------------

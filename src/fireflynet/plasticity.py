@@ -146,9 +146,9 @@ def evolve_weights(
     the integration stopped.
 
     Each step is the plain one: the rate in ``_rate``'s grouping, w + dt * f
-    clamped by ``np.clip``, and a trace row of the row sums' minimum, sum
-    over n and maximum; that order fixes the result bits that the
-    byte-determinism checks compare.
+    clamped into [0, v] as ``np.clip`` does, and a trace row of the row sums'
+    minimum, sum over n and maximum; that order fixes the result bits that
+    the byte-determinism checks compare.
     """
     _check_sizes(w, t)
     if np.any(w.w < 0.0) or np.any(w.w > params.v):
@@ -157,16 +157,18 @@ def evolve_weights(
         raise ParameterError("correlation tensor entries must be finite")
     n, dt = w.n, params.step(w.n, t)
     current, rows = w.w, []
+    top, low, add = np.maximum.reduce, np.minimum.reduce, np.add.reduce
     for _ in range(params.max_steps):
         f = _rate(current, t, params.alpha, params.beta)
-        current, previous = np.clip(current + dt * f, 0.0, params.v), current
-        sums = current.sum(axis=1)
-        rows.append((np.abs(f).max(), sums.min(), sums.sum() / n, sums.max()))
-        converged = bool(np.abs(current - previous).max() < params.tol * dt)
+        # maximum(0.0, x) keeps a -0.0 in x, as np.clip does
+        current, previous = np.minimum(np.maximum(0.0, current + dt * f), params.v), current
+        sums = add(current, axis=1)
+        rows.append((top(np.abs(f), axis=None), low(sums), add(sums) / n, top(sums)))
+        converged = bool(top(np.abs(current - previous), axis=None) < params.tol * dt)
         if converged:
             break
     table = np.array(rows)
-    return WeightMatrix(current), EvolveReport(len(rows), converged, float(table[-1, 0]), table)
+    return WeightMatrix._wrap(current), EvolveReport(len(rows), converged, float(table[-1, 0]), table)
 
 
 def row_fixed_points(w: WeightMatrix, t: np.ndarray, params: PlasticityParams) -> WeightMatrix:
@@ -195,4 +197,4 @@ def row_fixed_points(w: WeightMatrix, t: np.ndarray, params: PlasticityParams) -
     ww, tt, out = np.ascontiguousarray(w.w), np.ascontiguousarray(t, dtype=float), np.empty((w.n, w.n))
     if load_kernel().row_fixed_points(ww.ctypes.data, tt.ctypes.data, out.ctypes.data, w.n, alpha, beta, v, tol):
         raise MemoryError(f"no memory for the fixed points of {w.n} weight rows")
-    return WeightMatrix(out)
+    return WeightMatrix._wrap(out)

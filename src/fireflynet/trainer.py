@@ -170,14 +170,14 @@ def _row_normalize_capped(w: np.ndarray, v: float) -> np.ndarray:
 
     Excess above the cap is redistributed to uncapped entries; if the cap
     makes a unit row sum infeasible the row saturates at v everywhere.
+    Every row with a positive sum is scaled at once; only those left with
+    an entry above v take the redistribution loop.
     """
     out = w.copy()
-    for i in range(out.shape[0]):
+    totals = out.sum(axis=1, keepdims=True)  # each row's own pairwise sum, as row.sum()
+    np.divide(out, totals, out=out, where=totals > 0.0)
+    for i in np.flatnonzero((out > v).any(axis=1)):
         row = out[i]
-        total = row.sum()
-        if total <= 0.0:
-            continue
-        row /= total
         for _ in range(out.shape[1]):
             over = row > v
             if not over.any():
@@ -188,7 +188,6 @@ def _row_normalize_capped(w: np.ndarray, v: float) -> np.ndarray:
             if not free.any():
                 break
             row[free] += excess * row[free] / float(row[free].sum())
-        out[i] = row
     # redistribution rounding can leave entries a few ulp above the cap
     return np.clip(out, 0.0, v)
 
@@ -249,12 +248,13 @@ def present_pattern(model: Model, p: Pattern) -> Model:
     if p.label is not None and all(t.label != p.label for t in model.templates):
         model.templates.append(p)
 
-    d = WeightMatrix(excitatory + inhibitory).resolvent
+    # every array below is built from checked weights: wrapped, not re-checked
+    d = WeightMatrix._wrap(excitatory + inhibitory).resolvent
     tensor = correlation_tensor(d, active_set(p, relative_threshold(p, cfg.theta_act)))
 
-    start = row_fixed_points(WeightMatrix(excitatory), tensor, cfg.plasticity)
+    start = row_fixed_points(WeightMatrix._wrap(excitatory), tensor, cfg.plasticity)
     evolved, report = evolve_weights(start, tensor, cfg.plasticity)
-    model.weights = WeightMatrix(evolved.w + inhibitory)
+    model.weights = WeightMatrix._wrap(evolved.w + inhibitory)
     model.history.append(report)
     return model
 

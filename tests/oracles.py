@@ -326,6 +326,85 @@ def row_fixed_points_reference(w, t, params) -> np.ndarray:
     return np.minimum(c, v, out=c)
 
 
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal shapes, values and signs of zero: the bits of finite floats."""
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def evolve_weights_reference(w, t, params) -> tuple[np.ndarray, np.ndarray, bool]:
+    """The Euler loop of ``evolve_weights`` as it read with ``np.clip`` and the
+    array methods' reductions, ``_rate`` written out in its grouping.  Takes
+    the start weights and the tensor as arrays; returns the weights, the
+    trace table and whether the last step met the tolerance."""
+    n, dt = len(w), params.step(len(w), t)
+    current, rows = w, []
+    for _ in range(params.max_steps):
+        f = params.alpha * (1.0 - n * current) + (params.beta * current) * (
+            t - np.add.reduce(current * t, axis=1, keepdims=True)
+        )
+        np.fill_diagonal(f, 0.0)
+        current, previous = np.clip(current + dt * f, 0.0, params.v), current
+        sums = current.sum(axis=1)
+        rows.append((np.abs(f).max(), sums.min(), sums.sum() / n, sums.max()))
+        converged = bool(np.abs(current - previous).max() < params.tol * dt)
+        if converged:
+            break
+    return current, np.array(rows), converged
+
+
+def synthesize_weights_reference(pop, layout, v) -> np.ndarray:
+    """``synthesize_weights`` as it read with the (n, F, 2) square-and-sum,
+    uncached cell centres and ``np.clip``; returns the weights array."""
+    if pop.n_excitatory == 0:
+        raise ParameterError("population lacking excitatory polarity; cannot synthesize weights")
+    if v <= 0.0:
+        raise ParameterError(f"saturation ceiling v must be > 0, got {v}")
+
+    cells = layout.cell_positions()
+    assigned = layout.nearest_cell(pop.positions)
+    # kernel[i, f] = strength agent f contributes at cell i
+    d2 = ((cells[:, None, :] - pop.positions[None, :, :]) ** 2).sum(axis=2)
+    params = pop.params
+    sig_e = params.kernel_pitches * layout.pitch
+    sig_i = params.inhib_pitches * layout.pitch
+    width = np.where(pop.excitatory, 2.0 * sig_e * sig_e, 2.0 * sig_i * sig_i)
+    amplitude = np.where(pop.excitatory, params.b, -params.inhibition_gain * params.b)
+    kernel = amplitude * np.exp(-d2 / width)
+
+    w = np.zeros((layout.n, layout.n))
+    np.add.at(w.T, assigned, kernel.T)
+    np.fill_diagonal(w, 0.0)
+
+    pos_sums = np.clip(w, 0.0, None).sum(axis=1, keepdims=True)
+    w = w / np.maximum(pos_sums, 1.0)
+    w = np.clip(w, -0.5 * v, v)
+    return w
+
+
+def row_normalize_capped_reference(w: np.ndarray, v: float) -> np.ndarray:
+    """``trainer._row_normalize_capped`` as it read with one pass per row."""
+    out = w.copy()
+    for i in range(out.shape[0]):
+        row = out[i]
+        total = row.sum()
+        if total <= 0.0:
+            continue
+        row /= total
+        for _ in range(out.shape[1]):
+            over = row > v
+            if not over.any():
+                break
+            excess = float((row[over] - v).sum())
+            row[over] = v
+            free = ~over & (row > 0.0)
+            if not free.any():
+                break
+            row[free] += excess * row[free] / float(row[free].sum())
+        out[i] = row
+    # redistribution rounding can leave entries a few ulp above the cap
+    return np.clip(out, 0.0, v)
+
+
 def similarity_reference(output, reference, templates):
     """Recall scoring as it read when it went through numpy's own
     ``mean``, ``std`` and ``corrcoef``."""

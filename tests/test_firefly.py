@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +34,14 @@ from fireflynet.dynamics import WeightMatrix
 from fireflynet.patterns import Pattern, gaussian_2d, save_pattern_csv
 
 from fireflynet.trainer import digit_template
-from oracles import nearest_index, pair_distances, settle_loops, swarm_moves_reference
+from oracles import (
+    nearest_index,
+    pair_distances,
+    same_bits,
+    settle_loops,
+    swarm_moves_reference,
+    synthesize_weights_reference,
+)
 
 
 def still_params(**kw) -> SwarmParams:
@@ -604,11 +612,13 @@ def test_swarm_rejects_positions_that_are_not_xy_rows(shape):
         swarm_step(pop, Pattern(np.arange(4.0), grid=(2, 2)), GridLayout(2, 2))
 
 
-@pytest.mark.parametrize(
-    "bad",
-    [(math.inf, 0.2), (math.nan, 0.7), (0.4, -math.inf), (np.nextafter(1.0, 2.0), 0.5), (0.5, -1e-300),
-     (0.3, np.nextafter(1.0, 2.0))],
-)
+OFF_SQUARE = [
+    (math.inf, 0.2), (math.nan, 0.7), (0.4, -math.inf), (np.nextafter(1.0, 2.0), 0.5), (0.5, -1e-300),
+    (0.3, np.nextafter(1.0, 2.0)),
+]
+
+
+@pytest.mark.parametrize("bad", OFF_SQUARE)
 @pytest.mark.parametrize("call", ["swarm_step", "enforce_min_distance"])
 @pytest.mark.parametrize("d_min, alone", [(0.1, False), (0.0, False), (0.1, True)], ids=["crowd", "no-spacing", "alone"])
 def test_swarm_rejects_an_agent_off_the_unit_square_and_leaves_the_population_as_it_was(bad, call, d_min, alone):
@@ -704,6 +714,53 @@ def test_synthesis_rejects_bad_caps():
     for v in (0.0, -1.0):
         with pytest.raises(ParameterError):
             synthesize_weights(pop, GridLayout(3, 3), v)
+
+
+@pytest.mark.parametrize("bad", [*OFF_SQUARE, (1.5, 0.5)])
+@pytest.mark.parametrize("k", [0, 2])
+def test_synthesis_rejects_an_agent_off_the_unit_square_before_any_work(bad, k):
+    # an agent after the bad one is off the square too: the first is named
+    points = [[0.5, 0.5], [0.2, 0.2], [0.8, 0.1], [0.1, 0.9]]
+    points[k], points[3] = bad, [-0.5, 0.5]
+    pop = manual_population(points, [True] * 4, SwarmParams())
+    before = pop.positions.tobytes()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no cast of a non-finite coordinate to a cell
+        with pytest.raises(ParameterError, match=rf"swarm agent {k} at \[.+\] is off the unit square or not finite"):
+            synthesize_weights(pop, GridLayout(2, 2), 0.5)
+    assert pop.positions.tobytes() == before
+
+
+def coordinate(side: int):
+    """A coordinate on a cell border (k / side), on a wall (signed zero or 1)
+    or anywhere in [0, 1]."""
+    return st.integers(0, side).map(lambda k: k / side) | st.sampled_from((0.0, -0.0, 1.0)) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def synthesis_inputs(draw):
+    """A population over a grid of up to 11x11 cells, at least one agent
+    excitatory; a zero inhibition gain and narrow kernels give signed zeros."""
+    rows, cols, count = draw(st.integers(1, 11)), draw(st.integers(1, 11)), draw(st.integers(1, 40))
+    points = [(draw(coordinate(cols)), draw(coordinate(rows))) for _ in range(count)]
+    excitatory = draw(st.lists(st.booleans(), min_size=count, max_size=count))
+    excitatory[draw(st.integers(0, count - 1))] = True
+    params = SwarmParams(
+        b=draw(st.floats(0.05, 3.0)),
+        kernel_pitches=draw(st.floats(0.05, 4.0)),
+        inhib_pitches=draw(st.floats(0.05, 6.0)),
+        inhibition_gain=draw(st.just(0.0) | st.floats(0.0, 3.0)),
+    )
+    return manual_population(points, excitatory, params), GridLayout(rows, cols), draw(st.floats(0.01, 1.0))
+
+
+@settings(deadline=None)
+@given(synthesis_inputs())
+def test_synthesis_returns_the_reference_bits(inputs):
+    pop, layout, v = inputs
+    wm = synthesize_weights(pop, layout, v)
+    assert same_bits(wm.w, synthesize_weights_reference(pop, layout, v))
+    assert not wm.w.flags.writeable
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,13 @@ from fireflynet.plasticity import (
     row_fixed_points,
 )
 
-from oracles import evolve_reference, growth_rate_loops, row_fixed_points_reference
+from oracles import (
+    evolve_reference,
+    evolve_weights_reference,
+    growth_rate_loops,
+    row_fixed_points_reference,
+    same_bits,
+)
 
 
 def uniform_weights(n: int) -> WeightMatrix:
@@ -298,6 +304,42 @@ def test_evolution_matches_the_reference_bit_for_bit(case):
     if "clamps" in case:
         off = expected[~np.eye(len(expected), dtype=bool)]
         assert (off == 0.0).any() and (off == params.v).any()
+
+
+@st.composite
+def euler_inputs(draw):
+    """Start weights in [0, v] with entries on both walls and signed zeros
+    (on the diagonal too), a Gram tensor, and a tolerance that a run of
+    many steps rarely meets; alpha = 0 or beta = 0 switch a term off."""
+    n = draw(st.sampled_from((1, 2, 3, 5, 8, 9, 25)))
+    v = draw(st.floats(0.01, 1.0))
+    params = PlasticityParams(
+        alpha=draw(st.just(0.0) | st.floats(0.0, 0.5)),
+        beta=draw(st.just(0.0) | st.floats(0.0, 5.0)),
+        v=v,
+        max_steps=draw(st.integers(1, 40)),
+        tol=draw(st.sampled_from((1e-12, 1e-6, 1e-3))),
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = rng.random((n, n)) * v
+    for wall in (v, 0.0, -0.0):
+        w[rng.random((n, n)) < 0.15] = wall
+    np.fill_diagonal(w, draw(st.sampled_from((0.0, -0.0))))
+    x = rng.uniform(-1.0, 1.0, (n, draw(st.integers(1, 6))))
+    return w, x @ x.T * draw(st.floats(0.01, 10.0)), params
+
+
+@settings(deadline=None, max_examples=200)
+@given(euler_inputs())
+def test_the_euler_loop_returns_the_reference_bits(inputs):
+    # a -0.0 start weight has a rate of at least +0.0, so the first step
+    # turns it into +0.0 or more, under np.clip and maximum/minimum alike
+    w0, tensor, params = inputs
+    evolved, report = evolve_weights(WeightMatrix(w0), tensor, params)
+    expected, table, converged = evolve_weights_reference(w0, tensor, params)
+    assert same_bits(evolved.w, expected) and same_bits(report.table, table)
+    assert (report.steps, report.converged) == (len(table), converged)
+    assert not evolved.w.flags.writeable
 
 
 def test_a_huge_step_cap_allocates_only_for_the_steps_run():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fireflynet.dynamics import WeightMatrix, load_matrix_csv
+from fireflynet.dynamics import WeightMatrix, load_matrix_csv, truncated_resolvent
 from fireflynet.errors import (
     ConfigError,
     ParameterError,
@@ -31,6 +31,7 @@ from fireflynet.trainer import (
     ExperimentReport,
     Model,
     TrainerConfig,
+    _row_normalize_capped,
     _similarity,
     complete,
     config_from_dict,
@@ -47,7 +48,14 @@ from fireflynet.trainer import (
     train,
 )
 
-from oracles import complete_reference, recall_reference, row_fixed_points_reference, similarity_reference
+from oracles import (
+    complete_reference,
+    recall_reference,
+    row_fixed_points_reference,
+    row_normalize_capped_reference,
+    same_bits,
+    similarity_reference,
+)
 
 
 def small_config(**kw) -> TrainerConfig:
@@ -115,6 +123,27 @@ def test_init_rows_are_normalized_under_the_cap():
     assert np.all(w >= 0.0) and np.all(w <= v)
     assert np.array_equal(np.diagonal(w), np.zeros(25))
     assert np.abs(w.sum(axis=1) - 1.0).max() <= 1e-9
+
+
+@st.composite
+def capped_rows(draw):
+    """Non-negative rows, some all zero, some with signed zeros, skewed so
+    that scaled entries land above v; a v below 1 / n saturates whole rows."""
+    n = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = rng.random((n, n)) ** draw(st.sampled_from((1, 4, 16)))
+    w[rng.random((n, n)) < 0.2] = -0.0
+    w[rng.random(n) < 0.25] = draw(st.sampled_from((0.0, -0.0)))
+    return w, draw(st.sampled_from((0.05, 0.5)) | st.floats(0.01, 1.0))
+
+
+@settings(deadline=None, max_examples=200)
+@given(capped_rows())
+def test_row_normalisation_returns_the_reference_bits(inputs):
+    w, v = inputs
+    before = w.copy()
+    assert same_bits(_row_normalize_capped(w, v), row_normalize_capped_reference(w, v))
+    assert same_bits(w, before)
 
 
 def test_init_weights_decay_with_cell_distance():
@@ -434,9 +463,23 @@ def test_weights_and_their_resolvent_are_read_only_and_the_caller_array_is_not()
         model.weights.resolvent[0, 1] = 0.25
     a = np.zeros((3, 3))
     wm = WeightMatrix(a)
-    assert a.flags.writeable
+    assert a.flags.writeable and not np.shares_memory(a, wm.w)
     a[0, 1] = 0.5
     assert wm.w[0, 1] == 0.0
+
+
+@pytest.mark.parametrize("use_firefly", [False, True])
+def test_a_presentation_leaves_read_only_weights_whose_resolvent_is_their_own(use_firefly):
+    # the library wraps the arrays it builds from checked weights without a
+    # copy, so they must still be its own and read-only
+    model = init_model(small_config(use_firefly=use_firefly, master_seed=3))
+    for p in (center_bump(), gaussian_2d(5, 5, 1.0, 3.0, 1.0, 1.0), center_bump()):
+        present_pattern(model, p)
+        w = model.weights
+        assert not w.w.flags.writeable
+        with pytest.raises(ValueError):
+            w.w[0, 1] = 0.25
+        assert same_bits(w.resolvent, truncated_resolvent(w))
 
 
 # ---------------------------------------------------------------------------
