@@ -173,6 +173,8 @@ def _split_keys(kv: dict[str, str], command: str) -> tuple[dict[str, str], dict[
 
 
 def _run_seeds(run_kv: dict[str, str], config: TrainerConfig) -> list[int]:
+    if "seeds" in run_kv and "seed_count" in run_kv:
+        raise ConfigError("give the run seeds with seeds or seed_count, not both")
     if "seeds" in run_kv:
         try:
             seeds = [int(tok) for tok in run_kv["seeds"].split(",") if tok.strip()]

@@ -119,26 +119,26 @@ class SwarmParams:
     inhibition_gain: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.b <= 0.0:
-            raise ParameterError(f"attraction b must be > 0, got {self.b}")
-        if self.gamma <= 0.0:
-            raise ParameterError(f"gamma must be > 0, got {self.gamma}")
-        if self.eta < 0.0:
-            raise ParameterError(f"eta must be >= 0, got {self.eta}")
-        if self.d_min < 0.0:
-            raise ParameterError(f"d_min must be >= 0, got {self.d_min}")
+        if not 0.0 < self.b < math.inf:
+            raise ParameterError(f"attraction b must be finite and > 0, got {self.b}")
+        if not 0.0 < self.gamma < math.inf:
+            raise ParameterError(f"gamma must be finite and > 0, got {self.gamma}")
+        if not 0.0 <= self.eta < math.inf:
+            raise ParameterError(f"eta must be finite and >= 0, got {self.eta}")
+        if not 0.0 <= self.d_min < math.inf:
+            raise ParameterError(f"d_min must be finite and >= 0, got {self.d_min}")
         if self.steps < 0:
             raise ParameterError(f"steps must be >= 0, got {self.steps}")
         if not 0.0 <= self.excit_fraction <= 1.0:
             raise ParameterError(f"excit_fraction must lie in [0,1], got {self.excit_fraction}")
-        if self.population_factor <= 0.0:
-            raise ParameterError(f"population_factor must be > 0, got {self.population_factor}")
-        if self.kernel_pitches <= 0.0:
-            raise ParameterError(f"kernel_pitches must be > 0, got {self.kernel_pitches}")
-        if self.inhib_pitches <= 0.0:
-            raise ParameterError(f"inhib_pitches must be > 0, got {self.inhib_pitches}")
-        if self.inhibition_gain < 0.0:
-            raise ParameterError(f"inhibition_gain must be >= 0, got {self.inhibition_gain}")
+        if not 0.0 < self.population_factor < math.inf:
+            raise ParameterError(f"population_factor must be finite and > 0, got {self.population_factor}")
+        if not 0.0 < self.kernel_pitches < math.inf:
+            raise ParameterError(f"kernel_pitches must be finite and > 0, got {self.kernel_pitches}")
+        if not 0.0 < self.inhib_pitches < math.inf:
+            raise ParameterError(f"inhib_pitches must be finite and > 0, got {self.inhib_pitches}")
+        if not 0.0 <= self.inhibition_gain < math.inf:
+            raise ParameterError(f"inhibition_gain must be finite and >= 0, got {self.inhibition_gain}")
 
 
 @dataclass(frozen=True)

@@ -56,14 +56,14 @@ class PlasticityParams:
     tol: float = 1e-6
 
     def __post_init__(self) -> None:
-        if self.alpha < 0.0 or self.beta < 0.0:
-            raise ParameterError(f"alpha and beta must be >= 0, got ({self.alpha}, {self.beta})")
-        if self.v <= 0.0:
-            raise ParameterError(f"saturation ceiling v must be > 0, got {self.v}")
+        if not (0.0 <= self.alpha < math.inf and 0.0 <= self.beta < math.inf):
+            raise ParameterError(f"alpha and beta must be finite and >= 0, got ({self.alpha}, {self.beta})")
+        if not 0.0 < self.v < math.inf:
+            raise ParameterError(f"saturation ceiling v must be finite and > 0, got {self.v}")
         if self.max_steps < 1:
             raise ParameterError(f"max_steps must be >= 1, got {self.max_steps}")
-        if self.tol <= 0.0:
-            raise ParameterError(f"tol must be > 0, got {self.tol}")
+        if not 0.0 < self.tol < math.inf:
+            raise ParameterError(f"tol must be finite and > 0, got {self.tol}")
 
     def step(self, n: int, t: np.ndarray) -> float:
         """The Euler step for n cells under the tensor t:

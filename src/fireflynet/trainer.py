@@ -112,8 +112,8 @@ class TrainerConfig:
             raise ParameterError(f"network size must be >= 2, got {self.n}")
         if self.layout().n != self.n:  # GridLayout rejects sides below 1
             raise ShapeMismatchError(f"grid {self.grid} does not match n={self.n}")
-        if not 0.0 <= self.theta_act:
-            raise ParameterError(f"theta_act must be >= 0, got {self.theta_act}")
+        if not 0.0 <= self.theta_act < math.inf:
+            raise ParameterError(f"theta_act must be finite and >= 0, got {self.theta_act}")
         if self.pattern_count < 1:
             raise ParameterError(f"pattern_count must be >= 1, got {self.pattern_count}")
         if self.master_seed < 0:
@@ -122,8 +122,8 @@ class TrainerConfig:
             raise ParameterError(f"epochs must be >= 1, got {self.epochs}")
         if not 0.0 <= self.topology_mix <= 1.0:
             raise ParameterError(f"topology_mix must lie in [0,1], got {self.topology_mix}")
-        if self.init_sigma_cells <= 0.0:
-            raise ParameterError(f"init_sigma_cells must be > 0, got {self.init_sigma_cells}")
+        if not 0.0 < self.init_sigma_cells < math.inf:
+            raise ParameterError(f"init_sigma_cells must be finite and > 0, got {self.init_sigma_cells}")
 
     def layout(self) -> GridLayout:
         rows, cols = self.grid if self.grid is not None else (1, self.n)
@@ -137,6 +137,8 @@ class TrainerConfig:
 class RecallMetrics:
     """Similarity of a recall output to a reference pattern.
 
+    mse and pearson are numpy's, worked out when read from private copies of
+    the output and the unit-scaled reference; pearson is 0.0 if either is constant.
     best_match_label is the stored template with the highest cosine to
     the output (None when the model has no labeled templates).
     low_confidence marks completions whose cue lost the entire active
@@ -144,10 +146,20 @@ class RecallMetrics:
     """
 
     cosine: float
-    mse: float
-    pearson: float
     best_match_label: str | None = None
     low_confidence: bool = False
+    _output: np.ndarray = field(kw_only=True, repr=False, compare=False)
+    _reference: np.ndarray = field(kw_only=True, repr=False, compare=False)
+
+    @property
+    def mse(self) -> float:
+        return float(np.mean((self._output - self._reference) ** 2))
+
+    @property
+    def pearson(self) -> float:
+        if float(self._output.std()) <= 0.0 or float(self._reference.std()) <= 0.0:
+            return 0.0
+        return float(np.corrcoef(self._output, self._reference)[0, 1])
 
 
 @dataclass
@@ -270,24 +282,12 @@ def train(model: Model, patterns: Sequence[Pattern]) -> Model:
 
 
 def _similarity(output: Pattern, reference: Pattern, templates: Sequence[Pattern]) -> RecallMetrics:
-    """Score an output against the unit-scaled reference and the templates.
-    Each metric runs the ops of ``np.mean``, ``ndarray.std``'s zero test or
-    ``np.corrcoef`` in order, minus their wrappers, so the bits are theirs."""
-    a, ref = output.values, _unit(reference.values)
+    """Score an output against the unit-scaled reference and the templates."""
+    ref = _unit(reference.values)
     cos = cosine(output, ref)
-    n = a.size
-    diff = a - ref
-    mse = float(np.add.reduce(diff * diff) / n)
-    x = np.array((a, ref))
-    x -= np.add.reduce(x, axis=1, keepdims=True) / n
-    if not (np.add.reduce(x * x, axis=1) / n).all():  # a row with zero std
-        pearson = 0.0
-    else:
-        c = np.dot(x, x.T) * np.true_divide(1, n - 1)
-        pearson = float(min(max(c[0, 1] / math.sqrt(c[0, 0]) / math.sqrt(c[1, 1]), -1.0), 1.0))
     scored = [(cosine(output, t), t.label) for t in templates if t.label is not None]
     best = max(scored, key=lambda s: s[0])[1] if scored else None
-    return RecallMetrics(cosine=cos, mse=mse, pearson=pearson, best_match_label=best)
+    return RecallMetrics(cosine=cos, best_match_label=best, _output=output.values.copy(), _reference=ref)
 
 
 def recall(
@@ -585,7 +585,6 @@ class ExperimentReport:
     name: str
     metrics: dict[str, float] = field(default_factory=dict)
     rows: list[dict[str, object]] = field(default_factory=list)
-    artifacts: list[str] = field(default_factory=list)
 
     def to_text(self) -> str:
         return format_kv({"experiment": self.name, **self.metrics})
@@ -924,7 +923,6 @@ def run_experiment(
     def emit(name: str, writer: Callable[[Path], None]) -> None:
         out.mkdir(parents=True, exist_ok=True)
         writer(out / name)
-        report.artifacts.append(name)
 
     history: list[EvolveReport] = []
     for order, seed in enumerate(run_seeds if summary is not None else run_seeds[:1]):
@@ -940,5 +938,4 @@ def run_experiment(
 
     if out is not None:
         report.save(out)
-        report.artifacts.extend(["report.txt"] + (["metrics.csv"] if report.rows else []))
     return report

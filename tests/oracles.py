@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -20,7 +21,6 @@ from fireflynet.dynamics import truncated_resolvent
 from fireflynet.errors import ParameterError, ShapeMismatchError
 from fireflynet.patterns import Pattern, active_set, cosine, mask, relative_threshold
 from fireflynet.plasticity import STEP_FRACTION
-from fireflynet.trainer import RecallMetrics
 
 
 def gauss_value(x: float, mu: float, sigma: float) -> float:
@@ -406,8 +406,9 @@ def row_normalize_capped_reference(w: np.ndarray, v: float) -> np.ndarray:
 
 
 def similarity_reference(output, reference, templates):
-    """Recall scoring as it read when it went through numpy's own
-    ``mean``, ``std`` and ``corrcoef``."""
+    """Recall scoring worked out eagerly through numpy's own ``mean``,
+    ``std`` and ``corrcoef``, as a plain namespace of the five attributes
+    a ``RecallMetrics`` reads."""
     ref = reference.normalize()
     cos = cosine(output, ref)
     mse = float(np.mean((output.values - ref.values) ** 2))
@@ -421,7 +422,7 @@ def similarity_reference(output, reference, templates):
         scored = [(cosine(output, t), t.label) for t in templates if t.label is not None]
         if scored:
             best = max(scored, key=lambda s: s[0])[1]
-    return RecallMetrics(cosine=cos, mse=mse, pearson=pearson, best_match_label=best)
+    return SimpleNamespace(cosine=cos, mse=mse, pearson=pearson, best_match_label=best, low_confidence=False)
 
 
 def recall_reference(model, cue):

@@ -545,6 +545,16 @@ def test_non_finite_float_config_values_are_config_errors(tmp_path, capsys, key)
         assert not (tmp_path / raw).exists()
 
 
+@pytest.mark.parametrize("command", [["experiment", "recall2d"], ["sweep", "--set", "experiment=recall2d",
+                                                                  "--set", "sweep.alpha=0.01"]],
+                         ids=["experiment", "sweep"])
+def test_seeds_and_seed_count_together_are_a_config_error(tmp_path, capsys, command):
+    keys = ["--set", "n=9", "--set", "rows=3", "--set", "cols=3", "--set", "seeds=0", "--set", "seed_count=5"]
+    assert main([*command, *keys, "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == "config error: give the run seeds with seeds or seed_count, not both\n"
+    assert not (tmp_path / "x").exists()
+
+
 def test_experiment_requires_a_name(tmp_path, capsys):
     assert main(["experiment", "--out", str(tmp_path / "x")]) == 2
     assert "experiment requires the experiment key" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 """Model lifecycle: init, presentation, recall, persistence, experiments."""
 
-from dataclasses import asdict, replace
+import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -94,6 +95,18 @@ def test_config_rejects_inconsistent_fields():
         TrainerConfig(n=9, topology_mix=1.5)
     with pytest.raises(ParameterError):
         TrainerConfig(n=9, init_sigma_cells=0.0)
+
+
+FLOAT_FIELDS = [(cls, f.name) for cls in (SwarmParams, PlasticityParams, TrainerConfig)
+                for f in fields(cls) if f.type in (float, "float")]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("cls, name", FLOAT_FIELDS, ids=[f"{c.__name__}.{n}" for c, n in FLOAT_FIELDS])
+def test_every_float_parameter_rejects_nan_and_infinities(cls, name, bad):
+    required = {"n": 9} if cls is TrainerConfig else {}
+    with pytest.raises(ParameterError, match=rf"\b{name}\b.* got .*{bad}"):
+        cls(**required, **{name: bad})
 
 
 def test_config_derived_helpers():
@@ -359,7 +372,8 @@ def trained_model() -> Model:
 def assert_same_read(got, want):
     assert np.array_equal(got[0].values, want[0].values)
     assert got[0].grid == want[0].grid
-    assert asdict(got[1]) == asdict(want[1])
+    names = ("cosine", "mse", "pearson", "best_match_label", "low_confidence")
+    assert [repr(getattr(got[1], k)) for k in names] == [repr(getattr(want[1], k)) for k in names]
 
 
 def read_path_cases(model):
@@ -443,6 +457,29 @@ def test_recall_scoring_matches_the_numpy_reference_bit_for_bit(inputs):
     assert [repr(got.cosine), repr(got.mse), repr(got.pearson), got.best_match_label] == [
         repr(want.cosine), repr(want.mse), repr(want.pearson), want.best_match_label
     ]
+
+
+def test_recall_metrics_keep_their_own_copies_of_the_scored_vectors():
+    model = trained_model()
+    a = model.templates[0]
+    for output, metrics in (recall(model, add_noise(a, 0.3, 11)), complete(model, a, [0, 7, 24])):
+        want = [repr(metrics.mse), repr(metrics.pearson)]
+        output.values[:] = 0.0
+        assert [repr(metrics.mse), repr(metrics.pearson)] == want
+
+
+def test_a_read_that_leaves_mse_and_pearson_unread_never_correlates(monkeypatch):
+    model = trained_model()
+    a = model.templates[0]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.corrcoef called")
+
+    monkeypatch.setattr(np, "corrcoef", refuse)
+    recall(model, add_noise(a, 0.3, 11))
+    _, metrics = complete(model, a, [0, 7, 24])
+    with pytest.raises(AssertionError, match="np.corrcoef called"):
+        metrics.pearson
 
 
 def test_recall_follows_the_weights_after_a_presentation():
@@ -700,7 +737,6 @@ def test_evolve1d_artifacts_are_readable(tmp_path):
         "report.txt",
         "metrics.csv",
     ):
-        assert name in report.artifacts
         assert (tmp_path / name).exists()
     w_final = load_matrix_csv(tmp_path / "w_matrix_final.csv")
     assert w_final.shape == (25, 25)
