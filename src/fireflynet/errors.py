@@ -6,6 +6,8 @@ the most specific type that applies rather than bare ValueError.
 
 from __future__ import annotations
 
+from numbers import Integral
+
 
 class FireflynetError(Exception):
     """Base class for every error raised by this package."""
@@ -37,3 +39,9 @@ class ConfigError(FireflynetError, ValueError):
 
 class InvariantError(FireflynetError, RuntimeError):
     """An internal consistency check failed; indicates a bug, not bad input."""
+
+
+def require_integer(name: str, value: object) -> None:
+    """Raise ParameterError naming the field unless value is an int or a numpy integer."""
+    if not isinstance(value, Integral):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")

@@ -9,12 +9,13 @@ clusters around active cells, and a signed coupling matrix is read off:
 excitatory agents near a cell contribute positive weight to it, the
 inhibitory minority contributes negative weight.
 
-The move pass and the settle run in the C kernel ``swarm.c``, compiled on
-first use (``load_kernel``), with ``plasticity.row_fixed_points``' solve.  It
-keeps the order of every floating-point operation of the plain loops and
-the numpy search in ``tests/oracles.py``, and its build neither fuses nor
-reorders them, so it returns their bits.  Its move pass draws the jitter
-from the population's own generator, through numpy's C API.
+The move pass, the settle and weight synthesis after its exp run in the C
+kernel ``swarm.c``, compiled on first use (``load_kernel``), with
+``plasticity``'s row solve and Euler step.  It keeps the order of every
+floating-point operation of the plain loops and the numpy code in
+``tests/oracles.py``, and its build neither fuses nor reorders them, so it
+returns their bits.  Its move pass draws the jitter from the population's
+own generator, through numpy's C API.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import WeightMatrix
-from .errors import CompilerError, FormatError, ParameterError, ShapeMismatchError
+from .errors import CompilerError, FormatError, ParameterError, ShapeMismatchError, require_integer
 from .patterns import FLOAT_FMT, Pattern, read_text, write_table
 
 # Settling passes before giving up on the spacing constraint, the slack
@@ -61,8 +62,20 @@ def load_kernel() -> ctypes.CDLL:
     lib.swarm_move.argtypes = [ptr, long_, ptr, ptr, ptr, long_, long_, double, double, double]
     lib.swarm_settle.argtypes = [ptr, long_, ptr, double, double, long_]
     lib.row_fixed_points.argtypes = [ptr, ptr, ptr, long_, double, double, double, double]
+    lib.euler_step.argtypes = [ptr, ptr, ptr, ptr, ptr, long_, double, double, double, double]
+    lib.synthesize.argtypes = [ptr, long_, ptr, ptr, ptr, long_, long_, double]
     lib.swarm_move.restype = lib.swarm_settle.restype = lib.row_fixed_points.restype = long_
+    lib.euler_step.restype, lib.synthesize.restype = double, None
     return lib
+
+
+def _address(a: np.ndarray) -> int:
+    """A C-ordered array's data address for the kernel: about 0.5 us by from_buffer where
+    writable, else (``WeightMatrix.w``, say, or an empty array) ``a.ctypes.data``'s 1.3-2.5 us."""
+    try:
+        return ctypes.addressof(ctypes.c_char.from_buffer(a))
+    except (TypeError, ValueError):
+        return a.ctypes.data
 
 
 def _build_kernel(source: Path) -> ctypes.CDLL:
@@ -70,12 +83,10 @@ def _build_kernel(source: Path) -> ctypes.CDLL:
     a new build in a private directory, renamed into the cache.  Where the
     cache cannot be written, the build is loaded from the private directory
     and the directory removed; the loaded mapping outlives the file."""
-    import hashlib  # only a first use needs these
-    import subprocess
+    import subprocess  # only a first use needs these
     import tempfile
 
-    tag = hashlib.sha256(source.read_bytes() + " ".join(_KERNEL_COMMAND).encode()).hexdigest()[:16]
-    lib = source.parent / "__pycache__" / f"{source.stem}-{tag}.so"
+    lib = _cached_library(source)
     if lib.is_file():
         return ctypes.CDLL(str(lib))
     try:
@@ -99,6 +110,13 @@ def _build_kernel(source: Path) -> ctypes.CDLL:
     return ctypes.CDLL(str(lib))
 
 
+def _cached_library(source: Path) -> Path:
+    """The cache path of ``source``'s library: ``__pycache__`` beside it, by a hash of source and command."""
+    import hashlib
+    tag = hashlib.sha256(source.read_bytes() + " ".join(_KERNEL_COMMAND).encode()).hexdigest()[:16]
+    return source.parent / "__pycache__" / f"{source.stem}-{tag}.so"
+
+
 @dataclass(frozen=True)
 class SwarmParams:
     """Swarm movement and sizing knobs.
@@ -119,6 +137,7 @@ class SwarmParams:
     inhibition_gain: float = 1.0
 
     def __post_init__(self) -> None:
+        require_integer("steps", self.steps)
         if not 0.0 < self.b < math.inf:
             raise ParameterError(f"attraction b must be finite and > 0, got {self.b}")
         if not 0.0 < self.gamma < math.inf:
@@ -149,6 +168,8 @@ class GridLayout:
     cols: int
 
     def __post_init__(self) -> None:
+        require_integer("rows", self.rows)
+        require_integer("cols", self.cols)
         if self.rows < 1 or self.cols < 1:
             raise ParameterError(f"layout sides must be >= 1, got {self.rows}x{self.cols}")
 
@@ -228,14 +249,20 @@ class FireflyPopulation:
         return int(self.excitatory.sum())
 
 
+def _agents(pop: FireflyPopulation) -> np.ndarray:
+    """A C-ordered copy of the population's (x, y) rows, for the kernel."""
+    positions = np.array(pop.positions, dtype=float, order="C")
+    if positions.ndim != 2 or positions.shape[1] != 2:
+        raise ShapeMismatchError(f"swarm positions must be (agents, 2), got shape {positions.shape}")
+    return positions
+
+
 def _run_kernel(entry, pop: FireflyPopulation, *args) -> tuple[np.ndarray, int]:
     """Run a kernel entry point on a C-ordered copy of the (x, y) rows and on
     the population's generator; return the copy and the status.  Status
     -1 - k, agent k off the unit square or not finite, raises."""
-    positions = np.array(pop.positions, dtype=float, order="C")
-    if positions.ndim != 2 or positions.shape[1] != 2:
-        raise ShapeMismatchError(f"swarm positions must be (agents, 2), got shape {positions.shape}")
-    status = entry(positions.ctypes.data, len(positions), pop.rng.bit_generator.ctypes.bit_generator, *args)
+    positions = _agents(pop)
+    status = entry(_address(positions), len(positions), pop.rng.bit_generator.ctypes.bit_generator, *args)
     if status < 0:
         raise _off_square(positions, -1 - status)
     return positions, status
@@ -269,7 +296,7 @@ def swarm_step(pop: FireflyPopulation, activity: Pattern, layout: GridLayout) ->
     brightness = np.empty(len(pop))
     grid = (activity.values.ctypes.data, layout.rows, layout.cols)  # Pattern values: C-ordered float64
     rule = (pop.params.b, -pop.params.gamma, pop.params.eta)
-    pop.positions, _ = _run_kernel(load_kernel().swarm_move, pop, brightness.ctypes.data, *grid, *rule)
+    pop.positions, _ = _run_kernel(load_kernel().swarm_move, pop, _address(brightness), *grid, *rule)
     pop.brightness = brightness
     return enforce_min_distance(pop)
 
@@ -330,21 +357,22 @@ def synthesize_weights(pop: FireflyPopulation, layout: GridLayout, v: float) -> 
 
     Requires at least one excitatory agent; without any positive mass
     the row scaling is undefined.  Raises ParameterError, as ``swarm_step``
-    does, on an agent off the unit square or not finite.  The distances and
-    clamps return the bits of the reference in ``tests/oracles.py``.
+    does, on an agent off the unit square or not finite.  numpy computes the
+    strengths, exp included (libm's exp rounds some inputs to other bits);
+    the kernel adds, scales and clips them into the bits of the reference in
+    ``tests/oracles.py``.
     """
     if pop.n_excitatory == 0:
         raise ParameterError("population lacking excitatory polarity; cannot synthesize weights")
     if v <= 0.0:
         raise ParameterError(f"saturation ceiling v must be > 0, got {v}")
-    positions = pop.positions
+    positions = _agents(pop)
     if not 0.0 <= positions.min() <= positions.max() <= 1.0:  # a NaN fails every comparison
         inside = ((positions >= 0.0) & (positions <= 1.0)).all(axis=1)
         raise _off_square(positions, int(np.argmin(inside)))
 
     cx, cy = _cell_centres(layout)
-    assigned = layout.nearest_cell(positions)
-    # kernel[i, f] = strength agent f contributes at cell i
+    # strength[i, f] = strength agent f contributes at cell i
     dx, dy = cx - positions[:, 0], cy - positions[:, 1]
     d2 = dx * dx + dy * dy
     params = pop.params
@@ -352,15 +380,12 @@ def synthesize_weights(pop: FireflyPopulation, layout: GridLayout, v: float) -> 
     sig_i = params.inhib_pitches * layout.pitch
     width = np.where(pop.excitatory, 2.0 * sig_e * sig_e, 2.0 * sig_i * sig_i)
     amplitude = np.where(pop.excitatory, params.b, -params.inhibition_gain * params.b)
-    kernel = amplitude * np.exp(-d2 / width)
+    strength = amplitude * np.exp(-d2 / width)
 
-    w = np.zeros((layout.n, layout.n))
-    np.add.at(w.T, assigned, kernel.T)
-    np.fill_diagonal(w, 0.0)
-
-    pos_sums = np.maximum(w, 0.0).sum(axis=1, keepdims=True)
-    w = w / np.maximum(pos_sums, 1.0)
-    return WeightMatrix._wrap(np.minimum(np.maximum(w, -0.5 * v), v))
+    w, scratch = np.zeros((layout.n, layout.n)), np.empty(layout.n)
+    agents = (_address(positions), len(positions), _address(strength))
+    load_kernel().synthesize(*agents, _address(w), _address(scratch), layout.rows, layout.cols, v)
+    return WeightMatrix._wrap(w)
 
 
 @cache

@@ -18,7 +18,8 @@ saturated corner (every weight at v) among them, and which one Euler
 reaches depends on where it starts.  A presentation solves for its rows'
 fixed points first (``row_fixed_points``), and Euler only polishes that,
 in one step on every presentation of the shipped experiments.  The solve
-runs in the C kernel (``firefly.load_kernel``), so it needs a C compiler.
+and each Euler step run in the C kernel (``firefly.load_kernel``), so both
+need a C compiler.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import WeightMatrix
-from .errors import ParameterError, ShapeMismatchError
-from .firefly import load_kernel
+from .errors import ParameterError, ShapeMismatchError, require_integer
+from .firefly import _address, load_kernel
 from .patterns import write_table
 
 # The share of the stability bound 1 / (alpha * n + beta * max|T|) that a
@@ -56,6 +57,7 @@ class PlasticityParams:
     tol: float = 1e-6
 
     def __post_init__(self) -> None:
+        require_integer("max_steps", self.max_steps)
         if not (0.0 <= self.alpha < math.inf and 0.0 <= self.beta < math.inf):
             raise ParameterError(f"alpha and beta must be finite and >= 0, got ({self.alpha}, {self.beta})")
         if not 0.0 < self.v < math.inf:
@@ -86,25 +88,16 @@ def haeussler_rhs(w: WeightMatrix, t: np.ndarray, params: PlasticityParams) -> n
             + beta * w_ij * (T_ij - sum_{j' != i} w_ij' * T_ij')
 
     The j' sum skips the diagonal, which costs nothing here because the
-    weight diagonal is pinned at zero.
+    weight diagonal is pinned at zero.  The rate is the one the kernel's
+    Euler step takes (see ``evolve_weights``).
     """
     _check_sizes(w, t)
-    return _rate(w.w, t, params.alpha, params.beta)
+    return _euler_step(np.ascontiguousarray(w.w), np.ascontiguousarray(t, dtype=float), params, 0.0)[0]
 
 
 def _check_sizes(w: WeightMatrix, t: np.ndarray) -> None:
     if t.shape != w.w.shape:
         raise ShapeMismatchError(f"weights are {w.n}x{w.n} but tensor is {t.shape}")
-
-
-def _rate(ww: np.ndarray, tt: np.ndarray, alpha: float, beta: float) -> np.ndarray:
-    """The rate of the weights ww under the tensor tt, in the grouping
-    alpha * (1 - n * w) + (beta * w) * (T - rowsum(w * T)), rows summed
-    along the contiguous axis, which fixes the result bits."""
-    n = ww.shape[0]
-    f = alpha * (1.0 - n * ww) + (beta * ww) * (tt - np.add.reduce(ww * tt, axis=1, keepdims=True))
-    np.fill_diagonal(f, 0.0)
-    return f
 
 
 @dataclass
@@ -145,30 +138,37 @@ def evolve_weights(
     always satisfies the excitatory range invariant regardless of where
     the integration stopped.
 
-    Each step is the plain one: the rate in ``_rate``'s grouping, w + dt * f
-    clamped into [0, v] as ``np.clip`` does, and a trace row of the row sums'
-    minimum, sum over n and maximum; that order fixes the result bits that
-    the byte-determinism checks compare.
+    Each step is one call to the C kernel, which returns the bits of the
+    numpy loop in ``tests/oracles.py``: the rate in the grouping alpha * (1 -
+    n * w) + (beta * w) * (T - rowsum(w * T)), w + dt * f clamped into [0, v]
+    as np.minimum(np.maximum(0.0, x), v) does (a -0.0 kept), the trace row.
     """
     _check_sizes(w, t)
-    if np.any(w.w < 0.0) or np.any(w.w > params.v):
+    if (w.w < 0.0).any() or (w.w > params.v).any():
         raise ParameterError("evolution requires starting weights within [0, v]")
-    if not np.all(np.isfinite(t)):
+    if not np.isfinite(t).all():
         raise ParameterError("correlation tensor entries must be finite")
-    n, dt = w.n, params.step(w.n, t)
-    current, rows = w.w, []
-    top, low, add = np.maximum.reduce, np.minimum.reduce, np.add.reduce
+    dt = params.step(w.n, t)
+    current, tt, rows = np.ascontiguousarray(w.w), np.ascontiguousarray(t, dtype=float), []
     for _ in range(params.max_steps):
-        f = _rate(current, t, params.alpha, params.beta)
-        # maximum(0.0, x) keeps a -0.0 in x, as np.clip does
-        current, previous = np.minimum(np.maximum(0.0, current + dt * f), params.v), current
-        sums = add(current, axis=1)
-        rows.append((top(np.abs(f), axis=None), low(sums), add(sums) / n, top(sums)))
-        converged = bool(top(np.abs(current - previous), axis=None) < params.tol * dt)
+        _, current, stats, change = _euler_step(current, tt, params, dt)
+        rows.append(stats[:4].tolist())
+        converged = change < params.tol * dt
         if converged:
             break
     table = np.array(rows)
     return WeightMatrix._wrap(current), EvolveReport(len(rows), converged, float(table[-1, 0]), table)
+
+
+def _euler_step(current: np.ndarray, tt: np.ndarray, params: PlasticityParams, dt: float) -> tuple:
+    """One Euler step of dt in the kernel from the C-ordered weights under
+    the C-ordered tensor: the rate, the next weights, the trace row followed
+    by the row sums, and the largest weight change."""
+    n = len(current)
+    f, following, stats = np.empty((n, n)), np.empty((n, n)), np.empty(n + 4)
+    arrays = (_address(current), _address(tt), _address(f), _address(following), _address(stats))
+    change = load_kernel().euler_step(*arrays, n, params.alpha, params.beta, dt, params.v)
+    return f, following, stats, change
 
 
 def row_fixed_points(w: WeightMatrix, t: np.ndarray, params: PlasticityParams) -> WeightMatrix:
@@ -195,6 +195,6 @@ def row_fixed_points(w: WeightMatrix, t: np.ndarray, params: PlasticityParams) -
         return w
     tol = 0.5 * params.tol / (beta * v) if beta * v > 0.0 else math.inf
     ww, tt, out = np.ascontiguousarray(w.w), np.ascontiguousarray(t, dtype=float), np.empty((w.n, w.n))
-    if load_kernel().row_fixed_points(ww.ctypes.data, tt.ctypes.data, out.ctypes.data, w.n, alpha, beta, v, tol):
+    if load_kernel().row_fixed_points(_address(ww), _address(tt), _address(out), w.n, alpha, beta, v, tol):
         raise MemoryError(f"no memory for the fixed points of {w.n} weight rows")
     return WeightMatrix._wrap(out)

@@ -1,12 +1,12 @@
-/* The swarm's move pass and spacing settle, and the weight rows' fixed-point
- * solve, called from firefly.py and plasticity.py through ctypes.  Positions
- * are (x, y) pairs, agent after agent, updated in place.  The results equal,
- * bit for bit, the plain loops and the numpy search in tests/oracles.py:
+/* The swarm's move pass and spacing settle, weight synthesis after its exp,
+ * and the weight rows' fixed-point solve and Euler step, called from
+ * firefly.py and plasticity.py through ctypes.  Positions are (x, y) pairs,
+ * agent after agent; the swarm's calls update them in place.  The results
+ * equal, bit for bit, the plain loops and the numpy code in tests/oracles.py:
  * every expression keeps their grouping and order, the build neither fuses
  * nor reorders floating-point operations (-ffp-contract=off, no -ffast-math),
- * and exp, cos and sin are libm's, as math's are.  The solve's row sums mirror
- * numpy's pairwise_sum, so its bits depend on that order: the oracle test
- * checks it on every Tier-1 run. */
+ * and exp, cos and sin are libm's, as math's are.  Row sums mirror numpy's
+ * pairwise_sum, so their bits depend on that order: the oracle tests check it. */
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
@@ -152,8 +152,10 @@ static double pairwise(const double *a, long n)
     return res;
 }
 
-/* np.clip: the max with lo, then the min with hi, a nan kept. */
-static double clip(double x, double lo, double hi) { x = x != x || x > lo ? x : lo; return x != x || x < hi ? x : hi; }
+/* np.maximum and np.minimum: a nan kept, b on a tie; np.clip is the max with lo, then the min with hi. */
+static double maximum(double a, double b) { return a != a || a > b ? a : b; }
+static double minimum(double a, double b) { return a != a || a < b ? a : b; }
+static double clip(double x, double lo, double hi) { return minimum(maximum(x, lo), hi); }
 
 /* Row i's tensor tz (zero diagonal), beta tz, weights c and products to sum. */
 struct row { const double *tz, *bt; double *c, *prod; long n, i; double alpha, beta, floor; };
@@ -209,4 +211,55 @@ long row_fixed_points(const double *w, const double *t, double *out, long n,
     }
     free(tz);
     return 0;
+}
+
+/* One step of plasticity.evolve_weights from the n x n weights w into next:
+ * the rate f = alpha (1 - n w) + (beta w) (T - rowsum(w T)), 0 on the
+ * diagonal, then next = min(max(0, w + dt f), v).  stats gets the trace row,
+ * max |f| then the min, sum / n and max of next's row sums, and those n sums
+ * after it.  Returns max |next - w|.  Allocates nothing, as synthesize. */
+double euler_step(const double *w, const double *t, double *f, double *next, double *stats,
+                  long n, double alpha, double beta, double dt, double v)
+{
+    double *sums = stats + 4, top = 0.0, change = 0.0, lo = 0.0, hi = 0.0;
+    for (long i = 0; i < n; i++) {
+        const double *wi = w + i * n, *ti = t + i * n;
+        double *fi = f + i * n, *ni = next + i * n;
+        for (long j = 0; j < n; j++)
+            fi[j] = wi[j] * ti[j];
+        double coop = 0.0 + pairwise(fi, n);
+        for (long j = 0; j < n; j++) {
+            fi[j] = j == i ? 0.0 : alpha * (1.0 - n * wi[j]) + (beta * wi[j]) * (ti[j] - coop);
+            ni[j] = minimum(maximum(0.0, wi[j] + dt * fi[j]), v);
+            top = maximum(top, fabs(fi[j]));
+            change = maximum(change, fabs(ni[j] - wi[j]));
+        }
+        double s = sums[i] = 0.0 + pairwise(ni, n);
+        lo = i ? minimum(lo, s) : s, hi = i ? maximum(hi, s) : s;
+    }
+    stats[0] = top, stats[1] = lo, stats[2] = (0.0 + pairwise(sums, n)) / n, stats[3] = hi;
+    return change;
+}
+
+/* firefly.synthesize_weights after numpy's exp, into the zeroed n x n w, n =
+ * rows cols: agent k adds its deposits strength[i * count + k] into the column
+ * of its cell (found as swarm_move finds it), in agent order as np.add.at adds;
+ * each row, its diagonal zeroed, is divided by the max of 1 and the sum of its
+ * positive parts (held in scratch) and clipped into [-v/2, v]. */
+void synthesize(const double *pos, long count, const double *strength, double *w, double *scratch,
+                long rows, long cols, double v)
+{
+    long n = rows * cols;
+    for (long k = 0; k < count; k++)
+        for (long i = 0, c = cell(pos[2 * k + 1], rows) * cols + cell(pos[2 * k], cols); i < n; i++)
+            w[i * n + c] += strength[i * count + k];
+    for (long i = 0; i < n; i++) {
+        double *wi = w + i * n;
+        wi[i] = 0.0;
+        for (long j = 0; j < n; j++)
+            scratch[j] = maximum(wi[j], 0.0);
+        double scale = maximum(0.0 + pairwise(scratch, n), 1.0);
+        for (long j = 0; j < n; j++)
+            wi[j] = clip(wi[j] / scale, -0.5 * v, v);
+    }
 }

@@ -33,6 +33,7 @@ from .errors import (
     InvariantError,
     ParameterError,
     ShapeMismatchError,
+    require_integer,
 )
 from .firefly import (
     FireflyPopulation,
@@ -108,6 +109,8 @@ class TrainerConfig:
     init_sigma_cells: float = 1.5
 
     def __post_init__(self) -> None:
+        for name in ("n", "pattern_count", "master_seed", "epochs"):
+            require_integer(name, getattr(self, name))
         if self.n < 2:
             raise ParameterError(f"network size must be >= 2, got {self.n}")
         if self.layout().n != self.n:  # GridLayout rejects sides below 1

@@ -331,18 +331,26 @@ def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
 
+def rate_reference(ww: np.ndarray, tt: np.ndarray, alpha: float, beta: float) -> np.ndarray:
+    """The rate as ``plasticity`` computed it in numpy before its C kernel:
+    the grouping alpha * (1 - n * w) + (beta * w) * (T - rowsum(w * T)),
+    rows summed along the contiguous axis, which fixes the result bits, and
+    the diagonal zeroed."""
+    n = ww.shape[0]
+    f = alpha * (1.0 - n * ww) + (beta * ww) * (tt - np.add.reduce(ww * tt, axis=1, keepdims=True))
+    np.fill_diagonal(f, 0.0)
+    return f
+
+
 def evolve_weights_reference(w, t, params) -> tuple[np.ndarray, np.ndarray, bool]:
-    """The Euler loop of ``evolve_weights`` as it read with ``np.clip`` and the
-    array methods' reductions, ``_rate`` written out in its grouping.  Takes
-    the start weights and the tensor as arrays; returns the weights, the
-    trace table and whether the last step met the tolerance."""
+    """The Euler loop of ``evolve_weights`` as it read in numpy, with
+    ``np.clip`` and the array methods' reductions.  Takes the start weights
+    and the tensor as C-ordered arrays; returns the weights, the trace table
+    and whether the last step met the tolerance."""
     n, dt = len(w), params.step(len(w), t)
     current, rows = w, []
     for _ in range(params.max_steps):
-        f = params.alpha * (1.0 - n * current) + (params.beta * current) * (
-            t - np.add.reduce(current * t, axis=1, keepdims=True)
-        )
-        np.fill_diagonal(f, 0.0)
+        f = rate_reference(current, t, params.alpha, params.beta)
         current, previous = np.clip(current + dt * f, 0.0, params.v), current
         sums = current.sum(axis=1)
         rows.append((np.abs(f).max(), sums.min(), sums.sum() / n, sums.max()))

@@ -739,9 +739,11 @@ def coordinate(side: int):
 
 @st.composite
 def synthesis_inputs(draw):
-    """A population over a grid of up to 11x11 cells, at least one agent
+    """A population over a grid of up to 11x11 cells, or one of more than 128
+    cells, where numpy's pairwise row sum splits; at least one agent
     excitatory; a zero inhibition gain and narrow kernels give signed zeros."""
-    rows, cols, count = draw(st.integers(1, 11)), draw(st.integers(1, 11)), draw(st.integers(1, 40))
+    sides = st.tuples(st.integers(1, 11), st.integers(1, 11)) | st.sampled_from(((12, 12), (16, 9), (1, 130), (20, 15)))
+    (rows, cols), count = draw(sides), draw(st.integers(1, 40))
     points = [(draw(coordinate(cols)), draw(coordinate(rows))) for _ in range(count)]
     excitatory = draw(st.lists(st.booleans(), min_size=count, max_size=count))
     excitatory[draw(st.integers(0, count - 1))] = True
@@ -761,6 +763,19 @@ def test_synthesis_returns_the_reference_bits(inputs):
     wm = synthesize_weights(pop, layout, v)
     assert same_bits(wm.w, synthesize_weights_reference(pop, layout, v))
     assert not wm.w.flags.writeable
+
+
+def test_synthesis_reads_the_positions_by_value_not_by_layout():
+    rng = np.random.default_rng(6)
+    points = rng.random((30, 2))
+    excitatory = rng.random(30) < 0.7
+    layout = GridLayout(4, 5)
+    expected = synthesize_weights_reference(manual_population(points, excitatory, SwarmParams()), layout, 0.5)
+    doubled = np.repeat(points, 2, axis=0)
+    for positions in (np.asfortranarray(points), doubled[::2], np.ascontiguousarray(points.T).T):
+        pop = manual_population(positions, excitatory, SwarmParams())
+        assert same_bits(synthesize_weights(pop, layout, 0.5).w, expected)
+        assert pop.positions is positions
 
 
 # ---------------------------------------------------------------------------
@@ -977,5 +992,6 @@ def test_without_a_compiler_a_swarm_experiment_exits_4_and_the_rest_still_runs(t
     # every presentation solves its rows' fixed points in the kernel, swarm or not
     fails_for_want_of_cc(cli("plain", "train", "--patterns", str(patterns),
                              "--set", "n=9", "--set", "rows=3", "--set", "cols=3"))
-    assert cli("ring", "experiment", "evolve1d", "--set", "n=25").returncode == 0
+    # every Euler step runs in the kernel
+    fails_for_want_of_cc(cli("ring", "experiment", "evolve1d", "--set", "n=25"))
     assert cli("recalled", "recall", "--model", str(model), "--cue", str(patterns / "p0.csv")).returncode == 0

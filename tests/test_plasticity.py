@@ -27,6 +27,7 @@ from oracles import (
     evolve_reference,
     evolve_weights_reference,
     growth_rate_loops,
+    rate_reference,
     row_fixed_points_reference,
     same_bits,
 )
@@ -310,8 +311,9 @@ def test_evolution_matches_the_reference_bit_for_bit(case):
 def euler_inputs(draw):
     """Start weights in [0, v] with entries on both walls and signed zeros
     (on the diagonal too), a Gram tensor, and a tolerance that a run of
-    many steps rarely meets; alpha = 0 or beta = 0 switch a term off."""
-    n = draw(st.sampled_from((1, 2, 3, 5, 8, 9, 25)))
+    many steps rarely meets; alpha = 0 or beta = 0 switch a term off.  The
+    sizes reach every branch of numpy's pairwise row sum."""
+    n = draw(st.sampled_from((1, 2, 3, 5, 8, 9, 25, 121, 128, 129, 130, 257)))
     v = draw(st.floats(0.01, 1.0))
     params = PlasticityParams(
         alpha=draw(st.just(0.0) | st.floats(0.0, 0.5)),
@@ -340,6 +342,33 @@ def test_the_euler_loop_returns_the_reference_bits(inputs):
     assert same_bits(evolved.w, expected) and same_bits(report.table, table)
     assert (report.steps, report.converged) == (len(table), converged)
     assert not evolved.w.flags.writeable
+
+
+@settings(deadline=None, max_examples=50)
+@given(euler_inputs())
+def test_the_rate_returns_the_reference_bits(inputs):
+    w0, tensor, params = inputs
+    rate = haeussler_rhs(WeightMatrix._wrap(w0), tensor, params)
+    assert same_bits(rate, rate_reference(w0, tensor, params.alpha, params.beta))
+
+
+def test_the_euler_loop_reads_weights_and_tensor_by_value_not_by_layout():
+    # a tensor that is not symmetric tells a transposed read from a straight one
+    n = 9
+    rng = np.random.default_rng(4)
+    w0 = rng.random((n, n)) * 0.5
+    np.fill_diagonal(w0, 0.0)
+    tensor = gram_tensor(n, 2) + rng.uniform(-0.1, 0.1, (n, n))
+    params = PlasticityParams(alpha=0.05, max_steps=30)
+    expected, table, _ = evolve_weights_reference(w0, tensor, params)
+    for layout in (np.asfortranarray, lambda a: np.repeat(a, 2, axis=1)[:, ::2]):
+        for w, t in ((layout(w0), tensor), (w0, layout(tensor)), (layout(w0), layout(tensor))):
+            evolved, report = evolve_weights(WeightMatrix._wrap(w), t, params)
+            assert same_bits(evolved.w, expected) and same_bits(report.table, table)
+            assert same_bits(haeussler_rhs(WeightMatrix._wrap(w), t, params), rate_reference(w0, tensor, 0.05, 1.0))
+    transposed, _ = evolve_weights(WeightMatrix._wrap(w0), tensor.T, params)
+    assert same_bits(transposed.w, evolve_weights_reference(w0, tensor.T.copy(), params)[0])
+    assert not np.array_equal(transposed.w, expected)
 
 
 def test_a_huge_step_cap_allocates_only_for_the_steps_run():
@@ -524,22 +553,25 @@ def test_a_solve_the_kernel_cannot_allocate_for_raises_memory_error(monkeypatch)
         row_fixed_points(uniform_weights(4), gram_tensor(4, 3), PlasticityParams())
 
 
-def test_evolution_rejects_out_of_range_start():
+def test_evolution_rejects_out_of_range_start(monkeypatch):
+    monkeypatch.setattr(plasticity, "load_kernel", None)  # calling it would fail: the check comes first
     n = 4
     params = PlasticityParams()
-    w = np.zeros((n, n))
-    w[0, 1] = params.v + 0.2
-    with pytest.raises(ParameterError):
-        evolve_weights(WeightMatrix(w), zero_tensor(n), params)
+    for wall in (params.v + 0.2, params.v * (1.0 + 1e-15), -1e-300, np.inf):
+        w = np.zeros((n, n))
+        w[0, 1] = wall
+        with pytest.raises(ParameterError, match=r"^evolution requires starting weights within \[0, v\]$"):
+            evolve_weights(WeightMatrix._wrap(w), zero_tensor(n), params)
 
 
-def test_evolution_rejects_a_non_finite_tensor_up_front():
+def test_evolution_rejects_a_non_finite_tensor_up_front(monkeypatch):
+    monkeypatch.setattr(plasticity, "load_kernel", None)  # calling it would fail: the check comes first
     n = 4
-    tensor = gram_tensor(n, 3)
-    t = tensor.copy()
-    t[0, 1] = np.nan
-    with pytest.raises(ParameterError, match="correlation tensor"):
-        evolve_weights(uniform_weights(n), t, PlasticityParams())
+    for bad in (np.nan, np.inf, -np.inf):
+        t = gram_tensor(n, 3)
+        t[0, 1] = bad
+        with pytest.raises(ParameterError, match="^correlation tensor entries must be finite$"):
+            evolve_weights(uniform_weights(n), t, PlasticityParams())
 
 
 def test_report_serialization(tmp_path):

@@ -15,7 +15,7 @@ from fireflynet.errors import (
     PatternAnnihilatedError,
     ShapeMismatchError,
 )
-from fireflynet.firefly import SwarmParams
+from fireflynet.firefly import GridLayout, SwarmParams
 from fireflynet.patterns import (
     Pattern,
     active_set,
@@ -107,6 +107,21 @@ def test_every_float_parameter_rejects_nan_and_infinities(cls, name, bad):
     required = {"n": 9} if cls is TrainerConfig else {}
     with pytest.raises(ParameterError, match=rf"\b{name}\b.* got .*{bad}"):
         cls(**required, **{name: bad})
+
+
+INT_FIELDS = [(cls, f.name) for cls in (GridLayout, SwarmParams, PlasticityParams, TrainerConfig)
+              for f in fields(cls) if f.type in (int, "int")]
+
+
+@pytest.mark.parametrize("cls, name", INT_FIELDS, ids=[f"{c.__name__}.{n}" for c, n in INT_FIELDS])
+def test_every_integer_parameter_rejects_a_non_integer(cls, name):
+    # a numpy integer passes; a float fails even where its value is whole
+    required = {GridLayout: {"rows": 3, "cols": 3}, TrainerConfig: {"n": 9}}.get(cls, {})
+    whole = required.get(name, 3)
+    assert getattr(cls(**{**required, name: np.int64(whole)}), name) == whole
+    for bad in (1.5, float(whole)):
+        with pytest.raises(ParameterError, match=rf"^{name} must be an integer, got {bad!r}$"):
+            cls(**{**required, name: bad})
 
 
 def test_config_derived_helpers():
