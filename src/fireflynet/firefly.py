@@ -10,19 +10,13 @@ excitatory agents near a cell contribute positive weight to it, the
 inhibitory minority contributes negative weight.
 
 The move pass, the settle and weight synthesis after its exp run in the C
-kernel ``swarm.c``, compiled on first use (``load_kernel``), with
-``plasticity``'s row solve and Euler step.  It keeps the order of every
-floating-point operation of the plain loops and the numpy code in
-``tests/oracles.py``, and its build neither fuses nor reorders them, so it
-returns their bits.  Its move pass draws the jitter from the population's
-own generator, through numpy's C API.
+kernel (``kernel.load_kernel``); the move pass and the settle draw from the
+population's own generator, through numpy's C API.
 """
 
 from __future__ import annotations
 
-import ctypes
 import math
-import os
 from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
@@ -30,7 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import WeightMatrix
-from .errors import CompilerError, FormatError, ParameterError, ShapeMismatchError, require_integer
+from .errors import FormatError, ParameterError, ShapeMismatchError, require_integer
+from .kernel import address, load_kernel
 from .patterns import FLOAT_FMT, Pattern, read_text, write_table
 
 # Settling passes before giving up on the spacing constraint, the slack
@@ -42,79 +37,6 @@ from .patterns import FLOAT_FMT, Pattern, read_text, write_table
 MAX_SETTLE_SWEEPS = 100
 SETTLE_EPS = 1e-9
 SETTLE_OVERSHOOT = 1.05
-
-_KERNEL_SOURCE = Path(__file__).with_name("swarm.c")
-_KERNEL_COMMAND = ("cc", "-O2", "-ffp-contract=off", "-fPIC", "-shared")
-
-
-@cache
-def load_kernel() -> ctypes.CDLL:
-    """The compiled C kernel, built the first time it is asked for.
-
-    The library is cached in ``__pycache__`` beside ``swarm.c``, named by
-    a hash of the source and the compiler command, so later processes
-    load it without compiling; where that directory cannot be written,
-    the build goes to a private temporary directory, removed once the
-    library is loaded.  Raises CompilerError when no C compiler is found
-    or the build fails."""
-    lib = _build_kernel(_KERNEL_SOURCE)
-    long_, double, ptr = ctypes.c_long, ctypes.c_double, ctypes.c_void_p
-    lib.swarm_move.argtypes = [ptr, long_, ptr, ptr, ptr, long_, long_, double, double, double]
-    lib.swarm_settle.argtypes = [ptr, long_, ptr, double, double, long_]
-    lib.row_fixed_points.argtypes = [ptr, ptr, ptr, long_, double, double, double, double]
-    lib.euler_step.argtypes = [ptr, ptr, ptr, ptr, ptr, long_, double, double, double, double]
-    lib.synthesize.argtypes = [ptr, long_, ptr, ptr, ptr, long_, long_, double]
-    lib.swarm_move.restype = lib.swarm_settle.restype = lib.row_fixed_points.restype = long_
-    lib.euler_step.restype, lib.synthesize.restype = double, None
-    return lib
-
-
-def _address(a: np.ndarray) -> int:
-    """A C-ordered array's data address for the kernel: about 0.5 us by from_buffer where
-    writable, else (``WeightMatrix.w``, say, or an empty array) ``a.ctypes.data``'s 1.3-2.5 us."""
-    try:
-        return ctypes.addressof(ctypes.c_char.from_buffer(a))
-    except (TypeError, ValueError):
-        return a.ctypes.data
-
-
-def _build_kernel(source: Path) -> ctypes.CDLL:
-    """The shared library built from ``source``, loaded: the cached one, or
-    a new build in a private directory, renamed into the cache.  Where the
-    cache cannot be written, the build is loaded from the private directory
-    and the directory removed; the loaded mapping outlives the file."""
-    import subprocess  # only a first use needs these
-    import tempfile
-
-    lib = _cached_library(source)
-    if lib.is_file():
-        return ctypes.CDLL(str(lib))
-    try:
-        lib.parent.mkdir(exist_ok=True)
-        private = tempfile.TemporaryDirectory(dir=lib.parent)
-    except OSError:  # never a shared, world-writable directory: mkdtemp's is private
-        private, lib = tempfile.TemporaryDirectory(prefix="fireflynet-"), None
-    with private:
-        built = os.path.join(private.name, f"{source.stem}.so")
-        try:
-            run = subprocess.run([*_KERNEL_COMMAND, "-o", built, str(source), "-lm"], capture_output=True, text=True)
-            failure = run.returncode and (run.stderr.strip().splitlines() or [f"exit {run.returncode}"])[-1]
-        except OSError as exc:
-            failure = exc
-        if failure:
-            raise CompilerError(f"building {source.name} needs a working C compiler (cc): {failure}")
-        if lib is None:
-            return ctypes.CDLL(built)
-        os.chmod(built, 0o755)  # whatever the umask, other users of the cache can load it
-        os.replace(built, lib)
-    return ctypes.CDLL(str(lib))
-
-
-def _cached_library(source: Path) -> Path:
-    """The cache path of ``source``'s library: ``__pycache__`` beside it, by a hash of source and command."""
-    import hashlib
-    tag = hashlib.sha256(source.read_bytes() + " ".join(_KERNEL_COMMAND).encode()).hexdigest()[:16]
-    return source.parent / "__pycache__" / f"{source.stem}-{tag}.so"
 
 
 @dataclass(frozen=True)
@@ -262,7 +184,7 @@ def _run_kernel(entry, pop: FireflyPopulation, *args) -> tuple[np.ndarray, int]:
     the population's generator; return the copy and the status.  Status
     -1 - k, agent k off the unit square or not finite, raises."""
     positions = _agents(pop)
-    status = entry(_address(positions), len(positions), pop.rng.bit_generator.ctypes.bit_generator, *args)
+    status = entry(address(positions), len(positions), pop.rng.bit_generator.ctypes.bit_generator, *args)
     if status < 0:
         raise _off_square(positions, -1 - status)
     return positions, status
@@ -285,18 +207,16 @@ def swarm_step(pop: FireflyPopulation, activity: Pattern, layout: GridLayout) ->
     A move of agent i toward a brighter agent j is Yang's firefly rule:
     x_i += b * exp(-gamma * r^2) * (x_j - x_i) + eta * (u - 1/2) per
     coordinate (u drawn per coordinate, x first), clipped to the unit
-    square.  With eta = 0 the move is a contraction toward x_j.  The
-    kernel finds cells as ``GridLayout.nearest_cell`` does and draws each
-    u with the generator's ``next_double``, x then y per move: the stream
-    ``rng.random(2 * moves)`` reads.  It groups each move as written
-    above, clips with < and >, and takes exp from libm, as ``math.exp``.
+    square.  With eta = 0 the move is a contraction toward x_j.  Cells are
+    found as ``GridLayout.nearest_cell`` finds them, and the u are the
+    stream ``rng.random(2 * moves)`` reads.
     """
     if activity.n != layout.n:
         raise ShapeMismatchError(f"activity length {activity.n} does not match layout size {layout.n}")
     brightness = np.empty(len(pop))
     grid = (activity.values.ctypes.data, layout.rows, layout.cols)  # Pattern values: C-ordered float64
     rule = (pop.params.b, -pop.params.gamma, pop.params.eta)
-    pop.positions, _ = _run_kernel(load_kernel().swarm_move, pop, _address(brightness), *grid, *rule)
+    pop.positions, _ = _run_kernel(load_kernel().swarm_move, pop, address(brightness), *grid, *rule)
     pop.brightness = brightness
     return enforce_min_distance(pop)
 
@@ -315,14 +235,9 @@ def enforce_min_distance(pop: FireflyPopulation) -> FireflyPopulation:
     outcome lands in settle_converged and the best-effort positions are
     kept either way.
 
-    The kernel sweeps all i<j pairs in row-major order.  Each agent's
-    displacement sums its pushes as the lower-index end in pair order,
-    then as the higher-index end; that order fixes the bits the
-    byte-determinism checks compare.  A pair whose squared distance shows
-    that its sqrt cannot fall under the bound skips the sqrt.  A
-    coincident pair's direction is libm's cos and sin of 2 pi times one
-    ``next_double`` draw from the population's generator, the stream
-    ``rng.random`` reads.  Raises ParameterError as ``swarm_step`` does.
+    The directions are the stream ``rng.random`` reads, and the kernel's
+    order of pairs and of sums fixes the bits.  Raises ParameterError as
+    ``swarm_step`` does, and MemoryError where the kernel cannot allocate.
     With d_min = 0, or one agent, no pair violates and the first sweep converges.
     """
     d_min = pop.params.d_min
@@ -364,8 +279,8 @@ def synthesize_weights(pop: FireflyPopulation, layout: GridLayout, v: float) -> 
     """
     if pop.n_excitatory == 0:
         raise ParameterError("population lacking excitatory polarity; cannot synthesize weights")
-    if v <= 0.0:
-        raise ParameterError(f"saturation ceiling v must be > 0, got {v}")
+    if not 0.0 < v < math.inf:
+        raise ParameterError(f"saturation ceiling v must be finite and > 0, got {v}")
     positions = _agents(pop)
     if not 0.0 <= positions.min() <= positions.max() <= 1.0:  # a NaN fails every comparison
         inside = ((positions >= 0.0) & (positions <= 1.0)).all(axis=1)
@@ -383,8 +298,8 @@ def synthesize_weights(pop: FireflyPopulation, layout: GridLayout, v: float) -> 
     strength = amplitude * np.exp(-d2 / width)
 
     w, scratch = np.zeros((layout.n, layout.n)), np.empty(layout.n)
-    agents = (_address(positions), len(positions), _address(strength))
-    load_kernel().synthesize(*agents, _address(w), _address(scratch), layout.rows, layout.cols, v)
+    agents = (address(positions), len(positions), address(strength))
+    load_kernel().synthesize(*agents, address(w), address(scratch), layout.rows, layout.cols, v)
     return WeightMatrix._wrap(w)
 
 

@@ -1,6 +1,7 @@
 /* The swarm's move pass and spacing settle, weight synthesis after its exp,
- * and the weight rows' fixed-point solve and Euler step, called from
- * firefly.py and plasticity.py through ctypes.  Positions are (x, y) pairs,
+ * and the weight rows' fixed-point solve and Euler step, for firefly.py and
+ * plasticity.py: kernel.py builds this file, declares each entry point and
+ * hands arrays over by address through ctypes.  Positions are (x, y) pairs,
  * agent after agent; the swarm's calls update them in place.  The results
  * equal, bit for bit, the plain loops and the numpy code in tests/oracles.py:
  * every expression keeps their grouping and order, the build neither fuses

@@ -18,7 +18,7 @@ saturated corner (every weight at v) among them, and which one Euler
 reaches depends on where it starts.  A presentation solves for its rows'
 fixed points first (``row_fixed_points``), and Euler only polishes that,
 in one step on every presentation of the shipped experiments.  The solve
-and each Euler step run in the C kernel (``firefly.load_kernel``), so both
+and each Euler step run in the C kernel (``kernel.load_kernel``), so both
 need a C compiler.
 """
 
@@ -32,7 +32,7 @@ import numpy as np
 
 from .dynamics import WeightMatrix
 from .errors import ParameterError, ShapeMismatchError, require_integer
-from .firefly import _address, load_kernel
+from .kernel import address, load_kernel
 from .patterns import write_table
 
 # The share of the stability bound 1 / (alpha * n + beta * max|T|) that a
@@ -139,9 +139,7 @@ def evolve_weights(
     the integration stopped.
 
     Each step is one call to the C kernel, which returns the bits of the
-    numpy loop in ``tests/oracles.py``: the rate in the grouping alpha * (1 -
-    n * w) + (beta * w) * (T - rowsum(w * T)), w + dt * f clamped into [0, v]
-    as np.minimum(np.maximum(0.0, x), v) does (a -0.0 kept), the trace row.
+    numpy loop in ``tests/oracles.py``.
     """
     _check_sizes(w, t)
     if (w.w < 0.0).any() or (w.w > params.v).any():
@@ -166,7 +164,7 @@ def _euler_step(current: np.ndarray, tt: np.ndarray, params: PlasticityParams, d
     by the row sums, and the largest weight change."""
     n = len(current)
     f, following, stats = np.empty((n, n)), np.empty((n, n)), np.empty(n + 4)
-    arrays = (_address(current), _address(tt), _address(f), _address(following), _address(stats))
+    arrays = (address(current), address(tt), address(f), address(following), address(stats))
     change = load_kernel().euler_step(*arrays, n, params.alpha, params.beta, dt, params.v)
     return f, following, stats, change
 
@@ -195,6 +193,6 @@ def row_fixed_points(w: WeightMatrix, t: np.ndarray, params: PlasticityParams) -
         return w
     tol = 0.5 * params.tol / (beta * v) if beta * v > 0.0 else math.inf
     ww, tt, out = np.ascontiguousarray(w.w), np.ascontiguousarray(t, dtype=float), np.empty((w.n, w.n))
-    if load_kernel().row_fixed_points(_address(ww), _address(tt), _address(out), w.n, alpha, beta, v, tol):
+    if load_kernel().row_fixed_points(address(ww), address(tt), address(out), w.n, alpha, beta, v, tol):
         raise MemoryError(f"no memory for the fixed points of {w.n} weight rows")
     return WeightMatrix._wrap(out)

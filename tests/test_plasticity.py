@@ -14,7 +14,7 @@ from fireflynet.dynamics import (
     correlation_tensor,
 )
 from fireflynet.errors import ParameterError, ShapeMismatchError
-from fireflynet.firefly import load_kernel
+from fireflynet.kernel import load_kernel
 from fireflynet.plasticity import (
     STEP_FRACTION,
     PlasticityParams,
