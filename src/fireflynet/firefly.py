@@ -179,17 +179,6 @@ def _agents(pop: FireflyPopulation) -> np.ndarray:
     return positions
 
 
-def _run_kernel(entry, pop: FireflyPopulation, *args) -> tuple[np.ndarray, int]:
-    """Run a kernel entry point on a C-ordered copy of the (x, y) rows and on
-    the population's generator; return the copy and the status.  Status
-    -1 - k, agent k off the unit square or not finite, raises."""
-    positions = _agents(pop)
-    status = entry(address(positions), len(positions), pop.rng.bit_generator.ctypes.bit_generator, *args)
-    if status < 0:
-        raise _off_square(positions, -1 - status)
-    return positions, status
-
-
 def _off_square(positions: np.ndarray, k: int) -> ParameterError:
     return ParameterError(f"swarm agent {k} at {positions[k].tolist()} is off the unit square or not finite")
 
@@ -211,13 +200,18 @@ def swarm_step(pop: FireflyPopulation, activity: Pattern, layout: GridLayout) ->
     found as ``GridLayout.nearest_cell`` finds them, and the u are the
     stream ``rng.random(2 * moves)`` reads.
     """
-    if activity.n != layout.n:
+    rows, cols, values = layout.rows, layout.cols, activity.values  # Pattern values: C-ordered float64
+    if len(values) != rows * cols:
         raise ShapeMismatchError(f"activity length {activity.n} does not match layout size {layout.n}")
-    brightness = np.empty(len(pop))
-    grid = (activity.values.ctypes.data, layout.rows, layout.cols)  # Pattern values: C-ordered float64
-    rule = (pop.params.b, -pop.params.gamma, pop.params.eta)
-    pop.positions, _ = _run_kernel(load_kernel().swarm_move, pop, address(brightness), *grid, *rule)
-    pop.brightness = brightness
+    positions, params = _agents(pop), pop.params
+    brightness = np.empty(len(positions))
+    status = load_kernel().swarm_move(
+        address(positions), len(positions), pop.rng.bit_generator.ctypes.bit_generator, address(brightness),
+        address(values), rows, cols, params.b, -params.gamma, params.eta,
+    )
+    if status < 0:  # agent -1 - status off the unit square or not finite
+        raise _off_square(positions, -1 - status)
+    pop.positions, pop.brightness = positions, brightness
     return enforce_min_distance(pop)
 
 
@@ -240,9 +234,13 @@ def enforce_min_distance(pop: FireflyPopulation) -> FireflyPopulation:
     ``swarm_step`` does, and MemoryError where the kernel cannot allocate.
     With d_min = 0, or one agent, no pair violates and the first sweep converges.
     """
-    d_min = pop.params.d_min
-    spacing = (d_min - SETTLE_EPS, SETTLE_OVERSHOOT * d_min, MAX_SETTLE_SWEEPS)
-    positions, status = _run_kernel(load_kernel().swarm_settle, pop, *spacing)
+    positions, d_min = _agents(pop), pop.params.d_min
+    status = load_kernel().swarm_settle(
+        address(positions), len(positions), pop.rng.bit_generator.ctypes.bit_generator,
+        d_min - SETTLE_EPS, SETTLE_OVERSHOOT * d_min, MAX_SETTLE_SWEEPS,
+    )
+    if status < 0:
+        raise _off_square(positions, -1 - status)
     if status == 2:
         raise MemoryError(f"no memory for the spacing settle of {len(pop)} agents")
     pop.positions = positions

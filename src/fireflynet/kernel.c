@@ -67,6 +67,9 @@ struct push { long i, j; double x, y; };
  * next_double draw per touching pair in pair order: the stream
  * 2 pi rng.random(k) reads.
  *
+ * For each i, the j > i with sx^2 + sy^2 below far are collected first,
+ * without a branch, and only they reach the sqrt, in ascending j.
+ *
  * Each agent's shift sums, into a zero, its pushes as the lower-index end
  * (negated) in pair order, then its pushes as the higher-index end in pair
  * order: the order numpy's bincount summed them in, which fixes the bits.
@@ -86,18 +89,23 @@ long swarm_settle(double *pos, long count, bitgen_t *rng, double too_close, doub
     double far = nextafter(too_close * too_close, INFINITY);
     long status = 1;
     double *shift = malloc(2 * count * sizeof *shift);
+    long *near = malloc(count * sizeof *near);
     struct push *pushes = malloc((count * (count - 1) / 2 + 1) * sizeof *pushes); /* never malloc(0) */
-    if (!shift || !pushes)
+    if (!shift || !near || !pushes)
         max_sweeps = 0, status = 2;
     for (long sweep = 0; sweep < max_sweeps; sweep++) {
         long bad = 0;
         for (long i = 0; i < count; i++) {
+            long found = 0;
             for (long j = i + 1; j < count; j++) {
                 double sx = pos[2 * j] - pos[2 * i], sy = pos[2 * j + 1] - pos[2 * i + 1];
-                double d2 = sx * sx + sy * sy;
-                if (d2 >= far)
-                    continue;
-                double d = sqrt(d2), half = (reach - d) * 0.5, ux, uy;
+                near[found] = j;
+                found += sx * sx + sy * sy < far;
+            }
+            for (long *at = near; at < near + found; at++) {
+                long j = *at;
+                double sx = pos[2 * j] - pos[2 * i], sy = pos[2 * j + 1] - pos[2 * i + 1];
+                double d = sqrt(sx * sx + sy * sy), half = (reach - d) * 0.5, ux, uy;
                 if (!(d < too_close))
                     continue;
                 if (d >= 1e-15) {
@@ -119,17 +127,18 @@ long swarm_settle(double *pos, long count, bitgen_t *rng, double too_close, doub
             shift[2 * p->i] += -p->x, shift[2 * p->i + 1] += -p->y;
         for (struct push *p = pushes; p < pushes + bad; p++)
             shift[2 * p->j] += p->x, shift[2 * p->j + 1] += p->y;
-        double step = 0.0;
+        int stuck = 1;
         for (long a = 0; a < 2 * count; a++) {
             double moved = shift[a] + pos[a];
             moved = moved < 0.0 ? 0.0 : moved > 1.0 ? 1.0 : moved;
-            step = fmax(step, fabs(moved - pos[a]));
+            stuck &= fabs(moved - pos[a]) < 1e-12;
             pos[a] = moved;
         }
-        if (step < 1e-12)
+        if (stuck)
             break; /* wall deadlock: clipping cancelled every push */
     }
     free(shift);
+    free(near);
     free(pushes);
     return status;
 }

@@ -38,13 +38,15 @@ def load_kernel() -> ctypes.CDLL:
     The library is cached in ``__pycache__`` beside ``SOURCE``, named by a hash
     of the source and ``COMMAND``, so later processes load it without
     compiling.  A new build goes to a private directory and is renamed into
-    the cache; where the cache cannot be written, the build is loaded from a
+    the cache, and the cache's libraries of other sources or commands are
+    deleted; where the cache cannot be written, the build is loaded from a
     private temporary directory and the directory removed (the loaded mapping
     outlives the file).  Raises CompilerError when no C compiler is found or
     the build fails."""
     import hashlib  # only a first use needs these
     import subprocess
     import tempfile
+    from contextlib import suppress
 
     tag = hashlib.sha256(SOURCE.read_bytes() + " ".join(COMMAND).encode()).hexdigest()[:16]
     cached, lib = SOURCE.parent / "__pycache__" / f"{SOURCE.stem}-{tag}.so", None
@@ -68,6 +70,9 @@ def load_kernel() -> ctypes.CDLL:
             else:
                 os.chmod(built, 0o755)  # whatever the umask, other users of the cache can load it
                 os.replace(built, cached)
+                for stale in set(cached.parent.glob(f"{SOURCE.stem}-*.so")) - {cached}:
+                    with suppress(OSError):  # gone already, or not ours to delete
+                        stale.unlink()
     lib = lib or ctypes.CDLL(str(cached))
     for name, result, arguments in ENTRY_POINTS:
         entry = getattr(lib, name)

@@ -92,7 +92,11 @@ def haeussler_rhs(w: WeightMatrix, t: np.ndarray, params: PlasticityParams) -> n
     Euler step takes (see ``evolve_weights``).
     """
     _check_sizes(w, t)
-    return _euler_step(np.ascontiguousarray(w.w), np.ascontiguousarray(t, dtype=float), params, 0.0)[0]
+    n, ww, tt = w.n, np.ascontiguousarray(w.w), np.ascontiguousarray(t, dtype=float)
+    f, following, stats = np.empty((n, n)), np.empty((n, n)), np.empty(n + 4)
+    arrays = (address(ww), address(tt), address(f), address(following), address(stats))
+    load_kernel().euler_step(*arrays, n, params.alpha, params.beta, 0.0, params.v)
+    return f
 
 
 def _check_sizes(w: WeightMatrix, t: np.ndarray) -> None:
@@ -146,27 +150,21 @@ def evolve_weights(
         raise ParameterError("evolution requires starting weights within [0, v]")
     if not np.isfinite(t).all():
         raise ParameterError("correlation tensor entries must be finite")
-    dt = params.step(w.n, t)
-    current, tt, rows = np.ascontiguousarray(w.w), np.ascontiguousarray(t, dtype=float), []
+    n, dt = w.n, params.step(w.n, t)
+    tt, f, stats, rows = np.ascontiguousarray(t, dtype=float), np.empty((n, n)), np.empty(n + 4), []
+    euler, rule = load_kernel().euler_step, (n, params.alpha, params.beta, dt, params.v)
+    at_t, at_f, at_stats = address(tt), address(f), address(stats)
+    current = np.ascontiguousarray(w.w)
+    source = current.ctypes.data  # WeightMatrix.w is read-only, which address reaches only through an exception
     for _ in range(params.max_steps):
-        _, current, stats, change = _euler_step(current, tt, params, dt)
-        rows.append(stats[:4].tolist())
-        converged = change < params.tol * dt
+        previous, current = current, np.empty((n, n))  # previous keeps source's memory alive
+        target = address(current)
+        change = euler(source, at_t, at_f, target, at_stats, *rule)
+        rows.append(stats[:4].tolist())  # stats: the trace row, then the row sums
+        source, converged = target, change < params.tol * dt
         if converged:
             break
-    table = np.array(rows)
-    return WeightMatrix._wrap(current), EvolveReport(len(rows), converged, float(table[-1, 0]), table)
-
-
-def _euler_step(current: np.ndarray, tt: np.ndarray, params: PlasticityParams, dt: float) -> tuple:
-    """One Euler step of dt in the kernel from the C-ordered weights under
-    the C-ordered tensor: the rate, the next weights, the trace row followed
-    by the row sums, and the largest weight change."""
-    n = len(current)
-    f, following, stats = np.empty((n, n)), np.empty((n, n)), np.empty(n + 4)
-    arrays = (address(current), address(tt), address(f), address(following), address(stats))
-    change = load_kernel().euler_step(*arrays, n, params.alpha, params.beta, dt, params.v)
-    return f, following, stats, change
+    return WeightMatrix._wrap(current), EvolveReport(len(rows), converged, rows[-1][0], np.array(rows))
 
 
 def row_fixed_points(w: WeightMatrix, t: np.ndarray, params: PlasticityParams) -> WeightMatrix:

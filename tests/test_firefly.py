@@ -346,6 +346,20 @@ def test_a_strided_activity_moves_the_swarm_as_its_contiguous_copy():
     assert runs[0] == runs[1]
 
 
+def test_a_read_only_activity_moves_the_swarm_as_its_writable_copy():
+    # address reaches a read-only array's data through .ctypes.data, not from_buffer
+    values = np.random.default_rng(3).random(25)
+    values.flags.writeable = False
+    read_only, writable = Pattern(values, grid=(5, 5)), Pattern(values.copy(), grid=(5, 5))
+    assert not read_only.values.flags.writeable and writable.values.flags.writeable
+    runs = []
+    for activity in (read_only, writable):
+        pop = FireflyPopulation.spawn(25, SwarmParams(), rng=np.random.default_rng(4))
+        swarm_step(pop, activity, GridLayout(5, 5))
+        runs.append((pop.positions.tobytes(), pop.brightness.tobytes(), pop.rng.bit_generator.state))
+    assert runs[0] == runs[1]
+
+
 @pytest.mark.parametrize("rows, cols", [(3, 5), (5, 3), (1, 4), (4, 1)])
 def test_brightness_on_cell_borders_and_walls_is_the_nearest_cell_bit_for_bit(rows, cols):
     # agents on x = k/cols and y = k/rows exactly, one float either side of
@@ -578,6 +592,29 @@ def test_spacing_matches_the_pair_loop_oracle_for_generated_populations(inputs):
     assert np.array_equal(pop.positions, np.asarray(expected))
     assert pop.settle_converged == expected_converged
     assert pop.rng.random() == ref_rng.random()
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    st.integers(2, 40),
+    st.tuples(*[st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))] * 2),
+    st.floats(0.01, 0.2),
+    st.integers(0, 2**32 - 1),
+)
+def test_a_swarm_piled_on_one_point_settles_as_the_pair_loop(count, point, d_min, seed):
+    # every pair of the first sweep is a candidate that touches, so each draws a direction
+    points = np.array([point] * count)
+    first_sweep, skipped = np.random.default_rng(seed), np.random.default_rng(seed)
+    settle_loops(points, d_min, first_sweep, 1, SETTLE_EPS, SETTLE_OVERSHOOT)
+    skipped.random(count * (count - 1) // 2)
+    assert first_sweep.bit_generator.state == skipped.bit_generator.state
+    pop = manual_population(points, [True] * count, SwarmParams(d_min=d_min), seed=seed)
+    ref_rng = np.random.default_rng(seed)
+    expected, converged = settle_loops(points, d_min, ref_rng, MAX_SETTLE_SWEEPS, SETTLE_EPS, SETTLE_OVERSHOOT)
+    enforce_min_distance(pop)
+    assert pop.positions.tobytes() == np.asarray(expected).tobytes()
+    assert pop.settle_converged == converged
+    assert pop.rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 @pytest.mark.parametrize("d_min", [0.05, 0.3, 0.7])

@@ -106,17 +106,43 @@ def test_a_parallel_swarm_sweep_builds_the_kernel_in_its_workers_on_an_empty_cac
 def test_a_changed_kernel_source_builds_under_a_new_name(tmp_path, monkeypatch):
     source = tmp_path / "kernel.c"
     shutil.copyfile(kernel.SOURCE, source)
+    stale = tmp_path / "__pycache__" / "kernel-0000000000000000.so"  # an earlier source's build
+    stale.parent.mkdir()
+    stale.write_bytes(b"")
     monkeypatch.setattr(kernel, "SOURCE", source)
     kernel.load_kernel.cache_clear()
     try:
         first = Path(kernel.load_kernel()._name)
+        assert first.is_file() and not stale.exists()
         source.write_text(source.read_text() + "\n/* edited */\n")
         kernel.load_kernel.cache_clear()
         second = Path(kernel.load_kernel()._name)
     finally:
         kernel.load_kernel.cache_clear()
     assert first.parent == second.parent == tmp_path / "__pycache__"
-    assert first.name != second.name and first.is_file() and second.is_file()
+    # the new build replaced the first in the cache; the first stays loaded
+    assert first.name != second.name and list(second.parent.glob("kernel-*.so")) == [second]
+
+
+def test_a_load_that_compiles_nothing_deletes_no_library(tmp_path, monkeypatch):
+    source = tmp_path / "kernel.c"
+    shutil.copyfile(kernel.SOURCE, source)
+    monkeypatch.setattr(kernel, "SOURCE", source)
+    kernel.load_kernel.cache_clear()
+    try:
+        built = Path(kernel.load_kernel()._name)
+        stale = built.with_name("kernel-0000000000000000.so")
+        stale.write_bytes(b"")
+        kernel.load_kernel.cache_clear()
+
+        def no_compiler(*args, **kwargs):
+            raise AssertionError("a cached kernel was compiled again")
+
+        monkeypatch.setattr(subprocess, "run", no_compiler)
+        assert Path(kernel.load_kernel()._name) == built
+    finally:
+        kernel.load_kernel.cache_clear()
+    assert stale.is_file()
 
 
 def test_a_kernel_cache_that_cannot_be_written_falls_back_to_a_private_directory(tmp_path, monkeypatch):
