@@ -79,6 +79,13 @@ class Pattern:
                     f"grid {rows}x{cols} does not match vector length {v.size}"
                 )
 
+    @classmethod
+    def _wrap(cls, values: np.ndarray, grid: tuple[int, int] | None, label: str | None) -> "Pattern":
+        """A fresh C-ordered vector built from checked inputs, finite, >= 0, grid-sized: no check, no copy."""
+        p = object.__new__(cls)
+        vars(p).update(values=values, grid=grid, label=label)  # what the frozen constructor's setattr does
+        return p
+
     @property
     def n(self) -> int:
         return int(self.values.size)
@@ -96,17 +103,17 @@ class Pattern:
         return self.n == other.n and self.grid == other.grid
 
 
-def cosine(a: Pattern | np.ndarray, b: Pattern | np.ndarray) -> float:
+def cosine(a: Pattern | np.ndarray, b: Pattern | np.ndarray, *, na: float | None = None) -> float:
     """Cosine similarity; 0.0 when either vector is all-zero.
 
     Equals 1 exactly when the two vectors are positive multiples of each
-    other, which is what recall-quality metrics rely on.
+    other, which is what recall-quality metrics rely on.  ``na``, if given, is a's norm.
     """
     va = a.values if isinstance(a, Pattern) else np.asarray(a, dtype=float)
     vb = b.values if isinstance(b, Pattern) else np.asarray(b, dtype=float)
     if va.shape != vb.shape:
         raise ShapeMismatchError(f"cosine over mismatched shapes {va.shape} vs {vb.shape}")
-    na = math.sqrt(float(np.dot(va, va)))
+    na = math.sqrt(float(np.dot(va, va))) if na is None else na
     nb = math.sqrt(float(np.dot(vb, vb)))
     if na <= NORM_EPS or nb <= NORM_EPS:
         return 0.0
@@ -218,14 +225,21 @@ def mask(p: Pattern, masked_indices: Iterable[int]) -> Pattern:
     An empty index set returns the input unchanged.  Masking away every
     nonzero entry raises PatternAnnihilatedError.
     """
-    idx = sorted(set(int(i) for i in masked_indices))
-    if not idx:
-        return p
-    if idx[0] < 0 or idx[-1] >= p.n:
-        raise ParameterError(f"mask indices out of range for n={p.n}: {idx[0]}..{idx[-1]}")
+    return _mask(p, masked_indices)[0]
+
+
+def _mask(p: Pattern, indices: Iterable[int]) -> tuple[Pattern, set[int]]:
+    """``mask`` and the set of int(i) it read; a 1D integer array's ``tolist`` gives those ints 4x faster."""
+    fast = isinstance(indices, np.ndarray) and indices.ndim == 1 and indices.dtype.kind in "iu"
+    masked = set(indices.tolist() if fast else map(int, indices))
+    if not masked:
+        return p, masked
+    low, high = min(masked), max(masked)
+    if low < 0 or high >= p.n:
+        raise ParameterError(f"mask indices out of range for n={p.n}: {low}..{high}")
     out = p.values.copy()
-    out[idx] = 0.0
-    return Pattern(_unit(out), grid=p.grid, label=p.label)
+    out[np.fromiter(masked, np.intp, len(masked))] = 0.0
+    return Pattern._wrap(_unit(out), p.grid, p.label), masked  # a checked pattern's copy, renormalised
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +250,7 @@ def active_set(p: Pattern, threshold: float) -> np.ndarray:
     """Sorted indices with activity strictly above ``threshold`` (>= 0)."""
     if threshold < 0.0:
         raise ParameterError(f"threshold must be >= 0, got {threshold}")
-    return np.flatnonzero(p.values > threshold)
+    return (p.values > threshold).nonzero()[0]
 
 
 def relative_threshold(p: Pattern, fraction: float) -> float:

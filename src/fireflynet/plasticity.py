@@ -76,7 +76,10 @@ class PlasticityParams:
         is 0 (or so small that the quotient overflows) the rate is
         identically zero (or below resolution) and the step is 1.
         """
-        rate = self.alpha * n + self.beta * (float(np.absolute(t).max()) if t.size else 0.0)
+        return self._step(n, float(np.absolute(t).max()) if t.size else 0.0)
+
+    def _step(self, n: int, peak: float) -> float:  # step of a tensor whose max|T| is peak
+        rate = self.alpha * n + self.beta * peak
         dt = STEP_FRACTION / rate if rate > 0.0 else 1.0
         return dt if math.isfinite(dt) else 1.0
 
@@ -94,7 +97,7 @@ def haeussler_rhs(w: WeightMatrix, t: np.ndarray, params: PlasticityParams) -> n
     _check_sizes(w, t)
     n, ww, tt = w.n, np.ascontiguousarray(w.w), np.ascontiguousarray(t, dtype=float)
     f, following, stats = np.empty((n, n)), np.empty((n, n)), np.empty(n + 4)
-    arrays = (address(ww), address(tt), address(f), address(following), address(stats))
+    arrays = (ww.ctypes.data, address(tt), address(f), address(following), address(stats))
     load_kernel().euler_step(*arrays, n, params.alpha, params.beta, 0.0, params.v)
     return f
 
@@ -148,9 +151,10 @@ def evolve_weights(
     _check_sizes(w, t)
     if (w.w < 0.0).any() or (w.w > params.v).any():
         raise ParameterError("evolution requires starting weights within [0, v]")
-    if not np.isfinite(t).all():
+    peak = float(np.absolute(t).max())  # non-finite exactly when an entry is
+    if not math.isfinite(peak):
         raise ParameterError("correlation tensor entries must be finite")
-    n, dt = w.n, params.step(w.n, t)
+    n, dt = w.n, params._step(w.n, peak)
     tt, f, stats, rows = np.ascontiguousarray(t, dtype=float), np.empty((n, n)), np.empty(n + 4), []
     euler, rule = load_kernel().euler_step, (n, params.alpha, params.beta, dt, params.v)
     at_t, at_f, at_stats = address(tt), address(f), address(stats)
@@ -191,6 +195,6 @@ def row_fixed_points(w: WeightMatrix, t: np.ndarray, params: PlasticityParams) -
         return w
     tol = 0.5 * params.tol / (beta * v) if beta * v > 0.0 else math.inf
     ww, tt, out = np.ascontiguousarray(w.w), np.ascontiguousarray(t, dtype=float), np.empty((w.n, w.n))
-    if load_kernel().row_fixed_points(address(ww), address(tt), address(out), w.n, alpha, beta, v, tol):
+    if load_kernel().row_fixed_points(ww.ctypes.data, address(tt), address(out), w.n, alpha, beta, v, tol):
         raise MemoryError(f"no memory for the fixed points of {w.n} weight rows")
     return WeightMatrix._wrap(out)

@@ -46,6 +46,7 @@ from .firefly import (
 )
 from .patterns import (
     Pattern,
+    _mask,
     _unit,
     active_set,
     add_noise,
@@ -285,10 +286,10 @@ def train(model: Model, patterns: Sequence[Pattern]) -> Model:
 
 
 def _similarity(output: Pattern, reference: Pattern, templates: Sequence[Pattern]) -> RecallMetrics:
-    """Score an output against the unit-scaled reference and the templates."""
-    ref = _unit(reference.values)
-    cos = cosine(output, ref)
-    scored = [(cosine(output, t), t.label) for t in templates if t.label is not None]
+    """Score an output against the unit-scaled reference and the templates, its norm taken once."""
+    ref, norm = _unit(reference.values), math.sqrt(float(np.dot(output.values, output.values)))
+    cos = cosine(output, ref, na=norm)
+    scored = [(cosine(output, t, na=norm), t.label) for t in templates if t.label is not None]
     best = max(scored, key=lambda s: s[0])[1] if scored else None
     return RecallMetrics(cosine=cos, best_match_label=best, _output=output.values.copy(), _reference=ref)
 
@@ -312,7 +313,8 @@ def recall(
     out = np.maximum(model.weights.resolvent @ cue.values, 0.0)
     norm = math.sqrt(float(np.dot(out, out)))
     out = np.zeros_like(out) if norm <= 1e-12 else out / norm
-    output = Pattern(out, grid=cue.grid)
+    # a finite norm means finite entries, >= 0 by the clamp; else the check names the fault
+    output = Pattern._wrap(out, cue.grid, None) if math.isfinite(norm) else Pattern(out, grid=cue.grid)
     return output, _similarity(output, cue if reference is None else reference, model.templates)
 
 
@@ -324,8 +326,8 @@ def complete(
     If the mask wipes the whole active set the result is flagged
     low-confidence instead of raising.
     """
-    masked = {int(i) for i in masked_indices}
-    output, metrics = recall(model, mask(partial, masked), partial)
+    cue, masked = _mask(partial, masked_indices)
+    output, metrics = recall(model, cue, partial)
     active = active_set(partial, relative_threshold(partial, model.config.theta_act))
     metrics.low_confidence = bool(masked) and masked.issuperset(active.tolist())
     return output, metrics

@@ -18,8 +18,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from fireflynet.dynamics import truncated_resolvent
-from fireflynet.errors import ParameterError, ShapeMismatchError
-from fireflynet.patterns import Pattern, active_set, cosine, mask, relative_threshold
+from fireflynet.errors import ParameterError, PatternAnnihilatedError, ShapeMismatchError
+from fireflynet.patterns import NORM_EPS, Pattern, relative_threshold
 from fireflynet.plasticity import STEP_FRACTION
 
 
@@ -413,12 +413,42 @@ def row_normalize_capped_reference(w: np.ndarray, v: float) -> np.ndarray:
     return np.clip(out, 0.0, v)
 
 
+def cosine_reference(a, b):
+    """Cosine as it read before the read path shared the output's norm:
+    both norms taken here, 0.0 when either is at most NORM_EPS."""
+    va = a.values if isinstance(a, Pattern) else np.asarray(a, dtype=float)
+    vb = b.values if isinstance(b, Pattern) else np.asarray(b, dtype=float)
+    if va.shape != vb.shape:
+        raise ShapeMismatchError(f"cosine over mismatched shapes {va.shape} vs {vb.shape}")
+    na = math.sqrt(float(np.dot(va, va)))
+    nb = math.sqrt(float(np.dot(vb, vb)))
+    if na <= NORM_EPS or nb <= NORM_EPS:
+        return 0.0
+    return float(np.dot(va, vb) / (na * nb))
+
+
+def mask_reference(p, masked_indices):
+    """Masking as it read before: the indices parsed into a sorted list,
+    zeroed through it, and the result built by the checked constructor."""
+    idx = sorted(set(int(i) for i in masked_indices))
+    if not idx:
+        return p
+    if idx[0] < 0 or idx[-1] >= p.n:
+        raise ParameterError(f"mask indices out of range for n={p.n}: {idx[0]}..{idx[-1]}")
+    out = p.values.copy()
+    out[idx] = 0.0
+    norm = math.sqrt(float(np.dot(out, out)))
+    if norm <= NORM_EPS:
+        raise PatternAnnihilatedError("pattern annihilated: zero norm after operation")
+    return Pattern(out / norm, grid=p.grid, label=p.label)
+
+
 def similarity_reference(output, reference, templates):
     """Recall scoring worked out eagerly through numpy's own ``mean``,
     ``std`` and ``corrcoef``, as a plain namespace of the five attributes
     a ``RecallMetrics`` reads."""
     ref = reference.normalize()
-    cos = cosine(output, ref)
+    cos = cosine_reference(output, ref)
     mse = float(np.mean((output.values - ref.values) ** 2))
     a, b = output.values, ref.values
     if float(a.std()) <= 0.0 or float(b.std()) <= 0.0:
@@ -427,16 +457,17 @@ def similarity_reference(output, reference, templates):
         pearson = float(np.corrcoef(a, b)[0, 1])
     best = None
     if templates:
-        scored = [(cosine(output, t), t.label) for t in templates if t.label is not None]
+        scored = [(cosine_reference(output, t), t.label) for t in templates if t.label is not None]
         if scored:
             best = max(scored, key=lambda s: s[0])[1]
     return SimpleNamespace(cosine=cos, mse=mse, pearson=pearson, best_match_label=best, low_confidence=False)
 
 
-def recall_reference(model, cue):
+def recall_reference(model, cue, reference=None):
     """Recall as it read before the resolvent was memoised: D is rebuilt
-    from ``model.weights`` on every call and the output scored against
-    the cue.  Same arithmetic as the library, so results agree bit for
+    from ``model.weights`` on every call, the output is built by the
+    checked constructor and scored against ``reference``, or the cue when
+    it is None.  Same arithmetic as the library, so results agree bit for
     bit."""
     cfg = model.config
     if cue.n != cfg.n:
@@ -452,16 +483,16 @@ def recall_reference(model, cue):
     else:
         out = out / norm
     output = Pattern(out, grid=cue.grid)
-    return output, similarity_reference(output, cue, model.templates)
+    return output, similarity_reference(output, cue if reference is None else reference, model.templates)
 
 
 def complete_reference(model, partial, masked_indices):
     """Completion as it read before: recall the masked cue, throw its
     score away and score the output a second time against the original."""
     masked = sorted(set(int(i) for i in masked_indices))
-    cue = mask(partial, masked)
+    cue = mask_reference(partial, masked)
     output, _ = recall_reference(model, cue)
     metrics = similarity_reference(output, partial, model.templates)
-    active = active_set(partial, relative_threshold(partial, model.config.theta_act))
+    active = np.flatnonzero(partial.values > relative_threshold(partial, model.config.theta_act))
     metrics.low_confidence = bool(masked) and all(i in set(masked) for i in active.tolist())
     return output, metrics

@@ -29,7 +29,7 @@ from fireflynet.patterns import (
     save_pgm,
 )
 
-from oracles import gauss_value, unit_scale
+from oracles import gauss_value, mask_reference, unit_scale
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +292,28 @@ def test_mask_rejects_out_of_range_indices():
         mask(p, [10])
     with pytest.raises(ParameterError):
         mask(p, [-1])
+
+
+def test_mask_reads_indices_as_int_does_whatever_holds_them():
+    # numpy integer arrays take a faster parse than int() on each entry;
+    # floats (truncated toward zero), booleans and a column, which int()
+    # refuses, must still read as int() reads them
+    p = Pattern(np.arange(1.0, 7.0), grid=(2, 3), label="p")
+    kinds = (
+        [2, 0, 2], {0, 2}, range(0, 3, 2), (np.int64(2), 0), np.array([2, 0], dtype=np.uint8),
+        np.array([-0.5, 2.75]), np.array([0.5, 6.5]), np.array([-1, 2]), np.array([True, False]),
+        np.array([[0], [2]]), np.array([], dtype=np.int64),
+    )
+    for masked in kinds:
+        try:
+            want = mask_reference(p, masked)
+        except Exception as exc:
+            with pytest.raises(type(exc)) as raised:
+                mask(p, masked)
+            assert str(raised.value) == str(exc)
+            continue
+        got = mask(p, masked)
+        assert (got.values.tobytes(), got.grid, got.label) == (want.values.tobytes(), want.grid, want.label)
 
 
 # ---------------------------------------------------------------------------

@@ -474,6 +474,121 @@ def test_recall_scoring_matches_the_numpy_reference_bit_for_bit(inputs):
     ]
 
 
+def layouts():
+    """A line of 2-12 cells or a grid of 1-4 by 1-4 cells (2 or more in all)."""
+    line = st.integers(2, 12).map(lambda n: (n, None))
+    grid = st.integers(1, 4).flatmap(lambda rows: st.tuples(st.just(rows), st.integers(2 if rows == 1 else 1, 4)))
+    return st.one_of(line, grid.map(lambda g: (g[0] * g[1], g)))
+
+
+def read_weights(n: int):
+    """Signed n x n weights with a zero diagonal: seeded uniform entries at
+    one of three scales, or uniform inhibition strong enough that D @ cue
+    is wiped out on most cues."""
+    seeds, scales = st.integers(0, 2**32 - 1), st.sampled_from([0.1, 1.0, 3.0])
+    scaled = st.tuples(seeds, scales).map(lambda s: np.random.default_rng(s[0]).uniform(-s[1], s[1], (n, n)))
+    inhibition = st.sampled_from([1.0, 2.0]).map(lambda k: -k * (np.ones((n, n)) - np.eye(n)))
+
+    def zero_diagonal(w: np.ndarray) -> np.ndarray:
+        np.fill_diagonal(w, 0.0)
+        return w
+
+    return st.one_of(scaled, inhibition).map(zero_diagonal)
+
+
+def read_masks(n: int):
+    """Masks as a list (duplicates allowed), a set, a range or, as often as
+    the three together, a numpy array of integer dtype or of floats a
+    quarter past an integer, flat or as one column (which int() refuses);
+    mostly in range, sometimes empty."""
+    listed = st.lists(st.one_of(st.integers(0, n - 1), st.integers(-1, n)), max_size=2 * n)
+    ranged = st.tuples(st.integers(-1, n), st.integers(0, n + 1), st.integers(1, 3)).map(lambda r: range(*r))
+
+    def array(indices: list[int], dtype: type, shape: tuple[int, ...]) -> np.ndarray:
+        if dtype is np.float64:
+            return (np.array(indices, dtype=dtype) + 0.25).reshape(shape)
+        return np.array(np.abs(indices), dtype=dtype).reshape(shape)
+
+    dtypes = st.sampled_from([np.int64, np.int32, np.uint8, np.float64])
+    shapes = st.sampled_from([(-1,), (-1,), (-1, 1)])
+    arrays = st.builds(array, st.lists(st.integers(-1, n), max_size=2 * n), dtypes, shapes)
+    return st.sampled_from([listed, listed.map(set), ranged, arrays, arrays, arrays]).flatmap(lambda kind: kind)
+
+
+def read_vectors(n: int):
+    """Length-n activity vectors: mostly seeded uniform entries, cubed for
+    a faint tail below the active threshold or not, on a share of the
+    cells (one at least), else one of ``score_vectors``."""
+
+    def sparse(seed: int, power: int, share: float) -> np.ndarray:
+        values, draws = np.random.default_rng(seed).uniform(0.0, 1.0, (2, n))
+        return values**power * ((draws < share) | (draws == draws.min()))
+
+    drawn = st.builds(sparse, st.integers(0, 2**32 - 1), st.sampled_from([1, 3]), st.sampled_from([0.3, 0.7, 1.0]))
+    return st.integers(0, 3).flatmap(lambda k: drawn if k < 3 else score_vectors(n))  # one_of would draw each once
+
+
+@st.composite
+def read_inputs(draw):
+    """A model of drawn weights and templates, a cue on the model's own
+    layout or another one of its length, a reference (None, of the
+    model's length, or of another length) and a mask, sometimes exactly
+    the cue's active set."""
+    n, grid = draw(layouts())
+    model = Model(WeightMatrix(draw(read_weights(n))), None, TrainerConfig(n=n, grid=grid))
+    cue = Pattern(draw(read_vectors(n)), grid=draw(st.sampled_from([grid, None, (1, n), (n, 1)])))
+    labels = st.sampled_from([None, "a", "b", "c"])
+    for _ in range(draw(st.integers(0, 3))):
+        if model.templates and draw(st.booleans()):  # an exact tie under another label
+            values = model.templates[draw(st.integers(0, len(model.templates) - 1))].values
+        else:
+            values = draw(read_vectors(draw(st.sampled_from([n] * 9 + [n + 1]))))
+        model.templates.append(Pattern(values, label=draw(labels)))
+    lengths = st.sampled_from([None, n, n, n + 1])
+    reference = draw(lengths.flatmap(lambda m: st.none() if m is None else read_vectors(m).map(Pattern)))
+    active = active_set(cue, relative_threshold(cue, model.config.theta_act)).tolist()
+    return model, cue, reference, draw(st.integers(0, 2).flatmap(lambda k: read_masks(n) if k else st.just(active)))
+
+
+def same_read_or_same_error(read, reference_read):
+    """Both reads return the same bits, or both raise the same type and message."""
+    try:
+        want = reference_read()
+    except Exception as exc:
+        with pytest.raises(type(exc)) as raised:
+            read()
+        assert str(raised.value) == str(exc)
+        return
+    assert_same_read(read(), want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(read_inputs())
+def test_generated_reads_match_the_reference_bit_for_bit(inputs):
+    model, cue, reference, masked = inputs
+    same_read_or_same_error(lambda: recall(model, cue, reference), lambda: recall_reference(model, cue, reference))
+    same_read_or_same_error(lambda: complete(model, cue, masked), lambda: complete_reference(model, cue, masked))
+
+
+def test_an_overflowing_response_raises_or_reads_as_zero_as_the_checked_constructor_decides():
+    # 1e120 weights overflow D itself, so the response is not finite and the
+    # checked constructor rejects it; 1e60 weights leave finite entries whose
+    # squares overflow the norm, which scales the output to the zero pattern
+    cue = Pattern(np.array([1.0, 0.5, 0.0, 0.0]))
+
+    def model(scale: float) -> Model:
+        w = np.full((4, 4), scale)
+        np.fill_diagonal(w, 0.0)
+        return Model(WeightMatrix(w), None, TrainerConfig(n=4))
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for read in (lambda m: recall(m, cue), lambda m: complete(m, cue, [3])):
+            with pytest.raises(ParameterError, match="^pattern values must be finite$"):
+                read(model(1e120))
+            output, metrics = read(model(1e60))
+            assert np.array_equal(output.values, np.zeros(4)) and repr(metrics.cosine) == "0.0"
+
+
 def test_recall_metrics_keep_their_own_copies_of_the_scored_vectors():
     model = trained_model()
     a = model.templates[0]
