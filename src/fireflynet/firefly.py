@@ -38,25 +38,24 @@ MAX_SETTLE_SWEEPS = 100
 SETTLE_EPS = 1e-9
 SETTLE_OVERSHOOT = 1.05
 
+# The swarm's polarity split and the coupling that synthesis reads off it:
+# the excitatory share of a spawned population, the deposit kernels' widths
+# in grid pitches, and the inhibitory deposit's strength relative to b.
+EXCIT_FRACTION = 0.7
+KERNEL_PITCHES = 1.5
+INHIB_PITCHES = 3.0
+INHIBITION_GAIN = 1.0
+
 
 @dataclass(frozen=True)
 class SwarmParams:
-    """Swarm movement and sizing knobs.
-
-    ``kernel_pitches``, ``inhib_pitches`` and ``inhibition_gain`` shape
-    the coupling matrix that ``synthesize_weights`` reads off the swarm.
-    """
+    """Swarm movement knobs."""
 
     b: float = 1.0
     gamma: float = 4.0
     eta: float = 0.05
     d_min: float = 0.05
     steps: int = 10
-    excit_fraction: float = 0.7
-    population_factor: float = 1.0
-    kernel_pitches: float = 1.5
-    inhib_pitches: float = 3.0
-    inhibition_gain: float = 1.0
 
     def __post_init__(self) -> None:
         require_integer("steps", self.steps)
@@ -70,16 +69,6 @@ class SwarmParams:
             raise ParameterError(f"d_min must be finite and >= 0, got {self.d_min}")
         if self.steps < 0:
             raise ParameterError(f"steps must be >= 0, got {self.steps}")
-        if not 0.0 <= self.excit_fraction <= 1.0:
-            raise ParameterError(f"excit_fraction must lie in [0,1], got {self.excit_fraction}")
-        if not 0.0 < self.population_factor < math.inf:
-            raise ParameterError(f"population_factor must be finite and > 0, got {self.population_factor}")
-        if not 0.0 < self.kernel_pitches < math.inf:
-            raise ParameterError(f"kernel_pitches must be finite and > 0, got {self.kernel_pitches}")
-        if not 0.0 < self.inhib_pitches < math.inf:
-            raise ParameterError(f"inhib_pitches must be finite and > 0, got {self.inhib_pitches}")
-        if not 0.0 <= self.inhibition_gain < math.inf:
-            raise ParameterError(f"inhibition_gain must be finite and >= 0, got {self.inhibition_gain}")
 
 
 @dataclass(frozen=True)
@@ -147,11 +136,11 @@ class FireflyPopulation:
 
     @classmethod
     def spawn(cls, count: int, params: SwarmParams, rng: np.random.Generator) -> "FireflyPopulation":
-        """Uniform positions; the first round(count * excit_fraction) agents
+        """Uniform positions; the first round(count * EXCIT_FRACTION) agents
         are excitatory, the rest inhibitory."""
         if count < 1:
             raise ParameterError(f"population count must be >= 1, got {count}")
-        n_excit = int(round(count * params.excit_fraction))
+        n_excit = int(round(count * EXCIT_FRACTION))
         excitatory = np.zeros(count, dtype=bool)
         excitatory[:n_excit] = True
         positions = rng.random((count, 2))
@@ -254,11 +243,11 @@ def synthesize_weights(pop: FireflyPopulation, layout: GridLayout, v: float) -> 
     Every agent is assigned to its nearest cell j and contributes
     sign * b * exp(-dist(cell_i, agent)^2 / (2 sigma^2)) to each w_ij.
     Excitatory agents deposit with a narrow kernel (sigma =
-    kernel_pitches grid pitches); inhibitory agents deposit with a wide
-    one (inhib_pitches) scaled by inhibition_gain, giving the
+    KERNEL_PITCHES grid pitches); inhibitory agents deposit with a wide
+    one (INHIB_PITCHES) scaled by INHIBITION_GAIN, giving the
     center-surround shape: cells under the swarm see mostly excitation,
-    cells away from it mostly inhibition.  All four constants come from
-    the population's own ``SwarmParams``.
+    cells away from it mostly inhibition.  b is the population's own
+    ``SwarmParams.b``.
 
     The diagonal is zeroed, each row is scaled so its positive part sums
     to at most 1, and entries are clipped into [-v/2, v].  Rows whose
@@ -288,11 +277,11 @@ def synthesize_weights(pop: FireflyPopulation, layout: GridLayout, v: float) -> 
     # strength[i, f] = strength agent f contributes at cell i
     dx, dy = cx - positions[:, 0], cy - positions[:, 1]
     d2 = dx * dx + dy * dy
-    params = pop.params
-    sig_e = params.kernel_pitches * layout.pitch
-    sig_i = params.inhib_pitches * layout.pitch
+    b = pop.params.b
+    sig_e = KERNEL_PITCHES * layout.pitch
+    sig_i = INHIB_PITCHES * layout.pitch
     width = np.where(pop.excitatory, 2.0 * sig_e * sig_e, 2.0 * sig_i * sig_i)
-    amplitude = np.where(pop.excitatory, params.b, -params.inhibition_gain * params.b)
+    amplitude = np.where(pop.excitatory, b, -INHIBITION_GAIN * b)
     strength = amplitude * np.exp(-d2 / width)
 
     w, scratch = np.zeros((layout.n, layout.n)), np.empty(layout.n)

@@ -71,6 +71,11 @@ TEMPLATE_SIGMA = 1.0
 FUSED_GAP_TARGET = 0.15
 RING_NEIGHBORS = 3  # evolve1d's ring: neighbours per side, each at 1 / (2 k)
 
+# Model constants.
+ACTIVE_FRACTION = 0.1  # active-set threshold, a fraction of the presented pattern's peak
+TOPOLOGY_MIX = 0.3  # pull of the swarm prior on the excitatory weights at each presentation
+INIT_SIGMA_CELLS = 1.5  # width of the random-init distance kernel, in cells
+
 # Seed-stream tags, so every random draw hangs off one master seed.
 _STREAM_WEIGHTS = 0
 _STREAM_POPULATION = 1
@@ -89,25 +94,17 @@ def _int_seed(seed: int, *tags: int) -> int:
 
 @dataclass(frozen=True)
 class TrainerConfig:
-    """Everything a run needs; one instance fully determines a model.
-
-    theta_act is the active-set threshold as a fraction of the presented
-    pattern's peak.  topology_mix is how far the excitatory weights move
-    toward the swarm-synthesized prior at each presentation (0 ignores
-    the swarm structure, 1 replaces the learned weights).
-    """
+    """Everything a run can set; with the module constants, one instance
+    fully determines a model."""
 
     n: int
     grid: tuple[int, int] | None = None
     use_firefly: bool = False
     plasticity: PlasticityParams = field(default_factory=PlasticityParams)
     swarm: SwarmParams = field(default_factory=SwarmParams)
-    theta_act: float = 0.1
     pattern_count: int = 1
     master_seed: int = 0
     epochs: int = 5
-    topology_mix: float = 0.3
-    init_sigma_cells: float = 1.5
 
     def __post_init__(self) -> None:
         for name in ("n", "pattern_count", "master_seed", "epochs"):
@@ -116,25 +113,16 @@ class TrainerConfig:
             raise ParameterError(f"network size must be >= 2, got {self.n}")
         if self.layout().n != self.n:  # GridLayout rejects sides below 1
             raise ShapeMismatchError(f"grid {self.grid} does not match n={self.n}")
-        if not 0.0 <= self.theta_act < math.inf:
-            raise ParameterError(f"theta_act must be finite and >= 0, got {self.theta_act}")
         if self.pattern_count < 1:
             raise ParameterError(f"pattern_count must be >= 1, got {self.pattern_count}")
         if self.master_seed < 0:
             raise ParameterError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.epochs < 1:
             raise ParameterError(f"epochs must be >= 1, got {self.epochs}")
-        if not 0.0 <= self.topology_mix <= 1.0:
-            raise ParameterError(f"topology_mix must lie in [0,1], got {self.topology_mix}")
-        if not 0.0 < self.init_sigma_cells < math.inf:
-            raise ParameterError(f"init_sigma_cells must be finite and > 0, got {self.init_sigma_cells}")
 
     def layout(self) -> GridLayout:
         rows, cols = self.grid if self.grid is not None else (1, self.n)
         return GridLayout(rows, cols)
-
-    def population_size(self) -> int:
-        return max(1, int(round(self.swarm.population_factor * self.n)))
 
 
 @dataclass
@@ -210,22 +198,17 @@ def _row_normalize_capped(w: np.ndarray, v: float) -> np.ndarray:
 
 def init_model(config: TrainerConfig) -> Model:
     """Seeded model: distance-decaying random weights plus a fresh swarm
-    population when the config asks for one."""
+    population of n agents when the config asks for one."""
     n = config.n
     rng = _rng(config.master_seed, _STREAM_WEIGHTS)
-    sigma = config.init_sigma_cells
-    kernel = np.exp(-config.layout().cell_distance_sq() / (2.0 * sigma * sigma))
+    kernel = np.exp(-config.layout().cell_distance_sq() / (2.0 * INIT_SIGMA_CELLS * INIT_SIGMA_CELLS))
     w = kernel * rng.random((n, n))
     np.fill_diagonal(w, 0.0)
     w = _row_normalize_capped(w, config.plasticity.v)
 
     population = None
     if config.use_firefly:
-        population = FireflyPopulation.spawn(
-            config.population_size(),
-            config.swarm,
-            rng=_rng(config.master_seed, _STREAM_POPULATION),
-        )
+        population = FireflyPopulation.spawn(n, config.swarm, rng=_rng(config.master_seed, _STREAM_POPULATION))
     return Model(weights=WeightMatrix(w), population=population, config=config)
 
 
@@ -254,11 +237,10 @@ def present_pattern(model: Model, p: Pattern) -> Model:
         for _ in range(cfg.swarm.steps):
             swarm_step(model.population, p, layout)
         prior = synthesize_weights(model.population, layout, cfg.plasticity.v)
-        rho = cfg.topology_mix
         # Swarm-declared inhibitory surround suppresses learned excitation
         # there; elsewhere the prior pulls excitation toward its layout.
         excitatory[prior.w < 0.0] = 0.0
-        excitatory = (1.0 - rho) * excitatory + rho * prior.positive_part()
+        excitatory = (1.0 - TOPOLOGY_MIX) * excitatory + TOPOLOGY_MIX * prior.positive_part()
         inhibitory = prior.negative_part()
 
     if p.label is not None and all(t.label != p.label for t in model.templates):
@@ -266,7 +248,7 @@ def present_pattern(model: Model, p: Pattern) -> Model:
 
     # every array below is built from checked weights: wrapped, not re-checked
     d = WeightMatrix._wrap(excitatory + inhibitory).resolvent
-    tensor = correlation_tensor(d, active_set(p, relative_threshold(p, cfg.theta_act)))
+    tensor = correlation_tensor(d, active_set(p, relative_threshold(p, ACTIVE_FRACTION)))
 
     start = row_fixed_points(WeightMatrix._wrap(excitatory), tensor, cfg.plasticity)
     evolved, report = evolve_weights(start, tensor, cfg.plasticity)
@@ -328,7 +310,7 @@ def complete(
     """
     cue, masked = _mask(partial, masked_indices)
     output, metrics = recall(model, cue, partial)
-    active = active_set(partial, relative_threshold(partial, model.config.theta_act))
+    active = active_set(partial, relative_threshold(partial, ACTIVE_FRACTION))
     metrics.low_confidence = bool(masked) and masked.issuperset(active.tolist())
     return output, metrics
 
@@ -425,12 +407,9 @@ CONFIG_KEYS: tuple[ConfigKey, ...] = (
     ConfigKey("rows", TrainerConfig, "grid rows (with cols; omit both for a 1D line)", "grid"),
     ConfigKey("cols", TrainerConfig, "grid columns", "grid"),
     ConfigKey("use_firefly", TrainerConfig, "synthesize topology with the swarm before each presentation"),
-    ConfigKey("theta_act", TrainerConfig, "active threshold as a fraction of the pattern peak"),
     ConfigKey("pattern_count", TrainerConfig, "number of stored templates the scenario generates"),
     ConfigKey("master_seed", TrainerConfig, "root of the run's seed hierarchy"),
     ConfigKey("epochs", TrainerConfig, "training passes over the pattern list"),
-    ConfigKey("topology_mix", TrainerConfig, "pull of the swarm prior on excitatory weights, in [0,1]"),
-    ConfigKey("init_sigma_cells", TrainerConfig, "width of the random-init distance kernel, in cells"),
     ConfigKey("alpha", PlasticityParams, "uniform-decay rate of the weight rule"),
     ConfigKey("beta", PlasticityParams, "competition gain of the weight rule"),
     ConfigKey("v", PlasticityParams, "saturation ceiling on excitatory weights"),
@@ -441,11 +420,6 @@ CONFIG_KEYS: tuple[ConfigKey, ...] = (
     ConfigKey("swarm_eta", SwarmParams, "jitter amplitude of swarm moves", "eta"),
     ConfigKey("swarm_d_min", SwarmParams, "minimum agent spacing", "d_min"),
     ConfigKey("swarm_steps", SwarmParams, "swarm updates per presentation", "steps"),
-    ConfigKey("excit_fraction", SwarmParams, "fraction of excitatory agents"),
-    ConfigKey("population_factor", SwarmParams, "agents per cell (population = factor * n)"),
-    ConfigKey("kernel_pitches", SwarmParams, "excitatory deposit kernel width in grid pitches"),
-    ConfigKey("inhib_pitches", SwarmParams, "inhibitory deposit kernel width in grid pitches"),
-    ConfigKey("inhibition_gain", SwarmParams, "inhibitory deposit strength relative to excitatory"),
 )
 
 CONFIG_KEY_HELP: dict[str, str] = {spec.key: spec.help for spec in CONFIG_KEYS}
@@ -531,6 +505,14 @@ _RETIRED_KEYS = {
     "recall_iterations": "1",
     "reset_per_pattern": "false",
     "boundary": "open",
+    "theta_act": "0.1",
+    "topology_mix": "0.3",
+    "init_sigma_cells": "1.5",
+    "excit_fraction": "0.7",
+    "population_factor": "1.0",
+    "kernel_pitches": "1.5",
+    "inhib_pitches": "3.0",
+    "inhibition_gain": "1.0",
 }
 
 
@@ -554,7 +536,6 @@ def load_model(model_dir: str | Path) -> Model:
         raise ShapeMismatchError(
             f"weights are {w.shape[0]}x{w.shape[0]} but config says n={config.n}"
         )
-    np.fill_diagonal(w, 0.0)
     population = None
     pop_file = root / "population.csv"
     if pop_file.exists():
@@ -744,12 +725,10 @@ def _corruption(report: ExperimentReport, config: TrainerConfig, seed: int, emit
     for k, template in enumerate(templates):
         if report.name == "denoise":
             cue = add_noise(template, NOISE_LEVEL, _int_seed(seed, _STREAM_NOISE, k))
-            output, metrics = recall(model, cue, template)
         else:
             rng = _rng(seed, _STREAM_MASK, k)
-            masked = rng.choice(scfg.n, size=int(round(MASK_FRACTION * scfg.n)), replace=False)
-            cue = mask(template, masked)
-            output, metrics = complete(model, template, masked)
+            cue = mask(template, rng.choice(scfg.n, size=int(round(MASK_FRACTION * scfg.n)), replace=False))
+        output, metrics = recall(model, cue, template)  # scored against the clean template
         baseline = cosine(cue, template)
         report.rows.append(
             {

@@ -19,8 +19,10 @@ import numpy as np
 
 from fireflynet.dynamics import truncated_resolvent
 from fireflynet.errors import ParameterError, PatternAnnihilatedError, ShapeMismatchError
+from fireflynet.firefly import INHIB_PITCHES, INHIBITION_GAIN, KERNEL_PITCHES
 from fireflynet.patterns import NORM_EPS, Pattern, relative_threshold
 from fireflynet.plasticity import STEP_FRACTION
+from fireflynet.trainer import ACTIVE_FRACTION
 
 
 def gauss_value(x: float, mu: float, sigma: float) -> float:
@@ -372,11 +374,11 @@ def synthesize_weights_reference(pop, layout, v) -> np.ndarray:
     assigned = layout.nearest_cell(pop.positions)
     # kernel[i, f] = strength agent f contributes at cell i
     d2 = ((cells[:, None, :] - pop.positions[None, :, :]) ** 2).sum(axis=2)
-    params = pop.params
-    sig_e = params.kernel_pitches * layout.pitch
-    sig_i = params.inhib_pitches * layout.pitch
+    b = pop.params.b
+    sig_e = KERNEL_PITCHES * layout.pitch
+    sig_i = INHIB_PITCHES * layout.pitch
     width = np.where(pop.excitatory, 2.0 * sig_e * sig_e, 2.0 * sig_i * sig_i)
-    amplitude = np.where(pop.excitatory, params.b, -params.inhibition_gain * params.b)
+    amplitude = np.where(pop.excitatory, b, -INHIBITION_GAIN * b)
     kernel = amplitude * np.exp(-d2 / width)
 
     w = np.zeros((layout.n, layout.n))
@@ -493,6 +495,6 @@ def complete_reference(model, partial, masked_indices):
     cue = mask_reference(partial, masked)
     output, _ = recall_reference(model, cue)
     metrics = similarity_reference(output, partial, model.templates)
-    active = np.flatnonzero(partial.values > relative_threshold(partial, model.config.theta_act))
+    active = np.flatnonzero(partial.values > relative_threshold(partial, ACTIVE_FRACTION))
     metrics.low_confidence = bool(masked) and all(i in set(masked) for i in active.tolist())
     return output, metrics

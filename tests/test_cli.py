@@ -147,7 +147,7 @@ def test_recall_rejects_an_override_that_changes_the_network_size(tmp_path, caps
     assert not out.exists()
 
 
-@pytest.mark.parametrize("override", [["--set", "theta_act=0.1"], ["--seed", "1"]], ids=["set", "seed-flag"])
+@pytest.mark.parametrize("override", [["--set", "epochs=5"], ["--seed", "1"]], ids=["set", "seed-flag"])
 def test_recall_rejects_model_keys_and_writes_nothing(tmp_path, capsys, override):
     # no model key changes what recall computes, so none is taken
     model_dir = train_small_model(tmp_path)
@@ -155,7 +155,7 @@ def test_recall_rejects_model_keys_and_writes_nothing(tmp_path, capsys, override
     save_pattern_csv(gaussian_2d(3, 3, 1.0, 1.0, 1.0, 1.0), cue)
     out = tmp_path / "r"
     assert main(["recall", "--model", str(model_dir), "--cue", str(cue), "--out", str(out), *override]) == 2
-    named = "theta_act" if override[0] == "--set" else "master_seed"
+    named = "epochs" if override[0] == "--set" else "master_seed"
     err = capsys.readouterr().err
     assert err == f"config error: recall takes no model keys, the saved model fixes them: {named}\n"
     assert not out.exists()
@@ -384,21 +384,26 @@ def test_a_saved_agent_off_the_square_is_a_data_error(tmp_path, swarm_model, cap
 
 
 def with_retired_lines(config_text: str, recall_iterations: str = "1") -> str:
-    """A grid model's config.cfg as saved while boundary, learn_schedule,
-    recall_iterations and reset_per_pattern were keys: each echoed after
-    the key before it."""
+    """A grid swarm model's config.cfg as saved while all twelve retired
+    keys existed, each echoed after the surviving key before it."""
     after = {
-        "cols": "boundary = open",
-        "use_firefly": "learn_schedule = onset",
-        "topology_mix": f"recall_iterations = {recall_iterations}",
-        "population_factor": "reset_per_pattern = false",
+        "cols": ["boundary = open"],
+        "use_firefly": ["learn_schedule = onset", "theta_act = 0.1"],
+        "epochs": ["topology_mix = 0.3", f"recall_iterations = {recall_iterations}", "init_sigma_cells = 1.5"],
+        "swarm_steps": [
+            "excit_fraction = 0.7",
+            "population_factor = 1.0",
+            "reset_per_pattern = false",
+            "kernel_pitches = 1.5",
+            "inhib_pitches = 3.0",
+            "inhibition_gain = 1.0",
+        ],
     }
     lines = []
     for line in config_text.splitlines():
         lines.append(line)
-        key = line.split(" = ", 1)[0]
-        if key in after:
-            lines.append(after[key])
+        lines += after.get(line.split(" = ", 1)[0], [])
+    assert len(lines) == len(config_text.splitlines()) + 12  # every anchor was found
     return "\n".join(lines) + "\n"
 
 
@@ -422,6 +427,24 @@ def test_a_model_saved_with_the_retired_keys_recalls_to_the_same_bytes(tmp_path,
         "config error: recall_iterations was removed; a saved model can only hold recall_iterations = 1\n"
     )
     assert not out.exists()
+
+
+def test_a_saved_nonzero_diagonal_entry_is_a_data_error(tmp_path, swarm_model, capsys):
+    # load_model checks the diagonal it reads instead of zeroing it; a signed zero is still zero
+    model = tmp_path / "model"
+    shutil.copytree(swarm_model / "model", model)
+    weights = model / "w_matrix.csv"
+    lines = weights.read_text().splitlines()
+    row = lines[2].split(",")  # cell 1's row, after the size line
+    assert row[1] == "0"
+    cue = ["--cue", str(swarm_model / "cue.csv")]
+    for entry, code in (("-0", 0), ("1e-300", 3)):
+        lines[2] = ",".join([row[0], entry, *row[2:]])
+        weights.write_text("\n".join(lines) + "\n")
+        out = tmp_path / f"r{code}"
+        assert main(["recall", "--model", str(model), *cue, "--out", str(out)]) == code
+        assert out.exists() == (code == 0)
+    assert capsys.readouterr().err.endswith("data error: weight matrix diagonal must be exactly zero\n")
 
 
 def test_recall_of_a_wiped_out_response_writes_a_black_raster(tmp_path, capsys):
@@ -499,6 +522,14 @@ def test_experiment_rejects_unknown_names_and_keys(tmp_path, capsys):
         ("reset_per_pattern", "false"),
         ("boundary", "open"),
         ("hand_wired_neighbors", "3"),
+        ("theta_act", "0.1"),
+        ("topology_mix", "0.3"),
+        ("init_sigma_cells", "1.5"),
+        ("excit_fraction", "0.7"),
+        ("population_factor", "1.0"),
+        ("kernel_pitches", "1.5"),
+        ("inhib_pitches", "3.0"),
+        ("inhibition_gain", "1.0"),
     ],
 )
 def test_retired_keys_are_unknown_to_set_and_config(tmp_path, capsys, key, value):

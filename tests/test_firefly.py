@@ -164,7 +164,7 @@ def test_layout_rejects_degenerate_sides():
 # ---------------------------------------------------------------------------
 
 def test_spawn_polarity_split_and_ranges():
-    pop = FireflyPopulation.spawn(10, SwarmParams(excit_fraction=0.7), rng=np.random.default_rng(3))
+    pop = FireflyPopulation.spawn(10, SwarmParams(), rng=np.random.default_rng(3))
     assert len(pop) == 10
     assert pop.n_excitatory == 7
     assert np.all(pop.excitatory[:7]) and not np.any(pop.excitatory[7:])
@@ -185,11 +185,6 @@ def test_swarm_params_reject_bad_values():
         dict(eta=-0.01),
         dict(d_min=-0.1),
         dict(steps=-1),
-        dict(excit_fraction=1.2),
-        dict(population_factor=0.0),
-        dict(kernel_pitches=0.0),
-        dict(inhib_pitches=-2.0),
-        dict(inhibition_gain=-0.5),
     ):
         with pytest.raises(ParameterError):
             SwarmParams(**bad)
@@ -704,8 +699,7 @@ def test_a_settle_the_kernel_cannot_allocate_for_raises_memory_error(monkeypatch
 # ---------------------------------------------------------------------------
 
 def test_synthesis_from_pure_excitation_is_nonnegative_with_unit_rows():
-    params = SwarmParams(excit_fraction=1.0, d_min=0.0)
-    pop = FireflyPopulation.spawn(200, params, rng=np.random.default_rng(21))
+    pop = manual_population(np.random.default_rng(21).random((200, 2)), [True] * 200, SwarmParams(d_min=0.0))
     layout = GridLayout(5, 5)
     wm = synthesize_weights(pop, layout, 0.5)
     assert np.all(wm.w >= 0.0)
@@ -789,18 +783,13 @@ def coordinate(side: int):
 def synthesis_inputs(draw):
     """A population over a grid of up to 11x11 cells, or one of more than 128
     cells, where numpy's pairwise row sum splits; at least one agent
-    excitatory; a zero inhibition gain and narrow kernels give signed zeros."""
+    excitatory; on the 1x130 line far deposits underflow to zero."""
     sides = st.tuples(st.integers(1, 11), st.integers(1, 11)) | st.sampled_from(((12, 12), (16, 9), (1, 130), (20, 15)))
     (rows, cols), count = draw(sides), draw(st.integers(1, 40))
     points = [(draw(coordinate(cols)), draw(coordinate(rows))) for _ in range(count)]
     excitatory = draw(st.lists(st.booleans(), min_size=count, max_size=count))
     excitatory[draw(st.integers(0, count - 1))] = True
-    params = SwarmParams(
-        b=draw(st.floats(0.05, 3.0)),
-        kernel_pitches=draw(st.floats(0.05, 4.0)),
-        inhib_pitches=draw(st.floats(0.05, 6.0)),
-        inhibition_gain=draw(st.just(0.0) | st.floats(0.0, 3.0)),
-    )
+    params = SwarmParams(b=draw(st.floats(0.05, 3.0)))
     return manual_population(points, excitatory, params), GridLayout(rows, cols), draw(st.floats(0.01, 1.0))
 
 

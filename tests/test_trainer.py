@@ -27,6 +27,7 @@ from fireflynet.patterns import (
 )
 from fireflynet.plasticity import PlasticityParams, evolve_weights, row_fixed_points
 from fireflynet.trainer import (
+    ACTIVE_FRACTION,
     CONFIG_KEY_HELP,
     CONFIG_KEYS,
     ExperimentReport,
@@ -88,13 +89,7 @@ def test_config_rejects_inconsistent_fields():
     with pytest.raises(ParameterError, match="master_seed must be >= 0, got -1"):
         TrainerConfig(n=9, master_seed=-1)
     with pytest.raises(ParameterError):
-        TrainerConfig(n=9, theta_act=-0.1)
-    with pytest.raises(ParameterError):
         TrainerConfig(n=9, epochs=0)
-    with pytest.raises(ParameterError):
-        TrainerConfig(n=9, topology_mix=1.5)
-    with pytest.raises(ParameterError):
-        TrainerConfig(n=9, init_sigma_cells=0.0)
 
 
 FLOAT_FIELDS = [(cls, f.name) for cls in (SwarmParams, PlasticityParams, TrainerConfig)
@@ -125,9 +120,9 @@ def test_every_integer_parameter_rejects_a_non_integer(cls, name):
 
 
 def test_config_derived_helpers():
-    cfg = TrainerConfig(n=12, grid=(3, 4), swarm=SwarmParams(population_factor=2.0))
+    cfg = TrainerConfig(n=12, grid=(3, 4), use_firefly=True)
     assert (cfg.layout().rows, cfg.layout().cols) == (3, 4)
-    assert cfg.population_size() == 24
+    assert len(init_model(cfg).population) == 12  # one agent per cell
     line = TrainerConfig(n=7)
     assert (line.layout().rows, line.layout().cols) == (1, 7)
 
@@ -301,7 +296,7 @@ def test_learning_favors_connections_inside_the_active_set():
         model = init_model(cfg)
         p = center_bump()
         present_pattern(model, p)
-        act = set(active_set(p, relative_threshold(p, cfg.theta_act)).tolist())
+        act = set(active_set(p, relative_threshold(p, ACTIVE_FRACTION)).tolist())
         inact = [i for i in range(25) if i not in act]
         w = model.weights.w
         aa = np.mean([w[i, j] for i in act for j in act if i != j])
@@ -399,7 +394,7 @@ def read_path_cases(model):
     cues = [a, add_noise(a, 0.3, 11), gaussian_2d(5, 5, 0.5, 3.5, 1.2, 0.8)]
     for cue in cues + cues:
         assert_same_read(recall(model, cue), recall_reference(model, cue))
-    covered = active_set(a, relative_threshold(a, model.config.theta_act)).tolist()
+    covered = active_set(a, relative_threshold(a, ACTIVE_FRACTION)).tolist()
     for masked, flagged in ((covered, True), ([0, 7, 24], False)):
         got = complete(model, a, masked)
         assert got[1].low_confidence is flagged
@@ -546,7 +541,7 @@ def read_inputs(draw):
         model.templates.append(Pattern(values, label=draw(labels)))
     lengths = st.sampled_from([None, n, n, n + 1])
     reference = draw(lengths.flatmap(lambda m: st.none() if m is None else read_vectors(m).map(Pattern)))
-    active = active_set(cue, relative_threshold(cue, model.config.theta_act)).tolist()
+    active = active_set(cue, relative_threshold(cue, ACTIVE_FRACTION)).tolist()
     return model, cue, reference, draw(st.integers(0, 2).flatmap(lambda k: read_masks(n) if k else st.just(active)))
 
 
@@ -670,24 +665,10 @@ def test_config_round_trips_through_text():
         grid=(3, 4),
         use_firefly=True,
         plasticity=PlasticityParams(alpha=0.02, beta=0.8, v=0.4, max_steps=123, tol=1e-7),
-        swarm=SwarmParams(
-            b=1.5,
-            gamma=2.0,
-            eta=0.1,
-            d_min=0.02,
-            steps=7,
-            excit_fraction=0.6,
-            population_factor=2.0,
-            kernel_pitches=1.2,
-            inhib_pitches=2.5,
-            inhibition_gain=0.9,
-        ),
-        theta_act=0.2,
+        swarm=SwarmParams(b=1.5, gamma=2.0, eta=0.1, d_min=0.02, steps=7),
         pattern_count=4,
         master_seed=9,
         epochs=3,
-        topology_mix=0.5,
-        init_sigma_cells=2.0,
     )
     back = config_from_dict(parse_kv_text(format_kv(config_to_dict(cfg))))
     assert back == cfg
@@ -812,6 +793,14 @@ def test_loading_rejects_a_size_mismatch(tmp_path):
         ("recall_iterations", "1", "2"),
         ("reset_per_pattern", "false", "true"),
         ("boundary", "open", "periodic"),
+        ("theta_act", "0.1", "0.2"),
+        ("topology_mix", "0.3", "0.5"),
+        ("init_sigma_cells", "1.5", "2.0"),
+        ("excit_fraction", "0.7", "0.6"),
+        ("population_factor", "1.0", "2.0"),
+        ("kernel_pitches", "1.5", "1.2"),
+        ("inhib_pitches", "3.0", "2.5"),
+        ("inhibition_gain", "1.0", "0.9"),
     ],
 )
 def test_a_retired_key_loads_only_at_the_value_that_stayed(tmp_path, key, kept, other):
