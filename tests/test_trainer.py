@@ -816,6 +816,31 @@ def test_a_retired_key_loads_only_at_the_value_that_stayed(tmp_path, key, kept, 
         load_model(tmp_path)
 
 
+RETIRED_FLOATS = {
+    "theta_act": "0.1",
+    "topology_mix": "0.3",
+    "init_sigma_cells": "1.5",
+    "excit_fraction": "0.7",
+    "population_factor": "1.0",
+    "kernel_pitches": "1.5",
+    "inhib_pitches": "3.0",
+    "inhibition_gain": "1.0",
+}
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", RETIRED_FLOATS)
+def test_a_retired_float_key_refuses_nan_and_infinities(tmp_path, key, bad):
+    # these were float fields that rejected non-finite values; a saved
+    # config.cfg holding one is still refused, and the error names the key
+    save_model(zero_model(9, grid=(3, 3)), tmp_path)
+    cfg_file = tmp_path / "config.cfg"
+    cfg_file.write_text(f"{cfg_file.read_text()}{key} = {bad}\n")
+    kept = RETIRED_FLOATS[key]
+    with pytest.raises(ConfigError, match=f"^{key} was removed; a saved model can only hold {key} = {kept}$"):
+        load_model(tmp_path)
+
+
 # ---------------------------------------------------------------------------
 # experiments
 # ---------------------------------------------------------------------------
