@@ -353,6 +353,9 @@ def main(argv: list[str] | None = None) -> int:
     except CompilerError as exc:  # the host lacks a tool; nothing internal failed
         print(exc, file=sys.stderr)
         return 4
+    except MemoryError as exc:  # the host lacks the memory the run asks for; nothing internal failed
+        print(f"out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
+        return 5
     except FireflynetError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4

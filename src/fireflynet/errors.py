@@ -30,7 +30,7 @@ class PatternAnnihilatedError(FireflynetError, ValueError):
 
 
 class CompilerError(FireflynetError, RuntimeError):
-    """No working C compiler built the C kernel: the host lacks a tool."""
+    """No working C compiler, or no Python.h, built the C kernel: the host lacks a tool."""
 
 
 class ConfigError(FireflynetError, ValueError):

@@ -25,7 +25,7 @@ import numpy as np
 
 from .dynamics import WeightMatrix
 from .errors import FormatError, ParameterError, ShapeMismatchError, require_integer
-from .kernel import address, load_kernel
+from .kernel import load_kernel
 from .patterns import FLOAT_FMT, Pattern, read_text, write_table
 
 # Settling passes before giving up on the spacing constraint, the slack
@@ -195,8 +195,8 @@ def swarm_step(pop: FireflyPopulation, activity: Pattern, layout: GridLayout) ->
     positions, params = _agents(pop), pop.params
     brightness = np.empty(len(positions))
     status = load_kernel().swarm_move(
-        address(positions), len(positions), pop.rng.bit_generator.ctypes.bit_generator, address(brightness),
-        address(values), rows, cols, params.b, -params.gamma, params.eta,
+        positions, len(positions), pop.rng.bit_generator.capsule, brightness, values, rows, cols,
+        params.b, -params.gamma, params.eta,
     )
     if status < 0:  # agent -1 - status off the unit square or not finite
         raise _off_square(positions, -1 - status)
@@ -225,7 +225,7 @@ def enforce_min_distance(pop: FireflyPopulation) -> FireflyPopulation:
     """
     positions, d_min = _agents(pop), pop.params.d_min
     status = load_kernel().swarm_settle(
-        address(positions), len(positions), pop.rng.bit_generator.ctypes.bit_generator,
+        positions, len(positions), pop.rng.bit_generator.capsule,
         d_min - SETTLE_EPS, SETTLE_OVERSHOOT * d_min, MAX_SETTLE_SWEEPS,
     )
     if status < 0:
@@ -285,8 +285,7 @@ def synthesize_weights(pop: FireflyPopulation, layout: GridLayout, v: float) -> 
     strength = amplitude * np.exp(-d2 / width)
 
     w, scratch = np.zeros((layout.n, layout.n)), np.empty(layout.n)
-    agents = (address(positions), len(positions), address(strength))
-    load_kernel().synthesize(*agents, address(w), address(scratch), layout.rows, layout.cols, v)
+    load_kernel().synthesize(positions, len(positions), strength, w, scratch, layout.rows, layout.cols, v)
     return WeightMatrix._wrap(w)
 
 

@@ -1,13 +1,15 @@
 /* The swarm's move pass and spacing settle, weight synthesis after its exp,
  * and the weight rows' fixed-point solve and Euler step, for firefly.py and
- * plasticity.py: kernel.py builds this file, declares each entry point and
- * hands arrays over by address through ctypes.  Positions are (x, y) pairs,
+ * plasticity.py: kernel.py builds this file as a CPython extension module whose
+ * functions, at the end, hand numpy arrays to them.  Positions are (x, y) pairs,
  * agent after agent; the swarm's calls update them in place.  The results
  * equal, bit for bit, the plain loops and the numpy code in tests/oracles.py:
  * every expression keeps their grouping and order, the build neither fuses
  * nor reorders floating-point operations (-ffp-contract=off, no -ffast-math),
  * and exp, cos and sin are libm's, as math's are.  Row sums mirror numpy's
  * pairwise_sum, so their bits depend on that order: the oracle tests check it. */
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
@@ -273,3 +275,83 @@ void synthesize(const double *pos, long count, const double *strength, double *w
             wi[j] = clip(wi[j] / scale, -0.5 * v, v);
     }
 }
+
+/* The module's functions: each takes its entry point's arguments in order,
+ * a C-contiguous float64 array for each pointer and rng.bit_generator.capsule
+ * for the generator, and returns what the entry point returns.  Before the
+ * call each checks that every array holds exactly the doubles the entry
+ * point reads, and that an array it writes is writable; a mismatch raises. */
+struct args { Py_buffer view[5]; double *p[5]; long n[3]; double x[4]; bitgen_t *rng; int views; };
+
+/* Fills a from the arguments as spec reads them: w an array the entry point
+ * writes, r one it only reads, g the generator, l a long, d a double.
+ * Returns 1, or 0 with an exception set. */
+static int parse(PyObject *const *args, Py_ssize_t nargs, const char *spec, struct args *a)
+{
+    int longs = 0, doubles = 0;
+    if (nargs != (Py_ssize_t)strlen(spec))
+        return PyErr_Format(PyExc_TypeError, "the kernel takes %zu arguments, not %zd", strlen(spec), nargs), 0;
+    for (; *spec; spec++, args++) {
+        if (*spec == 'g')
+            a->rng = PyCapsule_GetPointer(*args, "BitGenerator");
+        else if (*spec == 'l')
+            a->n[longs++] = PyLong_AsLong(*args);
+        else if (*spec == 'd')
+            a->x[doubles++] = PyFloat_AsDouble(*args);
+        else if (!PyObject_GetBuffer(*args, &a->view[a->views], PyBUF_C_CONTIGUOUS | PyBUF_FORMAT
+                                     | (*spec == 'w' ? PyBUF_WRITABLE : 0)))
+            a->p[a->views] = a->view[a->views].buf, a->views++;
+        if (PyErr_Occurred())
+            return 0;
+    }
+    return 1;
+}
+
+/* Whether array k holds exactly rows x cols float64; raises ValueError if not. */
+static int sized(const struct args *a, int k, long rows, long cols)
+{
+    const Py_buffer *view = &a->view[k];
+    long bytes;
+    if (rows >= 0 && cols >= 0 && !__builtin_mul_overflow(rows, cols, &bytes) && !strcmp(view->format, "d")
+        && !__builtin_mul_overflow(bytes, (long)sizeof(double), &bytes) && view->len == bytes)
+        return 1;
+    PyErr_Format(PyExc_ValueError, "kernel array %d is not %ld x %ld float64 but %zd bytes of '%s'", k, rows, cols,
+                 view->len, view->format);
+    return 0;
+}
+
+/* Whether arrays 0 to k - 1 each hold n x n float64, n the first long. */
+static int squares(const struct args *a, int k) { return !k || (squares(a, k - 1) && sized(a, k - 1, *a->n, *a->n)); }
+
+/* A module function that fills a by spec and, where checks then hold, returns result. */
+#define WRAP(name, spec, checks, result)                                                           \
+    static PyObject *py_##name(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs) \
+    {                                                                                              \
+        struct args a = {.views = 0};                                                              \
+        PyObject *out = parse(args, nargs, spec, &a) && (checks) ? (result) : NULL;                 \
+        while (a.views)                                                                            \
+            PyBuffer_Release(&a.view[--a.views]);                                                  \
+        return out;                                                                                \
+    }
+/* a cell index reaches rows - 1 and cols - 1, so an empty activity fails */
+WRAP(swarm_move, "wlgwrllddd", sized(&a, 0, a.n[0], 2) && sized(&a, 1, a.n[0], 1)
+     && sized(&a, 2, a.n[1] ? a.n[1] : -1, a.n[2] ? a.n[2] : -1),
+     PyLong_FromLong(swarm_move(a.p[0], a.n[0], a.rng, a.p[1], a.p[2], a.n[1], a.n[2], a.x[0], a.x[1], a.x[2])))
+WRAP(swarm_settle, "wlgddl", sized(&a, 0, a.n[0], 2),
+     PyLong_FromLong(swarm_settle(a.p[0], a.n[0], a.rng, a.x[0], a.x[1], a.n[1])))
+WRAP(row_fixed_points, "rrwldddd", squares(&a, 3),
+     PyLong_FromLong(row_fixed_points(a.p[0], a.p[1], a.p[2], a.n[0], a.x[0], a.x[1], a.x[2], a.x[3])))
+WRAP(euler_step, "rrwwwldddd", squares(&a, 4) && sized(&a, 4, a.n[0] + 4, 1), /* n x n fits, so n + 4 does */
+     PyFloat_FromDouble(euler_step(a.p[0], a.p[1], a.p[2], a.p[3], a.p[4], a.n[0], a.x[0], a.x[1], a.x[2], a.x[3])))
+/* the scratch row holds n = rows cols doubles, so n fits */
+WRAP(synthesize, "rlrwwlld", sized(&a, 3, a.n[1], a.n[2]) && sized(&a, 2, a.n[1] * a.n[2], a.n[1] * a.n[2])
+     && sized(&a, 1, a.n[1] * a.n[2], a.n[0]) && sized(&a, 0, a.n[0], 2),
+     (synthesize(a.p[0], a.n[0], a.p[1], a.p[2], a.p[3], a.n[1], a.n[2], a.x[0]), Py_NewRef(Py_None)))
+
+#define ENTRY(name) {#name, (PyCFunction)(void (*)(void))py_##name, METH_FASTCALL, NULL}
+static PyMethodDef entries[] = {ENTRY(swarm_move), ENTRY(swarm_settle), ENTRY(row_fixed_points), ENTRY(euler_step),
+                                ENTRY(synthesize), {NULL, NULL, 0, NULL}};
+static struct PyModuleDef kernel = {.m_base = PyModuleDef_HEAD_INIT, .m_name = "kernel", .m_size = -1,
+                                    .m_methods = entries};
+
+PyMODINIT_FUNC PyInit_kernel(void) { return PyModule_Create(&kernel); }

@@ -32,7 +32,7 @@ import numpy as np
 
 from .dynamics import WeightMatrix
 from .errors import ParameterError, ShapeMismatchError, require_integer
-from .kernel import address, load_kernel
+from .kernel import load_kernel
 from .patterns import write_table
 
 # The share of the stability bound 1 / (alpha * n + beta * max|T|) that a
@@ -97,8 +97,7 @@ def haeussler_rhs(w: WeightMatrix, t: np.ndarray, params: PlasticityParams) -> n
     _check_sizes(w, t)
     n, ww, tt = w.n, np.ascontiguousarray(w.w), np.ascontiguousarray(t, dtype=float)
     f, following, stats = np.empty((n, n)), np.empty((n, n)), np.empty(n + 4)
-    arrays = (ww.ctypes.data, address(tt), address(f), address(following), address(stats))
-    load_kernel().euler_step(*arrays, n, params.alpha, params.beta, 0.0, params.v)
+    load_kernel().euler_step(ww, tt, f, following, stats, n, params.alpha, params.beta, 0.0, params.v)
     return f
 
 
@@ -157,15 +156,12 @@ def evolve_weights(
     n, dt = w.n, params._step(w.n, peak)
     tt, f, stats, rows = np.ascontiguousarray(t, dtype=float), np.empty((n, n)), np.empty(n + 4), []
     euler, rule = load_kernel().euler_step, (n, params.alpha, params.beta, dt, params.v)
-    at_t, at_f, at_stats = address(tt), address(f), address(stats)
     current = np.ascontiguousarray(w.w)
-    source = current.ctypes.data  # WeightMatrix.w is read-only, which address reaches only through an exception
     for _ in range(params.max_steps):
-        previous, current = current, np.empty((n, n))  # previous keeps source's memory alive
-        target = address(current)
-        change = euler(source, at_t, at_f, target, at_stats, *rule)
+        previous, current = current, np.empty((n, n))
+        change = euler(previous, tt, f, current, stats, *rule)
         rows.append(stats[:4].tolist())  # stats: the trace row, then the row sums
-        source, converged = target, change < params.tol * dt
+        converged = change < params.tol * dt
         if converged:
             break
     return WeightMatrix._wrap(current), EvolveReport(len(rows), converged, rows[-1][0], np.array(rows))
@@ -195,6 +191,6 @@ def row_fixed_points(w: WeightMatrix, t: np.ndarray, params: PlasticityParams) -
         return w
     tol = 0.5 * params.tol / (beta * v) if beta * v > 0.0 else math.inf
     ww, tt, out = np.ascontiguousarray(w.w), np.ascontiguousarray(t, dtype=float), np.empty((w.n, w.n))
-    if load_kernel().row_fixed_points(ww.ctypes.data, address(tt), address(out), w.n, alpha, beta, v, tol):
+    if load_kernel().row_fixed_points(ww, tt, out, w.n, alpha, beta, v, tol):
         raise MemoryError(f"no memory for the fixed points of {w.n} weight rows")
     return WeightMatrix._wrap(out)

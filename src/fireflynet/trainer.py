@@ -498,21 +498,21 @@ def save_model(model: Model, out_dir: str | Path) -> None:
             save_pattern_csv(t, tdir / name)
 
 
-# Removed keys that every config.cfg saved while they existed echoes, with
-# the one value such a model can still be loaded at.
+# Removed keys that every config.cfg saved while they existed echoes, with the one
+# value such a model can still be loaded at; a former float field's, in any text.
 _RETIRED_KEYS = {
     "learn_schedule": "onset",
     "recall_iterations": "1",
     "reset_per_pattern": "false",
     "boundary": "open",
-    "theta_act": "0.1",
-    "topology_mix": "0.3",
-    "init_sigma_cells": "1.5",
-    "excit_fraction": "0.7",
-    "population_factor": "1.0",
-    "kernel_pitches": "1.5",
-    "inhib_pitches": "3.0",
-    "inhibition_gain": "1.0",
+    "theta_act": 0.1,
+    "topology_mix": 0.3,
+    "init_sigma_cells": 1.5,
+    "excit_fraction": 0.7,
+    "population_factor": 1.0,
+    "kernel_pitches": 1.5,
+    "inhib_pitches": 3.0,
+    "inhibition_gain": 1.0,
 }
 
 
@@ -528,7 +528,7 @@ def load_model(model_dir: str | Path) -> Model:
     root = Path(model_dir)
     kv = parse_kv_text(read_text(root / "config.cfg"))
     for key, kept in _RETIRED_KEYS.items():
-        if key in kv and kv.pop(key) != kept:
+        if key in kv and (kv.pop(key) if isinstance(kept, str) else _parse_num(key, kv.pop(key), float)) != kept:
             raise ConfigError(f"{key} was removed; a saved model can only hold {key} = {kept}")
     config = config_from_dict(kv)
     w = load_matrix_csv(root / "w_matrix.csv")

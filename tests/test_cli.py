@@ -447,6 +447,25 @@ def test_a_saved_nonzero_diagonal_entry_is_a_data_error(tmp_path, swarm_model, c
     assert capsys.readouterr().err.endswith("data error: weight matrix diagonal must be exactly zero\n")
 
 
+@pytest.mark.parametrize(
+    "raised, line",
+    [
+        (MemoryError("no memory for the fixed points of 9 weight rows"),
+         "out of memory: no memory for the fixed points of 9 weight rows\n"),
+        (MemoryError(), "out of memory: an allocation failed\n"),  # Python's own carry no message
+    ],
+)
+def test_a_run_out_of_memory_exits_5_with_one_line(tmp_path, monkeypatch, capsys, raised, line):
+    def no_memory(*args):
+        raise raised
+
+    pats = tmp_path / "pats"
+    write_patterns(pats)
+    monkeypatch.setattr("fireflynet.trainer.row_fixed_points", no_memory)  # every presentation's solve
+    assert main(["train", "--patterns", str(pats), "--out", str(tmp_path / "model"), *SMALL]) == 5
+    assert capsys.readouterr().err == line
+
+
 def test_recall_of_a_wiped_out_response_writes_a_black_raster(tmp_path, capsys):
     # cell 1 excites cell 0 and cell 0 inhibits cell 1: the series
     # D = I + W + W^2 + W^3 cancels to zero on both, so the response to a

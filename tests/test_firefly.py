@@ -330,7 +330,7 @@ def test_moves_match_the_all_pairs_loop_for_generated_swarms(inputs):
 
 
 def test_a_strided_activity_moves_the_swarm_as_its_contiguous_copy():
-    # the kernel reads the activity by address, so a view of every other
+    # the kernel reads the activity as a C-contiguous buffer, so a view of every other
     # entry must reach it as the entries, not as the memory they sit in
     big = np.random.default_rng(3).random(50)
     runs = []
@@ -342,7 +342,7 @@ def test_a_strided_activity_moves_the_swarm_as_its_contiguous_copy():
 
 
 def test_a_read_only_activity_moves_the_swarm_as_its_writable_copy():
-    # address reaches a read-only array's data through .ctypes.data, not from_buffer
+    # the kernel only reads the activity, so it takes a read-only buffer
     values = np.random.default_rng(3).random(25)
     values.flags.writeable = False
     read_only, writable = Pattern(values, grid=(5, 5)), Pattern(values.copy(), grid=(5, 5))
@@ -631,7 +631,7 @@ def test_pairs_within_two_ulps_of_the_spacing_bound_settle_as_in_the_pair_loop(d
 
 @pytest.mark.parametrize("shape", [(3,), (3, 1), (3, 3)])
 def test_swarm_rejects_positions_that_are_not_xy_rows(shape):
-    # the kernel reads positions as (x, y) pairs by address
+    # the kernel reads positions as (x, y) pairs
     pop = manual_population(np.full(shape, 0.5), [True] * 3, SwarmParams(d_min=0.1))
     with pytest.raises(ShapeMismatchError):
         enforce_min_distance(pop)

@@ -1,17 +1,21 @@
-"""The C kernel: its declarations, its build cache, and a host without a compiler."""
+"""The C kernel: its module's entry points and their checks, its build cache, and a host without a compiler."""
 
-import ctypes
+import datetime
 import os
 import re
 import shutil
 import subprocess
 import sys
+import sysconfig
 import tempfile
+from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from fireflynet import kernel
+from fireflynet.errors import CompilerError
 from fireflynet.firefly import FireflyPopulation, GridLayout, SwarmParams, swarm_step
 from fireflynet.patterns import Pattern, gaussian_2d, save_pattern_csv
 
@@ -19,24 +23,93 @@ from fireflynet.patterns import Pattern, gaussian_2d, save_pattern_csv
 DEFINITION = re.compile(r"^(?!static\b)(\w[\w ]*?[ *]+)(\w+)\(([^)]*)\)\s*\{", re.M)
 
 
-def ctypes_kind(declaration: str):
-    """The ctypes type that passes the C parameter or result type ``declaration``."""
-    if "*" in declaration:
-        return ctypes.c_void_p
-    return {"long": ctypes.c_long, "double": ctypes.c_double, "void": None}[declaration.split()[0]]
+def test_the_module_exposes_exactly_the_entry_points_kernel_c_defines():
+    definitions = set(DEFINITION.findall(kernel.SOURCE.read_text()))
+    entry_points = {name for _, name, _ in definitions} - {"PyInit_kernel"}
+    assert entry_points == {"swarm_move", "swarm_settle", "row_fixed_points", "euler_step", "synthesize"}
+    assert {name for name in dir(kernel.load_kernel()) if not name.startswith("__")} == entry_points
 
 
-def test_the_declaration_table_matches_the_definitions_in_kernel_c():
-    definitions = {name: (result, params) for result, name, params in DEFINITION.findall(kernel.SOURCE.read_text())}
-    assert set(definitions) == {name for name, _, _ in kernel.ENTRY_POINTS}
-    lib = kernel.load_kernel()
-    for name, result, arguments in kernel.ENTRY_POINTS:
-        c_result, c_params = definitions[name]
-        assert result is ctypes_kind(c_result), name
-        assert arguments == tuple(ctypes_kind(param) for param in c_params.split(",")), name
-        assert getattr(lib, name).restype is result and getattr(lib, name).argtypes == arguments
+def entry_point_calls(generator: np.random.Generator) -> dict[str, tuple[list, set[int], set[int]]]:
+    """For each entry point: arguments it accepts, with a 3-agent swarm on a
+    2x2 grid and 3x3 weights, the positions of the arrays it writes, and of
+    those it only reads.  The capsule points into generator, which the caller
+    keeps alive."""
+    rng = generator.bit_generator.capsule
+    w, t = np.full((3, 3), 0.1), np.eye(3) + 0.5
+    np.fill_diagonal(w, 0.0)
+    agents = np.array([[0.1, 0.2], [0.5, 0.5], [0.9, 0.6]])
+    return {
+        "swarm_move": ([agents, 3, rng, np.empty(3), np.arange(4.0), 2, 2, 0.5, -1.0, 0.1], {0, 3}, {4}),
+        "swarm_settle": ([agents, 3, rng, 0.1, 0.11, 5], {0}, set()),
+        "row_fixed_points": ([w, t, np.empty((3, 3)), 3, 0.01, 1.0, 0.5, 1e-6], {2}, {0, 1}),
+        "euler_step": (
+            [w, t, np.empty((3, 3)), np.empty((3, 3)), np.empty(7), 3, 0.01, 1.0, 0.1, 0.5], {2, 3, 4}, {0, 1}
+        ),
+        "synthesize": ([agents, 3, np.full((4, 3), 0.2), np.zeros((4, 4)), np.empty(4), 2, 2, 0.5], {3, 4}, {0, 2}),
+    }
 
 
+def read_only(a: np.ndarray) -> np.ndarray:
+    a = a.copy()
+    a.flags.writeable = False
+    return a
+
+
+@pytest.mark.parametrize("name", ["swarm_move", "swarm_settle", "row_fixed_points", "euler_step", "synthesize"])
+def test_each_entry_point_rejects_arrays_it_cannot_read_or_write_as_the_kernel_would(name):
+    entry, generator = getattr(kernel.load_kernel(), name), np.random.default_rng(0)
+    arguments, written, read = entry_point_calls(generator)[name]
+    entry(*arguments)  # as given, the call is good
+
+    def rejected(at: int, bad) -> None:
+        call = [a.copy() if isinstance(a, np.ndarray) else a for a in arguments]
+        call[at] = bad
+        with pytest.raises(ValueError):
+            entry(*call)
+
+    for at in written | read:
+        a = arguments[at]
+        rejected(at, a.reshape(-1)[:-1])  # short by one double
+        rejected(at, np.append(a, 0.0))  # long by one
+        rejected(at, np.repeat(a, 2, axis=-1)[..., ::2])  # the values, but not contiguous
+        rejected(at, a.astype(np.float32))
+        rejected(at, a.astype(np.int64))
+    for at in written:
+        rejected(at, read_only(arguments[at]))
+    for at in read:
+        entry(*arguments[:at], read_only(arguments[at]), *arguments[at + 1:])
+    if name.startswith("swarm"):
+        rejected(2, datetime.datetime_CAPI)  # a capsule, but not a BitGenerator's
+        rejected(2, np.random.default_rng(0))
+    with pytest.raises(TypeError):
+        entry(*arguments[:-1])
+
+
+def test_a_negative_count_or_an_empty_grid_is_rejected_before_the_kernel_reads():
+    k, generator = kernel.load_kernel(), np.random.default_rng(0)
+    rng = generator.bit_generator.capsule
+    with pytest.raises(ValueError):
+        k.swarm_settle(np.empty((0, 2)), -1, rng, 0.1, 0.11, 5)
+    with pytest.raises(ValueError):  # an empty grid: a move would read the activity at cell -1
+        k.swarm_move(np.full((1, 2), 0.5), 1, rng, np.empty(1), np.empty(0), 0, 2, 0.5, -1.0, 0.1)
+
+
+def test_a_missing_python_h_names_it_in_the_compiler_error(tmp_path, monkeypatch):
+    source = tmp_path / "kernel.c"
+    shutil.copyfile(kernel.SOURCE, source)
+    monkeypatch.setattr(kernel, "SOURCE", source)
+    monkeypatch.setattr(sysconfig, "get_path", lambda name: str(tmp_path))  # an include directory without it
+    kernel.load_kernel.cache_clear()
+    try:
+        with pytest.raises(CompilerError, match=r"needs a working C compiler \(cc\) and Python\.h: .*Python\.h"):
+            kernel.load_kernel()
+    finally:
+        kernel.load_kernel.cache_clear()
+    assert list((tmp_path / "__pycache__").iterdir()) == []
+
+
+SUFFIX = EXTENSION_SUFFIXES[0]
 SWARM_SCRIPT = """
 import numpy as np
 from fireflynet.firefly import FireflyPopulation, GridLayout, SwarmParams, swarm_step
@@ -106,22 +179,24 @@ def test_a_parallel_swarm_sweep_builds_the_kernel_in_its_workers_on_an_empty_cac
 def test_a_changed_kernel_source_builds_under_a_new_name(tmp_path, monkeypatch):
     source = tmp_path / "kernel.c"
     shutil.copyfile(kernel.SOURCE, source)
-    stale = tmp_path / "__pycache__" / "kernel-0000000000000000.so"  # an earlier source's build
+    stale = tmp_path / "__pycache__" / f"kernel-0000000000000000{SUFFIX}"  # an earlier source's build
+    other = stale.with_name("kernel-0000000000000000.cpython-399-x86_64-linux-gnu.so")  # another interpreter's
     stale.parent.mkdir()
     stale.write_bytes(b"")
+    other.write_bytes(b"")
     monkeypatch.setattr(kernel, "SOURCE", source)
     kernel.load_kernel.cache_clear()
     try:
-        first = Path(kernel.load_kernel()._name)
+        first = Path(kernel.load_kernel().__file__)
         assert first.is_file() and not stale.exists()
         source.write_text(source.read_text() + "\n/* edited */\n")
         kernel.load_kernel.cache_clear()
-        second = Path(kernel.load_kernel()._name)
+        second = Path(kernel.load_kernel().__file__)
     finally:
         kernel.load_kernel.cache_clear()
     assert first.parent == second.parent == tmp_path / "__pycache__"
     # the new build replaced the first in the cache; the first stays loaded
-    assert first.name != second.name and list(second.parent.glob("kernel-*.so")) == [second]
+    assert first.name != second.name and set(second.parent.glob("kernel-*.so")) == {second, other}
 
 
 def test_a_load_that_compiles_nothing_deletes_no_library(tmp_path, monkeypatch):
@@ -130,8 +205,8 @@ def test_a_load_that_compiles_nothing_deletes_no_library(tmp_path, monkeypatch):
     monkeypatch.setattr(kernel, "SOURCE", source)
     kernel.load_kernel.cache_clear()
     try:
-        built = Path(kernel.load_kernel()._name)
-        stale = built.with_name("kernel-0000000000000000.so")
+        built = Path(kernel.load_kernel().__file__)
+        stale = built.with_name(f"kernel-0000000000000000{SUFFIX}")
         stale.write_bytes(b"")
         kernel.load_kernel.cache_clear()
 
@@ -139,7 +214,7 @@ def test_a_load_that_compiles_nothing_deletes_no_library(tmp_path, monkeypatch):
             raise AssertionError("a cached kernel was compiled again")
 
         monkeypatch.setattr(subprocess, "run", no_compiler)
-        assert Path(kernel.load_kernel()._name) == built
+        assert Path(kernel.load_kernel().__file__) == built
     finally:
         kernel.load_kernel.cache_clear()
     assert stale.is_file()

@@ -14,7 +14,6 @@ from fireflynet.dynamics import (
     correlation_tensor,
 )
 from fireflynet.errors import ParameterError, ShapeMismatchError
-from fireflynet.kernel import load_kernel
 from fireflynet.plasticity import (
     STEP_FRACTION,
     PlasticityParams,
@@ -539,17 +538,13 @@ def test_the_solve_rejects_a_non_finite_tensor_before_the_kernel(monkeypatch):
 
 
 def test_a_solve_the_kernel_cannot_allocate_for_raises_memory_error(monkeypatch):
-    # the kernel's 4 * 2**56 doubles are more than any address space maps, so malloc fails
-    kernel = load_kernel()
-
-    class Huge:
+    class NoMemory:
         @staticmethod
-        def row_fixed_points(w, t, out, n, *rule):
-            return kernel.row_fixed_points(w, t, out, 2**56, *rule)
+        def row_fixed_points(*args):
+            return 2
 
-    assert kernel.row_fixed_points(None, None, None, 2**56, 0.01, 1.0, 0.5, 1e-6) == 2
-    monkeypatch.setattr(plasticity, "load_kernel", Huge)
-    with pytest.raises(MemoryError, match="4 weight rows"):
+    monkeypatch.setattr(plasticity, "load_kernel", NoMemory)
+    with pytest.raises(MemoryError, match="^no memory for the fixed points of 4 weight rows$"):
         row_fixed_points(uniform_weights(4), gram_tensor(4, 3), PlasticityParams())
 
 

@@ -816,6 +816,28 @@ def test_a_retired_key_loads_only_at_the_value_that_stayed(tmp_path, key, kept, 
         load_model(tmp_path)
 
 
+@pytest.mark.parametrize(
+    "key, text",
+    [("population_factor", "1"), ("population_factor", "1e0"), ("theta_act", ".1"), ("inhib_pitches", "3"),
+     ("inhibition_gain", "+1.00"), ("kernel_pitches", "15e-1")],
+)
+def test_a_retired_float_key_loads_at_any_text_of_its_value(tmp_path, key, text):
+    # the key was a float field, which parsed the text: a hand edit that keeps the value loads
+    model = zero_model(9, grid=(3, 3))
+    save_model(model, tmp_path)
+    cfg_file = tmp_path / "config.cfg"
+    cfg_file.write_text(f"{cfg_file.read_text()}{key} = {text}\n")
+    assert load_model(tmp_path).config == model.config
+
+
+def test_a_retired_float_key_holding_no_number_is_a_config_error_naming_it(tmp_path):
+    save_model(zero_model(9, grid=(3, 3)), tmp_path)
+    cfg_file = tmp_path / "config.cfg"
+    cfg_file.write_text(f"{cfg_file.read_text()}topology_mix = 0.3x\n")
+    with pytest.raises(ConfigError, match="^topology_mix: expected float, got '0.3x'$"):
+        load_model(tmp_path)
+
+
 RETIRED_FLOATS = {
     "theta_act": "0.1",
     "topology_mix": "0.3",
